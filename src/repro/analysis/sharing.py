@@ -154,37 +154,71 @@ class SharingProfile:
         return sorted(self.page_access_counts.values(), reverse=True)
 
 
+#: A dense (unit x GPU) table is used while the largest unit id is below
+#: this many times the access count; sparser or negative ids are first
+#: compacted with ``np.unique``, so table size tracks the trace, not the
+#: address range.
+_DENSE_SLACK = 8
+
+
 def profile_sharing(trace: WorkloadTrace, config: SystemConfig) -> SharingProfile:
-    """Build the :class:`SharingProfile` of *trace* under *config*."""
-    lpp = config.lines_per_page
-    profile = SharingProfile(
-        workload=trace.name,
-        n_gpus=config.n_gpus,
-        lines_per_page=lpp,
-        page_bytes=config.page_bytes,
+    """Build the :class:`SharingProfile` of *trace* under *config*.
+
+    One array pass over the whole trace: sharing is a union over kernels
+    and counts are sums, so the kernels' ``(line, GPU, is_write)`` arrays
+    are concatenated and tabulated at page and at line granularity.
+    """
+    n_gpus = config.n_gpus
+    kernels = trace.kernels
+    lines = np.concatenate([k.lines for k in kernels])
+    gpus = np.concatenate(
+        [assign_ctas(k, n_gpus, config.scheduling)[k.cta_ids] for k in kernels]
     )
-    pa, pw = profile.page_accessors, profile.page_writers
-    la, lw = profile.line_accessors, profile.line_writers
-    pc, lc = profile.page_access_counts, profile.line_access_counts
-    for kernel in trace.kernels:
-        cta_to_gpu = assign_ctas(kernel, config.n_gpus, config.scheduling)
-        access_gpu = cta_to_gpu[kernel.cta_ids]
-        pages = kernel.lines // lpp
-        for g in range(config.n_gpus):
-            mask = access_gpu == g
-            bit = 1 << g
-            for p in np.unique(pages[mask]):
-                pa[int(p)] = pa.get(int(p), 0) | bit
-            for p in np.unique(pages[mask & kernel.is_write]):
-                pw[int(p)] = pw.get(int(p), 0) | bit
-            for ln in np.unique(kernel.lines[mask]):
-                la[int(ln)] = la.get(int(ln), 0) | bit
-            for ln in np.unique(kernel.lines[mask & kernel.is_write]):
-                lw[int(ln)] = lw.get(int(ln), 0) | bit
-        upages, counts = np.unique(pages, return_counts=True)
-        for p, n in zip(upages, counts):
-            pc[int(p)] = pc.get(int(p), 0) + int(n)
-        ulines, counts = np.unique(kernel.lines, return_counts=True)
-        for ln, n in zip(ulines, counts):
-            lc[int(ln)] = lc.get(int(ln), 0) + int(n)
-    return profile
+    writes = np.concatenate([k.is_write for k in kernels])
+    pa, pw, pc = _tabulate(lines // config.lines_per_page, gpus, writes, n_gpus)
+    la, lw, lc = _tabulate(lines, gpus, writes, n_gpus)
+    return SharingProfile(
+        workload=trace.name,
+        n_gpus=n_gpus,
+        lines_per_page=config.lines_per_page,
+        page_bytes=config.page_bytes,
+        page_accessors=pa,
+        page_writers=pw,
+        line_accessors=la,
+        line_writers=lw,
+        page_access_counts=pc,
+        line_access_counts=lc,
+    )
+
+
+def _tabulate(
+    keys: np.ndarray, gpus: np.ndarray, writes: np.ndarray, n_gpus: int
+) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+    """``(accessors, writers, counts)`` dicts of one unit granularity.
+
+    Accesses are binned into (unit x GPU) tables, one over all accesses
+    and one over writes; a row's nonzero columns are its GPU bitmask.
+    Writers only holds units that were written.
+    """
+    n = len(keys)
+    if n and (keys.min() < 0 or keys.max() >= _DENSE_SLACK * n):
+        units, index = np.unique(keys, return_inverse=True)
+    else:
+        units = np.arange(int(keys.max()) + 1 if n else 0)
+        index = keys
+    cells = index * n_gpus + gpus
+    size = len(units) * n_gpus
+    accessed = np.bincount(cells, minlength=size).reshape(-1, n_gpus)
+    written = np.bincount(cells[writes], minlength=size).reshape(-1, n_gpus)
+    bits = 1 << np.arange(n_gpus, dtype=np.int64)
+    counts = accessed.sum(axis=1)
+    accessor_masks = (accessed > 0) @ bits
+    writer_masks = (written > 0) @ bits
+    seen = counts > 0
+    was_written = writer_masks > 0
+    seen_units = units[seen].tolist()
+    return (
+        dict(zip(seen_units, accessor_masks[seen].tolist())),
+        dict(zip(units[was_written].tolist(), writer_masks[was_written].tolist())),
+        dict(zip(seen_units, counts[seen].tolist())),
+    )

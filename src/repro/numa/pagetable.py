@@ -66,34 +66,20 @@ class PageTable:
         self.stats.pages_mapped += 1
         return home
 
-    def resolve_accesses(
-        self,
-        pages: Sequence[int],
-        accessor: int,
-        on_first_touch: Optional[Callable[[int, int], None]] = None,
-    ) -> tuple[list[int], list[bool]]:
-        """Bulk page-table lookup for one GPU's access stream.
-
-        Single-accessor convenience wrapper over :meth:`resolve_spans`.
-        """
-        return self.resolve_spans(
-            pages, ((accessor, 0, len(pages)),), 0, on_first_touch
-        )
-
     def resolve_spans(
         self,
         pages: Sequence[int],
         spans: Sequence[tuple[int, int, int]],
-        from_index: int = 0,
         on_first_touch: Optional[Callable[[int, int], None]] = None,
     ) -> tuple[list[int], list[bool]]:
         """Bulk page-table lookup over interleaved chunk spans (hot path).
 
         *spans* lists ``(accessor, lo, hi)`` half-open index ranges into
-        *pages*, contiguous and in global issue order; entries before
-        *from_index* are skipped (the engine re-resolves from mid-kernel
-        after a migration).  One pass in stream order: unmapped pages are
-        first-touch-mapped exactly as :meth:`home_of` would at the access
+        *pages*, contiguous and in global issue order.  Homes must not
+        change during the pass: the engine calls this only with migration
+        off (with migration on it resolves at each access instead).  One
+        pass in stream order: unmapped pages are first-touch-mapped
+        exactly as :meth:`home_of` would at the access
         position (placement-order sensitive policies such as round-robin
         see the same touch order), and each access is classified as
         locally serviceable by its span's accessor — homed there or
@@ -102,8 +88,7 @@ class PageTable:
         stream is classified, so replicas it installs are visible to the
         rest of the stream, matching the per-access engine.
 
-        Returns ``(homes, local)`` lists parallel to
-        ``pages[from_index:]``.
+        Returns ``(homes, local)`` lists parallel to *pages*.
         """
         get = self._home.get
         replicas = self._replicas
@@ -113,17 +98,13 @@ class PageTable:
         h_append = homes.append
         l_append = local.append
         # Within one resolution pass a page's (home, local-to-accessor)
-        # pair is stable: homes only change via migration (the engine
-        # re-resolves after one) and replicas are only installed at the
+        # pair is stable: homes only change via migration (which never
+        # runs during the pass) and replicas are only installed at the
         # page's own first touch, which precedes any memo entry for it.
         # Access streams revisit pages heavily, so per-accessor memos
         # skip most of the table/replica lookups.
         memos: dict[int, dict[int, tuple[int, bool]]] = {}
         for accessor, lo, hi in spans:
-            if hi <= from_index:
-                continue
-            if lo < from_index:
-                lo = from_index
             memo = memos.get(accessor)
             if memo is None:
                 memo = memos[accessor] = {}

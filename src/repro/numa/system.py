@@ -482,7 +482,7 @@ class MultiGpuSystem:
 
         if migration is None:
             homes_c, local_c = pt.resolve_spans(
-                pages_c, spans, 0, self._on_first_touch
+                pages_c, spans, self._on_first_touch
             )
             memos = None
         else:

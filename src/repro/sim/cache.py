@@ -27,8 +27,9 @@ from repro.workloads.base import WorkloadSpec
 #: Bump on any change that alters simulation results (or the shape of
 #: the pickled RunResult) — and, per the VER001 lint gate, on any
 #: change under the result-affecting packages, however innocuous
-#: (v11: import reordering in numa/system.py for the style gate).
-CODE_VERSION = 11
+#: (v12: the sharing profile became one vectorised pass and the unused
+#: page-table resolve paths were removed; results are bit-identical).
+CODE_VERSION = 12
 
 log = logging.getLogger(__name__)
 

@@ -624,9 +624,14 @@ class DrillReport:
 
 
 def _kill_tree(proc: subprocess.Popen) -> None:
-    """SIGKILL a round's whole process group (parent and pool workers)."""
+    """SIGKILL a round's whole process group (parent and pool workers).
+
+    Rounds start in their own session, so the group id is the leader's
+    pid and stays valid after the leader has exited and been reaped, as
+    long as any pool worker it left behind is still alive.
+    """
     try:
-        os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
+        os.killpg(proc.pid, signal.SIGKILL)
     except (ProcessLookupError, PermissionError, OSError):
         try:
             proc.kill()
@@ -735,14 +740,16 @@ def run_drill(
                 start_new_session=True,
             )
             try:
-                rc = proc.wait(
+                proc.wait(
                     timeout=kill_after if kill_after is not None
                     else round_timeout_s
                 )
             except subprocess.TimeoutExpired:
-                _kill_tree(proc)
-                rc = proc.wait()
                 outcome = "killed" if kill_after is not None else "timeout"
+            # Reap the group however the round ended: a leader that
+            # crashed or exited can leave pool workers running.
+            _kill_tree(proc)
+            rc = proc.wait()
         rnd = DrillRound(label, outcome, rc, time.monotonic() - started)
         report.rounds.append(rnd)
         return rnd

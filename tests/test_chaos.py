@@ -12,6 +12,7 @@ import errno
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -305,6 +306,26 @@ class TestKillKinds:
         assert rec["kind"] == "worker_kill"  # recorded before dying
 
 
+def group_alive(pgid: int) -> bool:
+    """True while process group *pgid* has a member that has not exited.
+
+    SIGKILLed orphans are reaped by init rather than by the drill, so a
+    dead member can linger briefly as a zombie; zombies do not count.
+    """
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _ppid, group = stat.read_text().rsplit(")", 1)[1].split()[:3]
+        except (OSError, ValueError):
+            continue  # exited while being read
+        if int(group) == pgid and state != "Z":
+            return True
+    return False
+
+
 class TestDrill:
     def test_rejects_single_workload(self, tmp_path):
         with pytest.raises(ValueError):
@@ -314,12 +335,30 @@ class TestDrill:
         assert len(DRILL_WORKLOADS) >= 2
 
     @pytest.mark.slow
-    def test_end_to_end_drill_passes(self, tmp_path):
+    def test_end_to_end_drill_passes(self, tmp_path, monkeypatch):
+        # Every round runs in its own session; record each group id.
+        pgids = []
+        popen = subprocess.Popen
+
+        class RecordingPopen(popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                if kwargs.get("start_new_session"):
+                    pgids.append(self.pid)
+
+        monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
         report = run_drill(
             tmp_path / "drill", seed=1, rounds=2, jobs=2,
             workloads=("Lulesh", "Euler"),
         )
         assert report.ok, report.render()
+        # No round (nor a pool worker it forked) outlives the drill.  A
+        # short grace covers SIGKILL delivery to the last round's group.
+        assert len(pgids) == len(report.rounds)
+        deadline = time.monotonic() + 5.0
+        while any(map(group_alive, pgids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pgid for pgid in pgids if group_alive(pgid)]
         assert report.injected  # something actually fired
         rendered = report.render()
         assert "PASS" in rendered and "byte-identical" in rendered

@@ -1,6 +1,8 @@
 """Tests for sharing classification (the Fig. 4 / Fig. 5 machinery)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.sharing import (
     PRIVATE,
@@ -9,6 +11,8 @@ from repro.analysis.sharing import (
     SharingProfile,
     profile_sharing,
 )
+from repro.config import LINE_BYTES, SCHEDULE_CONTIGUOUS, SCHEDULE_ROUND_ROBIN
+from repro.gpu.scheduler import assign_ctas
 from tests.conftest import make_kernel, make_trace, small_config
 
 
@@ -134,3 +138,100 @@ class TestMultiKernel:
         k1 = make_kernel([0], writes=[0], cta_ids=[0], kernel_id=1)
         p = profile_sharing(make_trace([k0, k1]), cfg)
         assert p.page_access_counts[0] == 3
+
+
+# -- equivalence with a per-access reference ---------------------------------
+
+PROFILE_FIELDS = (
+    "page_accessors", "page_writers", "line_accessors", "line_writers",
+    "page_access_counts", "line_access_counts",
+)
+
+
+def reference_profile(trace, cfg):
+    """The profile's six dicts, built one access at a time in plain Python."""
+    lpp = cfg.lines_per_page
+    pa, pw, la, lw, pc, lc = ({} for _ in PROFILE_FIELDS)
+    for kernel in trace.kernels:
+        gpu_of = assign_ctas(kernel, cfg.n_gpus, cfg.scheduling).tolist()
+        for line, cta, write in zip(kernel.lines.tolist(),
+                                    kernel.cta_ids.tolist(),
+                                    kernel.is_write.tolist()):
+            bit = 1 << gpu_of[cta]
+            for unit, accessors, writers, counts in (
+                    (line // lpp, pa, pw, pc), (line, la, lw, lc)):
+                accessors[unit] = accessors.get(unit, 0) | bit
+                counts[unit] = counts.get(unit, 0) + 1
+                if write:
+                    writers[unit] = writers.get(unit, 0) | bit
+    return dict(zip(PROFILE_FIELDS, (pa, pw, la, lw, pc, lc)))
+
+
+def config_for(n_gpus, scheduling, lines_per_page):
+    cfg = small_config(n_gpus=n_gpus, scheduling=scheduling)
+    return cfg.replace(page_bytes=lines_per_page * LINE_BYTES * cfg.scale)
+
+
+#: Line-id spaces: dense suite-like ids, ids spanning far more than the
+#: access count, and ids below zero (the latter two take the compaction
+#: path).
+LINE_SPACES = {
+    "dense": st.integers(0, 300),
+    "huge": st.integers(0, 2**40),
+    "negative": st.integers(-400, 400),
+}
+
+
+@st.composite
+def kernels(draw, space):
+    n = draw(st.integers(1, 40))
+    n_ctas = draw(st.integers(1, 12))
+    lines = draw(st.lists(space, min_size=n, max_size=n))
+    no_writes = draw(st.booleans())
+    writes = [False] * n if no_writes else draw(
+        st.lists(st.booleans(), min_size=n, max_size=n))
+    ctas = draw(st.lists(st.integers(0, n_ctas - 1), min_size=n, max_size=n))
+    return lines, writes, ctas, n_ctas
+
+
+@st.composite
+def traces(draw):
+    space = LINE_SPACES[draw(st.sampled_from(sorted(LINE_SPACES)))]
+    specs = draw(st.lists(kernels(space), min_size=1, max_size=3))
+    return make_trace([
+        make_kernel(lines, writes=writes, cta_ids=ctas, n_ctas=n_ctas,
+                    kernel_id=i)
+        for i, (lines, writes, ctas, n_ctas) in enumerate(specs)
+    ])
+
+
+class TestReferenceEquivalence:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        trace=traces(),
+        n_gpus=st.integers(1, 8),
+        scheduling=st.sampled_from([SCHEDULE_CONTIGUOUS, SCHEDULE_ROUND_ROBIN]),
+        lines_per_page=st.sampled_from([1, 2, 16, 64]),
+    )
+    def test_matches_reference(self, trace, n_gpus, scheduling, lines_per_page):
+        cfg = config_for(n_gpus, scheduling, lines_per_page)
+        assert cfg.lines_per_page == lines_per_page
+        profile = profile_sharing(trace, cfg)
+        expected = reference_profile(trace, cfg)
+        for name in PROFILE_FIELDS:
+            assert getattr(profile, name) == expected[name], name
+
+    @pytest.mark.parametrize("lines", [
+        [0],                              # single access
+        [5, 2**40, 5, 3 * 2**40 + 1],     # huge ids
+        [-17, -1, 0, 16, -17],            # negative ids
+        list(range(0, 64, 2)) * 3,        # dense
+    ])
+    def test_matches_reference_on_edge_traces(self, lines):
+        cfg = config_for(4, SCHEDULE_ROUND_ROBIN, 16)
+        writes = [i % 3 == 0 for i in range(len(lines))]
+        trace = make_trace([make_kernel(lines, writes=writes)])
+        profile = profile_sharing(trace, cfg)
+        expected = reference_profile(trace, cfg)
+        for name in PROFILE_FIELDS:
+            assert getattr(profile, name) == expected[name], name
