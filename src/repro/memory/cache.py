@@ -2,8 +2,9 @@
 
 These are functional (hit/miss) models with true LRU replacement.  They know
 nothing about timing; the performance model converts the traffic they emit
-into time.  Lines are tagged with arbitrary metadata (``remote`` flags,
-dirty bits) that the NUMA machinery needs.
+into time.  Each resident line carries the metadata the NUMA machinery
+needs as an int of flag bits: :data:`DIRTY` and :data:`REMOTE`.  A plain
+int costs no allocation per fill, which matters on the engine's hot path.
 """
 
 from __future__ import annotations
@@ -12,15 +13,10 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-
-@dataclass
-class CacheLineState:
-    """Metadata carried by a resident cache line."""
-
-    __slots__ = ("dirty", "remote")
-
-    dirty: bool
-    remote: bool
+#: Line-state flag: the line holds data newer than its home DRAM.
+DIRTY = 1
+#: Line-state flag: the line is homed on another GPU.
+REMOTE = 2
 
 
 @dataclass
@@ -32,6 +28,10 @@ class EvictedLine:
     line: int
     dirty: bool
     remote: bool
+
+
+def _evicted(line: int, state: int) -> EvictedLine:
+    return EvictedLine(line, bool(state & DIRTY), bool(state & REMOTE))
 
 
 class SetAssociativeCache:
@@ -58,8 +58,8 @@ class SetAssociativeCache:
         self.n_lines = n_lines
         self.ways = ways
         self.n_sets = n_lines // ways
-        # One OrderedDict per set: line -> CacheLineState, LRU at the front.
-        self._sets: list[OrderedDict[int, CacheLineState]] = [
+        # One OrderedDict per set: line -> DIRTY|REMOTE flags, LRU first.
+        self._sets: list[OrderedDict[int, int]] = [
             OrderedDict() for _ in range(self.n_sets)
         ]
         self.hits = 0
@@ -67,17 +67,21 @@ class SetAssociativeCache:
 
     # -- basic operations ------------------------------------------------
 
-    def _set_of(self, line: int) -> OrderedDict[int, CacheLineState]:
+    def _set_of(self, line: int) -> OrderedDict[int, int]:
         return self._sets[line % self.n_sets]
 
     @property
-    def sets(self) -> list[OrderedDict[int, CacheLineState]]:
+    def sets(self) -> list[OrderedDict[int, int]]:
         """The per-set line tables, LRU-first (hot-path view).
 
-        The vectorized execution engine operates on these directly to
-        avoid per-access method-call overhead; any mutation must preserve
-        the :meth:`lookup`/:meth:`insert` contract (LRU order, ``ways``
-        bound, counter deltas flushed via :meth:`add_lookup_counts`).
+        Each maps a resident line to its state, an int of :data:`DIRTY`
+        and :data:`REMOTE` bits.  The vectorized execution engine operates
+        on these directly to avoid per-access method-call overhead; any
+        mutation must preserve the :meth:`lookup`/:meth:`insert` contract
+        (LRU order, ``ways`` bound, counter deltas flushed via
+        :meth:`add_lookup_counts`).  Assigning to a resident key keeps its
+        LRU position, so a state update must be followed by
+        ``move_to_end`` wherever the line's recency is refreshed.
         """
         return self._sets
 
@@ -110,17 +114,16 @@ class SetAssociativeCache:
         dirty bit (a write hit never cleans a line).
         """
         s = self._set_of(line)
+        flags = (DIRTY if dirty else 0) | (REMOTE if remote else 0)
         state = s.get(line)
         if state is not None:
-            state.dirty = state.dirty or dirty
-            state.remote = remote
+            s[line] = (state & DIRTY) | flags
             s.move_to_end(line)
             return None
         victim = None
         if len(s) >= self.ways:
-            vline, vstate = s.popitem(last=False)
-            victim = EvictedLine(vline, vstate.dirty, vstate.remote)
-        s[line] = CacheLineState(dirty=dirty, remote=remote)
+            victim = _evicted(*s.popitem(last=False))
+        s[line] = flags
         return victim
 
     def mark_dirty(self, line: int) -> bool:
@@ -129,7 +132,7 @@ class SetAssociativeCache:
         state = s.get(line)
         if state is None:
             return False
-        state.dirty = True
+        s[line] = state | DIRTY
         s.move_to_end(line)
         return True
 
@@ -139,17 +142,17 @@ class SetAssociativeCache:
         state = s.pop(line, None)
         if state is None:
             return None
-        return EvictedLine(line, state.dirty, state.remote)
+        return _evicted(line, state)
 
     # -- bulk operations (software coherence) -----------------------------
 
     def invalidate_all(self) -> list[EvictedLine]:
         """Drop every line, returning the dirty ones (they need a flush)."""
         dirty = [
-            EvictedLine(line, st.dirty, st.remote)
+            _evicted(line, st)
             for s in self._sets
             for line, st in s.items()
-            if st.dirty
+            if st & DIRTY
         ]
         for s in self._sets:
             s.clear()
@@ -164,7 +167,7 @@ class SetAssociativeCache:
         """
         dropped = 0
         for s in self._sets:
-            stale = [line for line, st in s.items() if st.remote]
+            stale = [line for line, st in s.items() if st & REMOTE]
             for line in stale:
                 del s[line]
             dropped += len(stale)
@@ -175,9 +178,10 @@ class SetAssociativeCache:
         flushed = []
         for s in self._sets:
             for line, st in s.items():
-                if st.dirty:
-                    flushed.append(EvictedLine(line, True, st.remote))
-                    st.dirty = False
+                if st & DIRTY:
+                    flushed.append(_evicted(line, st))
+                    # Assigning to a resident key keeps its LRU position.
+                    s[line] = st & ~DIRTY
         return flushed
 
     # -- introspection ----------------------------------------------------

@@ -11,7 +11,6 @@ migration).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
 
 from repro.config import (
     PLACEMENT_FIRST_TOUCH,
@@ -65,72 +64,6 @@ class PageTable:
         self._home[page] = home
         self.stats.pages_mapped += 1
         return home
-
-    def resolve_spans(
-        self,
-        pages: Sequence[int],
-        spans: Sequence[tuple[int, int, int]],
-        on_first_touch: Optional[Callable[[int, int], None]] = None,
-    ) -> tuple[list[int], list[bool]]:
-        """Bulk page-table lookup over interleaved chunk spans (hot path).
-
-        *spans* lists ``(accessor, lo, hi)`` half-open index ranges into
-        *pages*, contiguous and in global issue order.  Homes must not
-        change during the pass: the engine calls this only with migration
-        off (with migration on it resolves at each access instead).  One
-        pass in stream order: unmapped pages are first-touch-mapped
-        exactly as :meth:`home_of` would at the access
-        position (placement-order sensitive policies such as round-robin
-        see the same touch order), and each access is classified as
-        locally serviceable by its span's accessor — homed there or
-        replicated there.  *on_first_touch* is invoked as ``(page, home)``
-        the moment a page is mapped, before any later access of the
-        stream is classified, so replicas it installs are visible to the
-        rest of the stream, matching the per-access engine.
-
-        Returns ``(homes, local)`` lists parallel to *pages*.
-        """
-        get = self._home.get
-        replicas = self._replicas
-        home_of = self.home_of
-        homes: list[int] = []
-        local: list[bool] = []
-        h_append = homes.append
-        l_append = local.append
-        # Within one resolution pass a page's (home, local-to-accessor)
-        # pair is stable: homes only change via migration (which never
-        # runs during the pass) and replicas are only installed at the
-        # page's own first touch, which precedes any memo entry for it.
-        # Access streams revisit pages heavily, so per-accessor memos
-        # skip most of the table/replica lookups.
-        memos: dict[int, dict[int, tuple[int, bool]]] = {}
-        for accessor, lo, hi in spans:
-            memo = memos.get(accessor)
-            if memo is None:
-                memo = memos[accessor] = {}
-            memo_get = memo.get
-            for page in pages[lo:hi]:
-                ent = memo_get(page)
-                if ent is not None:
-                    h_append(ent[0])
-                    l_append(ent[1])
-                    continue
-                home = get(page)
-                if home is None:
-                    home = home_of(page, accessor)
-                    if on_first_touch is not None:
-                        on_first_touch(page, home)
-                if home == accessor:
-                    is_local = True
-                elif replicas:
-                    holders = replicas.get(page)
-                    is_local = holders is not None and accessor in holders
-                else:
-                    is_local = False
-                memo[page] = (home, is_local)
-                h_append(home)
-                l_append(is_local)
-        return homes, local
 
     def is_mapped(self, page: int) -> bool:
         return page in self._home

@@ -20,13 +20,12 @@ Two execution engines implement the identical per-access semantics:
 
 * ``vectorized`` (default) — the production hot path.  Per kernel it
   precomputes NumPy arrays of derived per-access quantities (page ids,
-  cache set indices, DRAM bank/row coordinates), resolves page homes with
-  a single bulk first-touch pass over the whole kernel (or per-access
-  memoised resolution when migration can re-home pages mid-kernel), and
-  drives a tight loop per scheduled chunk with every invariant hoisted
-  into per-GPU context tuples, caches/DRAM operated on directly, and
-  counters tallied in locals that persist across chunks and flush once
-  per kernel.
+  cache set indices, DRAM bank/row coordinates), resolves page homes at
+  the access site through a per-GPU memo, and drives a tight loop per
+  scheduled chunk with every invariant hoisted into per-GPU context
+  tuples, caches/DRAM operated on directly (cache-line state is a
+  ``DIRTY``/``REMOTE`` flag int), and counters tallied in locals that
+  persist across chunks and flush once per kernel.
 * ``reference`` — the straightforward per-access loop, kept as the
   executable specification.  The equivalence test suite asserts the two
   engines produce bit-identical :class:`~repro.perf.stats.RunResult`
@@ -54,7 +53,7 @@ from repro.core.rdc import DIRTY_MAP_REGION_LINES
 from repro.gpu.cta import KernelTrace, WorkloadTrace
 from repro.gpu.scheduler import schedule_kernel
 from repro.memory.address import AddressMap
-from repro.memory.cache import CacheLineState, SetAssociativeCache
+from repro.memory.cache import DIRTY, REMOTE, SetAssociativeCache
 from repro.memory.dram import DramModel
 from repro.memory.tlb import TlbHierarchy
 from repro.numa.interconnect import FaultSchedule, Interconnect
@@ -365,15 +364,14 @@ class MultiGpuSystem:
         bumps batched into locals that persist across spans and flush once
         per kernel.
 
-        Page resolution runs in one of two modes.  Without migration,
-        homes never change mid-kernel, so one bulk
-        :meth:`PageTable.resolve_spans` pass precomputes parallel
-        home/local arrays for the whole kernel (first-touch order equals
-        issue order, so resolve-ahead is exact).  With migration enabled,
-        a migration would invalidate such arrays wholesale, so resolution
-        is instead memoised per (page, accessor) at the access site —
-        first touch happens exactly at reference position — and a
-        migration just evicts the moved page from every GPU's memo.
+        Pages are resolved at the access site, only where the outcome
+        needs the home (writes, and reads that miss L1 and L2), through a
+        per-GPU ``page -> (home, is_local)`` memo.  That is exact: a line
+        can sit in L1 or L2 only after its page was resolved, so the first
+        access to an unmapped page always reaches resolution, and
+        first-touch mapping and replica installs happen in issue order as
+        in the reference engine.  A migration evicts the moved page from
+        every GPU's memo.
         """
         if not spans:
             return
@@ -407,7 +405,6 @@ class MultiGpuSystem:
         tracks_reads = protocol.tracks_remote_reads
         invalidation_targets = protocol.invalidation_targets
         note_remote_read = protocol.note_remote_read
-        line_state = CacheLineState
         hdr = LINK_HEADER_BYTES
         hdr_line = LINK_HEADER_BYTES + LINE_BYTES
         n_gpus = cfg.n_gpus
@@ -480,18 +477,11 @@ class MultiGpuSystem:
         p_lat = [0.0] * n_gpus
         m_obs = 0
 
-        if migration is None:
-            homes_c, local_c = pt.resolve_spans(
-                pages_c, spans, self._on_first_touch
-            )
-            memos = None
-        else:
-            homes_c = local_c = None
-            memos = [{} for _ in range(n_gpus)]
-            mapped_get = pt._home.get  # hot-path alias; PageTable owns it
-            home_of = pt.home_of
-            replicas = pt._replicas
-            on_first_touch = self._on_first_touch
+        memos = [{} for _ in range(n_gpus)]
+        mapped_get = pt._home.get  # hot-path alias; PageTable owns it
+        home_of = pt.home_of
+        replicas = pt._replicas
+        on_first_touch = self._on_first_touch
 
         for gpu, cs, ce in spans:
             (st, l1_sets, l2_sets, open_rows, dram_access, remote_pages,
@@ -502,9 +492,8 @@ class MultiGpuSystem:
              rdcb, inv_sent, lat, c1h, c1m, c2h, c2m, d_reads,
              d_writes, d_rh, d_rm, d_lat, r_probes, r_hits, r_stale,
              r_ins, r_wr) = acc[gpu]
-            if memos is not None:
-                memo = memos[gpu]
-                memo_get = memo.get
+            memo = memos[gpu]
+            memo_get = memo.get
             for j in range(cs, ce):
                 line = lines_c[j]
                 if tlb is not None:
@@ -514,30 +503,24 @@ class MultiGpuSystem:
                 if writes_c[j]:
                     # ---- write path (write-through L1, no allocate) ----
                     wr += 1
-                    if homes_c is not None:
-                        home = homes_c[j]
-                        is_local = local_c[j]
+                    page = pages_c[j]
+                    ent = memo_get(page)
+                    if ent is not None:
+                        home = ent[0]
+                        is_local = ent[1]
                     else:
-                        page = pages_c[j]
-                        ent = memo_get(page)
-                        if ent is not None:
-                            home = ent[0]
-                            is_local = ent[1]
+                        home = mapped_get(page)
+                        if home is None:
+                            home = home_of(page, gpu)
+                            on_first_touch(page, home)
+                        if home == gpu:
+                            is_local = True
+                        elif replicas:
+                            holders = replicas.get(page)
+                            is_local = holders is not None and gpu in holders
                         else:
-                            home = mapped_get(page)
-                            if home is None:
-                                home = home_of(page, gpu)
-                                on_first_touch(page, home)
-                            if home == gpu:
-                                is_local = True
-                            elif replicas:
-                                holders = replicas.get(page)
-                                is_local = (
-                                    holders is not None and gpu in holders
-                                )
-                            else:
-                                is_local = False
-                            memo[page] = (home, is_local)
+                            is_local = False
+                        memo[page] = (home, is_local)
                     if line in s1:
                         c1h += 1
                         l1h += 1
@@ -549,7 +532,7 @@ class MultiGpuSystem:
                         s2 = l2_sets[l2i_c[j]]
                         state = s2.get(line)
                         if state is not None:
-                            state.dirty = True
+                            s2[line] = state | DIRTY
                             s2.move_to_end(line)
                         else:
                             # Local DRAM write (inlined dram.access).
@@ -564,7 +547,6 @@ class MultiGpuSystem:
                                 d_lat += miss_lat
                             d_writes += 1
                     else:
-                        page = pages_c[j]
                         rw += 1
                         remote_pages.add(page)
                         deferred = False
@@ -611,7 +593,7 @@ class MultiGpuSystem:
                             s2h = l2_sets_by_node[home][l2i_c[j]]
                             hstate = s2h.get(line)
                             if hstate is not None:
-                                hstate.dirty = True
+                                s2h[line] = hstate | DIRTY
                                 s2h.move_to_end(line)
                             else:
                                 orh = open_rows_by_node[home]
@@ -674,33 +656,27 @@ class MultiGpuSystem:
                     lat += l2_lat
                     if len(s1) >= l1_ways:
                         s1.popitem(last=False)
-                    s1[line] = line_state(False, False)
+                    s1[line] = 0
                     continue
                 c2m += 1
-                if homes_c is not None:
-                    home = homes_c[j]
-                    is_local = local_c[j]
+                page = pages_c[j]
+                ent = memo_get(page)
+                if ent is not None:
+                    home = ent[0]
+                    is_local = ent[1]
                 else:
-                    page = pages_c[j]
-                    ent = memo_get(page)
-                    if ent is not None:
-                        home = ent[0]
-                        is_local = ent[1]
+                    home = mapped_get(page)
+                    if home is None:
+                        home = home_of(page, gpu)
+                        on_first_touch(page, home)
+                    if home == gpu:
+                        is_local = True
+                    elif replicas:
+                        holders = replicas.get(page)
+                        is_local = holders is not None and gpu in holders
                     else:
-                        home = mapped_get(page)
-                        if home is None:
-                            home = home_of(page, gpu)
-                            on_first_touch(page, home)
-                        if home == gpu:
-                            is_local = True
-                        elif replicas:
-                            holders = replicas.get(page)
-                            is_local = (
-                                holders is not None and gpu in holders
-                            )
-                        else:
-                            is_local = False
-                        memo[page] = (home, is_local)
+                        is_local = False
+                    memo[page] = (home, is_local)
                 if is_local:
                     lr += 1
                     # Local DRAM read (inlined dram.access).
@@ -720,16 +696,15 @@ class MultiGpuSystem:
                     # writes back to this GPU's DRAM.
                     if len(s2) >= l2_ways:
                         vline, vstate = s2.popitem(last=False)
-                        if vstate.dirty:
+                        if vstate & DIRTY:
                             dram_access(vline, True)
-                    s2[line] = line_state(False, False)
+                    s2[line] = 0
                     if len(s1) >= l1_ways:
                         s1.popitem(last=False)
-                    s1[line] = line_state(False, False)
+                    s1[line] = 0
                     continue
 
                 # Remote line, LLC miss.
-                page = pages_c[j]
                 lat += l2_lat  # own-LLC miss detection
                 remote_pages.add(page)
                 serviced_locally = False
@@ -851,12 +826,12 @@ class MultiGpuSystem:
                 # L2 fill (remote) + L1 fill.
                 if len(s2) >= l2_ways:
                     vline, vstate = s2.popitem(last=False)
-                    if vstate.dirty:
+                    if vstate & DIRTY:
                         dram_access(vline, True)
-                s2[line] = line_state(False, True)
+                s2[line] = REMOTE
                 if len(s1) >= l1_ways:
                     s1.popitem(last=False)
-                s1[line] = line_state(False, False)
+                s1[line] = 0
 
             # ---- bank the span's batched counters ----
             acc[gpu] = [

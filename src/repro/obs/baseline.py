@@ -25,6 +25,7 @@ refuses records from a future schema instead of mis-reading them.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -68,11 +69,15 @@ DETERMINISTIC_KEYS = (
 )
 
 
+@functools.lru_cache(maxsize=1)
 def git_sha() -> Optional[str]:
     """Short git revision of the working tree (best effort, else None).
 
     Falls back to ``GITHUB_SHA`` when git itself is unavailable (e.g. a
-    CI step running from an exported tarball).
+    CI step running from an exported tarball).  Asked once per process:
+    the code that runs is the code loaded at start, so later commits
+    cannot change the answer, and every journalled batch and serve job
+    would otherwise spawn ``git``.
     """
     try:
         out = subprocess.run(

@@ -28,8 +28,10 @@ from repro.workloads.base import WorkloadSpec
 #: the pickled RunResult) — and, per the VER001 lint gate, on any
 #: change under the result-affecting packages, however innocuous
 #: (v12: the sharing profile became one vectorised pass and the unused
-#: page-table resolve paths were removed; results are bit-identical).
-CODE_VERSION = 12
+#: page-table resolve paths were removed; v13: cache-line state became
+#: flag ints, pages resolve at the access site only, and the driver
+#: reuses the last trace; results are bit-identical).
+CODE_VERSION = 13
 
 log = logging.getLogger(__name__)
 

@@ -3,7 +3,8 @@
 ``run_workload`` takes a workload (spec or Table II abbreviation) and a
 system configuration and produces a :class:`RunResult`:
 
-1. synthesise the trace,
+1. synthesise the trace (or reuse the one this process generated last,
+   when it has the same :func:`~repro.workloads.base.trace_key`),
 2. profile page sharing if a software replication policy is active,
 3. build the system and execute the trace,
 4. attach the page-heat histogram (Unified-Memory spill model input).
@@ -25,7 +26,7 @@ from repro.perf.model import PerformanceModel, RunTime
 from repro.perf.stats import RunResult
 from repro.sim import cache
 from repro.workloads import suite
-from repro.workloads.base import WorkloadSpec, generate_trace
+from repro.workloads.base import WorkloadSpec, generate_trace, trace_key
 
 WorkloadLike = Union[str, WorkloadSpec]
 
@@ -73,6 +74,48 @@ def run_workload(
     return _execute(spec, config, label, None, obs, engine)
 
 
+class _TraceMemo:
+    """The last generated trace of this process and its trace key.
+
+    One entry is enough: suites, ``compare`` and sweeps run every system
+    of a workload back to back, so consecutive points share the trace.
+    Fork-safe by construction: generation is a pure function of the key,
+    so a forked worker's inherited copy can only save it work, and what
+    either side stores after the fork cannot change any result.
+    """
+
+    __slots__ = ("key", "trace")
+
+    def __init__(self) -> None:
+        self.key: Optional[tuple] = None
+        self.trace: Optional[WorkloadTrace] = None
+
+
+_trace_memo = _TraceMemo()
+
+
+def _memoised_trace(spec: WorkloadSpec, config: SystemConfig) -> WorkloadTrace:
+    """The trace of *spec* under *config*, generated at most once in a row.
+
+    The old entry is dropped before a new trace is generated, so at most
+    one memoised trace is ever alive.  Its arrays are made read-only:
+    every later point of the process reads them.
+    """
+    key = trace_key(spec, config)
+    if _trace_memo.key != key:
+        _trace_memo.key = _trace_memo.trace = None
+        # Looked up by module global at call time, so a wrapper installed
+        # on this module's ``generate_trace`` sees every real generation.
+        trace = generate_trace(spec, config)
+        for kernel in trace.kernels:
+            kernel.cta_ids.flags.writeable = False
+            kernel.lines.flags.writeable = False
+            kernel.is_write.flags.writeable = False
+        _trace_memo.key = key
+        _trace_memo.trace = trace
+    return _trace_memo.trace
+
+
 def _execute(
     spec: WorkloadSpec,
     config: SystemConfig,
@@ -83,7 +126,7 @@ def _execute(
 ) -> RunResult:
     config.validate()
     if trace is None:
-        trace = generate_trace(spec, config)
+        trace = _memoised_trace(spec, config)
     plan: Optional[ReplicationPlan] = None
     profile = profile_sharing(trace, config)
     if config.replication != REPLICATE_NONE:

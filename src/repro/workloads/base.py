@@ -147,6 +147,17 @@ class _Layout:
     writable_shared: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
+def trace_key(spec: WorkloadSpec, config: SystemConfig) -> tuple:
+    """The inputs :func:`generate_trace` depends on, as a hashable key.
+
+    The trace is a pure function of the spec and the two geometry values
+    :func:`_resolve_layout` reads, so equal keys yield byte-identical
+    traces (systems differing only in caches, RDC, coherence, links or
+    placement share one trace).
+    """
+    return (spec, config.lines_per_page, config.lines(spec.footprint_bytes))
+
+
 def _resolve_layout(spec: WorkloadSpec, config: SystemConfig) -> _Layout:
     lpp = config.lines_per_page
     footprint_lines = max(

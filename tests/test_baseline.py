@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import json
+import subprocess
 import warnings
 from pathlib import Path
 
@@ -68,6 +69,24 @@ class TestFingerprint:
     def test_git_sha_best_effort(self):
         sha = git_sha()
         assert sha is None or (isinstance(sha, str) and len(sha) <= 12)
+
+    def test_git_sha_spawns_once_per_process(self, monkeypatch):
+        spawned = []
+        real_run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            spawned.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        git_sha.cache_clear()
+        try:
+            first = environment_fingerprint()["git_sha"]
+            second = environment_fingerprint()["git_sha"]
+        finally:
+            git_sha.cache_clear()
+        assert first == second
+        assert len(spawned) == 1
 
 
 class TestRunRecord:

@@ -227,3 +227,142 @@ class TestCacheProperties:
                 c.lookup(line)
                 lookups += 1
         assert c.hits + c.misses == lookups
+
+
+class _ListLru:
+    """Reference model: per-set lists of ``[line, dirty, remote]``,
+    LRU first, with the documented semantics of every operation."""
+
+    def __init__(self, n_lines, ways):
+        self.ways = min(ways, n_lines)
+        self.sets = [[] for _ in range(n_lines // self.ways)]
+        self.hits = 0
+        self.misses = 0
+
+    def _find(self, line):
+        s = self.sets[line % len(self.sets)]
+        for entry in s:
+            if entry[0] == line:
+                return s, entry
+        return s, None
+
+    def lookup(self, line, update_lru):
+        s, entry = self._find(line)
+        if entry is None:
+            self.misses += 1
+            return False
+        self.hits += 1
+        if update_lru:
+            s.remove(entry)
+            s.append(entry)
+        return True
+
+    def insert(self, line, dirty, remote):
+        s, entry = self._find(line)
+        if entry is not None:
+            entry[1] = entry[1] or dirty
+            entry[2] = remote
+            s.remove(entry)
+            s.append(entry)
+            return None
+        victim = tuple(s.pop(0)) if len(s) >= self.ways else None
+        s.append([line, dirty, remote])
+        return victim
+
+    def mark_dirty(self, line):
+        s, entry = self._find(line)
+        if entry is None:
+            return False
+        entry[1] = True
+        s.remove(entry)
+        s.append(entry)
+        return True
+
+    def invalidate_line(self, line):
+        s, entry = self._find(line)
+        if entry is None:
+            return None
+        s.remove(entry)
+        return tuple(entry)
+
+    def invalidate_all(self):
+        dirty = [tuple(e) for s in self.sets for e in s if e[1]]
+        for s in self.sets:
+            s.clear()
+        return dirty
+
+    def invalidate_remote(self):
+        dropped = 0
+        for s in self.sets:
+            keep = [e for e in s if not e[2]]
+            dropped += len(s) - len(keep)
+            s[:] = keep
+        return dropped
+
+    def flush_dirty(self):
+        flushed = []
+        for s in self.sets:
+            for e in s:
+                if e[1]:
+                    flushed.append((e[0], True, e[2]))
+                    e[1] = False
+        return flushed
+
+
+def _victim(ev):
+    return None if ev is None else (ev.line, ev.dirty, ev.remote)
+
+
+_OPS = st.tuples(
+    st.sampled_from([
+        "insert", "lookup", "mark_dirty", "invalidate_line",
+        "invalidate_all", "invalidate_remote", "flush_dirty",
+    ]),
+    st.integers(min_value=0, max_value=9),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+class TestFlagStateModel:
+    """The flag-int line state behaves exactly like a list-based LRU."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([(1, 1), (2, 8), (4, 4), (6, 3), (8, 2), (8, 4)]),
+        # Long sequences: a dirty line, a later fill of its set and then a
+        # bulk op is the kind of interleaving that needs dozens of ops.
+        st.lists(_OPS, min_size=20, max_size=120),
+    )
+    def test_matches_list_lru(self, geometry, ops):
+        from repro.memory.cache import DIRTY, REMOTE
+
+        cache = SetAssociativeCache(*geometry)
+        ref = _ListLru(*geometry)
+        for op, line, a, b in ops:
+            if op == "insert":
+                got = _victim(cache.insert(line, dirty=a, remote=b))
+                want = ref.insert(line, a, b)
+            elif op == "lookup":
+                got = cache.lookup(line, update_lru=a)
+                want = ref.lookup(line, a)
+            elif op == "mark_dirty":
+                got = cache.mark_dirty(line)
+                want = ref.mark_dirty(line)
+            elif op == "invalidate_line":
+                got = _victim(cache.invalidate_line(line))
+                want = ref.invalidate_line(line)
+            elif op == "invalidate_remote":
+                got = cache.invalidate_remote()
+                want = ref.invalidate_remote()
+            else:
+                got = [_victim(e) for e in getattr(cache, op)()]
+                want = getattr(ref, op)()
+            assert got == want, op
+            # Residency, LRU order and per-line flags, set by set.
+            assert [
+                [(ln, bool(f & DIRTY), bool(f & REMOTE)) for ln, f in s.items()]
+                for s in cache.sets
+            ] == [[tuple(e) for e in s] for s in ref.sets]
+            assert (cache.hits, cache.misses) == (ref.hits, ref.misses)
+            assert len(cache) == sum(len(s) for s in ref.sets)

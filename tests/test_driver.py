@@ -1,13 +1,17 @@
 """Tests for the simulation driver and result cache."""
 
+import dataclasses
+
 import pytest
 
-from repro.config import REPLICATE_ALL
+from repro.config import COHERENCE_DIRECTORY, REPLICATE_ALL
 from repro.perf.model import PerformanceModel
 from repro.sim import cache as simcache
+from repro.sim import driver
 from repro.sim.driver import resolve_workload, run_time, run_workload, time_of
+from repro.sim.experiments import experiment_configs
 from repro.workloads import suite
-from repro.workloads.base import WorkloadSpec
+from repro.workloads.base import WorkloadSpec, generate_trace, trace_key
 from tests.conftest import small_config
 
 
@@ -125,3 +129,82 @@ class TestDiskCache:
         run_workload(fast_spec(), small_config())
         assert simcache.clear() >= 1
         assert not list(tmp_path.glob("*.pkl"))
+
+
+def _trace_bytes(trace) -> list:
+    return [
+        (k.kernel_id, k.warmup, k.lines.tobytes(), k.is_write.tobytes(),
+         k.cta_ids.tobytes())
+        for k in trace.kernels
+    ]
+
+
+@pytest.fixture
+def generations(monkeypatch):
+    """Start from an empty trace memo; record every real generation."""
+    calls = []
+    real = driver.generate_trace
+
+    def counting(spec, config):
+        calls.append(spec.abbr)
+        return real(spec, config)
+
+    monkeypatch.setattr(driver, "generate_trace", counting)
+    monkeypatch.setattr(driver, "_trace_memo", driver._TraceMemo())
+    return calls
+
+
+class TestTraceMemo:
+    def test_equal_key_means_identical_trace(self):
+        base = small_config()
+        configs = list(experiment_configs(base).values()) + [
+            base.replace(link=dataclasses.replace(
+                base.link, inter_gpu_bytes_per_s=256.0e9)),
+            base.with_rdc(2 * 2**30, coherence=COHERENCE_DIRECTORY),
+            base.replace(migration=True, migration_threshold=4),
+        ]
+        for spec in (fast_spec(), suite.get("SSSP")):
+            assert len({trace_key(spec, c) for c in configs}) == 1
+            want = _trace_bytes(generate_trace(spec, configs[0]))
+            for cfg in configs[1:]:
+                assert _trace_bytes(generate_trace(spec, cfg)) == want
+
+    @pytest.mark.parametrize("change", [
+        {"scale": 512}, {"page_bytes": 4 * 2**20},
+    ])
+    def test_geometry_changes_key_and_trace(self, change):
+        spec = fast_spec()
+        base = small_config()
+        other = base.replace(**change)
+        assert trace_key(spec, other) != trace_key(spec, base)
+        assert _trace_bytes(generate_trace(spec, other)) != _trace_bytes(
+            generate_trace(spec, base))
+
+    def test_consecutive_systems_generate_once(self, generations):
+        spec = fast_spec()
+        run_workload(spec, small_config(), use_cache=False)
+        run_workload(spec, small_config().with_rdc(2 * 2**30),
+                     use_cache=False)
+        assert generations == ["fast"]
+
+    def test_switching_workloads_regenerates(self, generations):
+        a, b = fast_spec(), fast_spec(abbr="other", seed=2)
+        for spec in (a, b, a):
+            run_workload(spec, small_config(), use_cache=False)
+        assert generations == ["fast", "other", "fast"]
+
+    def test_memoised_run_matches_fresh_trace(self, generations):
+        spec = fast_spec()
+        cfg = small_config(replication=REPLICATE_ALL)
+        run_workload(spec, small_config(), use_cache=False)
+        memoised = run_workload(spec, cfg, use_cache=False)
+        fresh = run_workload(spec, cfg, trace=generate_trace(spec, cfg))
+        assert len(generations) == 1
+        assert memoised == fresh
+
+    def test_memoised_arrays_reject_writes(self, generations):
+        trace = driver._memoised_trace(fast_spec(), small_config())
+        kernel = trace.kernels[0]
+        for arr in (kernel.lines, kernel.is_write, kernel.cta_ids):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]

@@ -14,11 +14,20 @@ import dataclasses
 
 import pytest
 
+from repro.analysis.sharing import profile_sharing
 from repro.config import (
+    COHERENCE_DIRECTORY,
     COHERENCE_HARDWARE,
     COHERENCE_SOFTWARE,
+    PLACEMENT_INTERLEAVED,
+    PLACEMENT_ROUND_ROBIN,
+    REPLICATE_ALL,
+    REPLICATE_NONE,
+    REPLICATE_READ_ONLY,
+    SCHEDULE_ROUND_ROBIN,
     WRITE_BACK,
 )
+from repro.numa.replication import build_replication_plan
 from repro.numa.system import ENGINE_REFERENCE, MultiGpuSystem
 from repro.workloads.base import generate_trace
 from repro.workloads.suite import get
@@ -36,6 +45,25 @@ CONFIGS = {
     "baseline-migration": lambda: small_config(
         migration=True, migration_threshold=4
     ),
+    # Placement policies whose homes depend on global first-touch order.
+    "placement-round-robin": lambda: small_config(
+        placement=PLACEMENT_ROUND_ROBIN
+    ),
+    "placement-interleaved": lambda: small_config(
+        placement=PLACEMENT_INTERLEAVED
+    ),
+    "schedule-round-robin": lambda: small_config(
+        scheduling=SCHEDULE_ROUND_ROBIN
+    ),
+    "carve-directory": lambda: tiny_rdc_config(
+        coherence=COHERENCE_DIRECTORY
+    ),
+    "baseline-tlb": lambda: small_config(model_tlb=True),
+    # Replica installs at first touch change locality mid-kernel.
+    "numa-gpu+repl-ro": lambda: small_config(
+        replication=REPLICATE_READ_ONLY
+    ),
+    "ideal": lambda: small_config(replication=REPLICATE_ALL),
 }
 
 
@@ -55,8 +83,13 @@ def _scaled_spec(abbr: str):
 def test_engines_are_bit_identical(workload, config_label):
     cfg = CONFIGS[config_label]()
     trace = generate_trace(_scaled_spec(workload), cfg)
-    vec = MultiGpuSystem(cfg).run(trace)
-    ref = MultiGpuSystem(cfg, engine=ENGINE_REFERENCE).run(trace)
+    plan = None
+    if cfg.replication != REPLICATE_NONE:
+        plan = build_replication_plan(
+            profile_sharing(trace, cfg), cfg.replication
+        )
+    vec = MultiGpuSystem(cfg, plan).run(trace)
+    ref = MultiGpuSystem(cfg, plan, engine=ENGINE_REFERENCE).run(trace)
     assert vec == ref
 
 

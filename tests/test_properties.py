@@ -14,6 +14,7 @@ from repro.config import (
     COHERENCE_NONE,
     COHERENCE_SOFTWARE,
 )
+from repro.memory.cache import DIRTY
 from repro.numa.system import MultiGpuSystem
 from tests.conftest import make_kernel, make_trace, small_config, tiny_rdc_config
 
@@ -146,7 +147,7 @@ class TestCacheInvariants:
         for node in system.nodes:
             for s in node.l2._sets:
                 for line, state in s.items():
-                    if state.dirty:
+                    if state & DIRTY:
                         page = line // system.amap.lines_per_page
                         assert system.pagetable.peek_home(page) == node.gpu_id
 
