@@ -46,6 +46,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.sim.durable import atomic_write
+
 GRAPH_SCHEMA = 3
 
 #: ``qualname`` of the pseudo-function holding module-level statements.
@@ -923,14 +925,11 @@ def build_graph(
     graph = _GraphBuilder(package, parsed).build()
     if cache_path is not None:
         try:
-            cache_dir.mkdir(parents=True, exist_ok=True)
             for stale in cache_dir.glob("graph-*.pkl"):
                 if stale != cache_path:
                     stale.unlink(missing_ok=True)
-            tmp = cache_path.with_suffix(".tmp")
-            with tmp.open("wb") as fh:
-                pickle.dump(graph, fh, pickle.HIGHEST_PROTOCOL)
-            tmp.replace(cache_path)
+            atomic_write(cache_path,
+                         pickle.dumps(graph, pickle.HIGHEST_PROTOCOL))
         except OSError:
             pass  # cache is best-effort
     return graph

@@ -239,7 +239,7 @@ class UnsortedIterationRule(Rule):
 
     #: The modules whose output is diffed across runs.
     SCOPE = (
-        "sim/journal.py", "obs/baseline.py", "obs/report.py",
+        "sim/journal.py", "sim/durable.py", "obs/baseline.py", "obs/report.py",
         "obs/export.py", "obs/regress.py", "obs/summary.py",
     )
 

@@ -14,22 +14,22 @@ tracing survive the serve → runner → pool fabric:
 
 :class:`SpanSpill`
     An append-only JSONL span file, one per process, living in the
-    journal workspace (``<journal>-spans/``).  Every record reuses the
-    journal-v2 checksum envelope (:func:`repro.sim.journal.record_checksum`)
-    and is flushed per append, so a SIGKILLed worker leaves behind every
-    span it began — the chaos flight recorder reads the victim's final
+    journal workspace (``<journal>-spans/``).  Every record is a
+    checksummed record (:func:`repro.sim.durable.seal_record`) and is
+    flushed per append, so a SIGKILLed worker leaves behind every span
+    it began — the chaos flight recorder reads the victim's final
     timeline straight from its spill file.  Write failures are counted,
     never raised: tracing must not be able to fail a run.
 
-Reading a spill (:func:`read_spans`) is torn-tail tolerant with the
-same rules as the journal: an unterminated final line is a crash
-mid-append and is skipped silently; damaged interior lines are counted.
+Reading a spill (:func:`read_spans`) uses the shared record scanner
+(:func:`repro.sim.durable.scan_records`), so the rules are the
+journal's: a torn final line is a crash mid-append and is skipped
+silently; damaged interior lines are counted.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 
 # Span timestamps are observability metadata stamped at append time;
@@ -41,9 +41,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from repro.sim.journal import CHECKSUM_FIELD, _intact_record, record_checksum
+from repro.sim.durable import scan_records, seal_record
 
-#: Event name of every spill record (journal-v2 envelope requires one).
+#: Event name of every spill record (the record scanner requires one).
 SPAN_EVENT = "span"
 
 #: hex digits kept of trace and span ids.
@@ -145,8 +145,7 @@ class SpanSpill:
         return self._fh
 
     def _append(self, record: dict) -> bool:
-        record[CHECKSUM_FIELD] = record_checksum(record)
-        line = json.dumps(record, sort_keys=True) + "\n"
+        line = seal_record(record) + "\n"
         try:
             fh = self._handle()
             fh.write(line)
@@ -222,29 +221,9 @@ def read_spans(path) -> tuple[list[dict], int]:
     (undecodable / malformed / checksum-failing lines) is counted in
     ``damaged`` — the test suite asserts a SIGKILL never produces any.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8", errors="replace")
-    except OSError:
-        return [], 0
-    records: list[dict] = []
-    damaged = 0
-    lines = text.split("\n")
-    # A well-formed file ends with "\n" → last element is "".  Anything
-    # else in the final slot is a torn tail.
-    torn = lines[-1] != ""
-    body = lines[:-1]
-    for line in body:
-        if not line.strip():
-            continue
-        record, why = _intact_record(line)
-        if record is None:
-            damaged += 1
-            continue
-        if record.get("event") == SPAN_EVENT:
-            records.append(record)
-    del torn  # the torn tail (if any) is simply never parsed
-    return records, damaged
+    scan = scan_records(path)
+    spans = [r for r in scan.records if r.get("event") == SPAN_EVENT]
+    return spans, scan.corrupt_records + scan.checksum_failures
 
 
 def read_spans_dir(spans_dir) -> tuple[list[dict], int]:

@@ -10,17 +10,17 @@ hours apart — address the same result, and a simulator change
 (``CODE_VERSION`` bump) invalidates every stored result at once, the
 same rule the sim-cache and baseline fingerprints already follow.
 
-On disk the store mirrors the journal-v2 durability posture:
+On disk the store uses the shared durable-artifact primitives of
+:mod:`repro.sim.durable`:
 
 * every result file is a checksummed envelope (``sum`` = truncated
-  sha256 over the canonical JSON of the rest, via
-  :func:`repro.sim.journal.record_checksum`);
-* writes are atomic — unique temp name in the same directory, then
-  ``os.replace``;
-* a file that fails decode or checksum on load is **quarantined** (moved
-  aside to ``<name>.corrupt``), counted on ``serve.store_quarantined``,
-  and treated as a miss — corruption costs a re-run, never a crash or a
-  silently wrong cache hit.
+  sha256 over the canonical JSON of the rest);
+* writes are atomic (:func:`~repro.sim.durable.atomic_write`), and tmp
+  files orphaned by a killed writer are swept when the store opens;
+* a file that fails decode, checksum, kind or key checks on load is
+  **quarantined** (moved aside to ``<key>.corrupt``), counted on
+  ``serve.store_quarantined``, and treated as a miss — corruption costs
+  a re-run, never a crash or a silently wrong cache hit.
 
 The store can be **bounded** (``max_bytes``): when the total footprint
 exceeds the bound, whole entries — result envelope plus journal plus
@@ -33,6 +33,7 @@ Layout under the store root::
 
     store/
       results/<key>.json       checksummed result envelopes (the CAS)
+      results/<key>.corrupt    quarantined damage (kept for forensics)
       journals/<key>.jsonl     execution journal per job (report source)
       journals/<key>-spans/    span spills of the job's trace
 """
@@ -43,13 +44,11 @@ import hashlib
 import json
 import os
 import shutil
-import uuid
-import warnings
 from pathlib import Path
 from typing import Optional
 
 from repro.obs.trace import spans_dir_for
-from repro.sim.journal import record_checksum
+from repro.sim import durable
 
 ENVELOPE_KIND = "repro.serve_result"
 ENVELOPE_SCHEMA = 1
@@ -91,10 +90,11 @@ class ResultStore:
         self.results_dir.mkdir(parents=True, exist_ok=True)
         self.journals_dir.mkdir(parents=True, exist_ok=True)
         self._registry = registry
-        self._warned_corrupt = False
         self.max_bytes = max_bytes
-        # Startup GC: a restarted service honours a newly-lowered bound
-        # (or one it crashed past) before serving anything.
+        # Startup GC: drop tmp files of saves killed mid-write (they are
+        # not entries, so eviction would never see them), then honour a
+        # newly-lowered bound (or one a crash overshot) before serving.
+        durable.sweep_tmp(self.results_dir)
         self._evict()
 
     # -- paths -----------------------------------------------------------
@@ -120,20 +120,9 @@ class ResultStore:
             "key": key,
             "payload": payload,
         }
-        envelope["sum"] = record_checksum(envelope)
         target = self.result_path(key)
-        tmp = target.with_name(
-            f"{target.stem}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
-        )
-        try:
-            tmp.write_text(
-                json.dumps(envelope, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-            os.replace(tmp, target)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
+        line = durable.seal_record(envelope) + "\n"
+        durable.atomic_write(target, line.encode("utf-8"))
         self._evict(protect=key)
         return target
 
@@ -150,15 +139,8 @@ class ResultStore:
             return None
         try:
             envelope = json.loads(path.read_text(encoding="utf-8"))
-            if not isinstance(envelope, dict):
-                raise ValueError("envelope is not an object")
-            claimed = envelope.get("sum")
-            actual = record_checksum(envelope)
-            if claimed != actual:
-                raise ValueError(
-                    f"checksum mismatch: claimed {claimed!r}, "
-                    f"computed {actual!r}"
-                )
+            if not durable.checksum_ok(envelope):
+                raise ValueError("envelope checksum mismatch")
             if envelope.get("kind") != ENVELOPE_KIND:
                 raise ValueError(f"unexpected kind {envelope.get('kind')!r}")
             if envelope.get("key") != key:
@@ -168,7 +150,10 @@ class ResultStore:
                 )
             payload = envelope["payload"]
         except (ValueError, KeyError, OSError) as exc:
-            self._quarantine(path, exc)
+            durable.quarantine(path, exc, "serve result",
+                               "the job will re-run on next submission",
+                               registry=self._registry,
+                               metric="serve.store_quarantined")
             return None
         try:
             os.utime(path)  # LRU touch: a hit is a use
@@ -241,36 +226,8 @@ class ResultStore:
                     continue
             total -= size
             evicted += 1
-            if self._registry is not None:
-                from repro.obs.metrics import spec_for
-
-                self._registry.register(
-                    spec_for("serve.store_evicted")
-                ).inc()
+            durable.count(self._registry, "serve.store_evicted")
         return evicted
-
-    # -- corruption handling ---------------------------------------------
-
-    def _quarantine(self, path: Path, exc: Exception) -> None:
-        quarantined = path.with_name(path.name + ".corrupt")
-        try:
-            os.replace(path, quarantined)
-        except OSError:
-            pass
-        if self._registry is not None:
-            from repro.obs.metrics import spec_for
-
-            self._registry.register(spec_for("serve.store_quarantined")).inc()
-        if not self._warned_corrupt:
-            self._warned_corrupt = True
-            warnings.warn(
-                f"repro serve: quarantined corrupt result file {path.name} "
-                f"({exc}); the job will be re-run on next submission. "
-                "Further corrupt files in this store will be quarantined "
-                "silently (counted on serve.store_quarantined).",
-                RuntimeWarning,
-                stacklevel=3,
-            )
 
 
 __all__ = [

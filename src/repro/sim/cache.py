@@ -6,22 +6,26 @@ exact (workload spec, system config) pair plus a code-version stamp.
 Bump :data:`CODE_VERSION` whenever simulator semantics change — stale
 cache entries are then ignored.
 
+Entries are sealed pickles written atomically (:mod:`repro.sim.durable`):
+a damaged entry fails its digest on load and is quarantined to
+``<key>.corrupt``, so it costs a re-simulation, never a wrong result.
+
 Set the environment variable ``REPRO_NO_CACHE=1`` to disable caching.
 """
 
 from __future__ import annotations
 
 import hashlib
-import logging
+import io
 import os
 import pickle
-import uuid
 from pathlib import Path
 from typing import Callable, Optional
 
 from repro.config import SystemConfig
 from repro.perf.stats import RunResult
 from repro.sim import chaos
+from repro.sim.durable import atomic_write, quarantine, seal, sweep_tmp, unseal
 from repro.workloads.base import WorkloadSpec
 
 #: Bump on any change that alters simulation results (or the shape of
@@ -30,10 +34,9 @@ from repro.workloads.base import WorkloadSpec
 #: (v12: the sharing profile became one vectorised pass and the unused
 #: page-table resolve paths were removed; v13: cache-line state became
 #: flag ints, pages resolve at the access site only, and the driver
-#: reuses the last trace; results are bit-identical).
-CODE_VERSION = 13
-
-log = logging.getLogger(__name__)
+#: reuses the last trace; results are bit-identical; v14: entries are
+#: sealed with a sha256 digest, so bare-pickle v13 entries are ignored).
+CODE_VERSION = 14
 
 _DEFAULT_DIR = Path(__file__).resolve().parents[3] / ".simcache"
 
@@ -59,67 +62,38 @@ def _key(spec: WorkloadSpec, config: SystemConfig) -> str:
 def load(spec: WorkloadSpec, config: SystemConfig) -> Optional[RunResult]:
     """Return a cached result, or None when absent/disabled/corrupt.
 
-    A corrupt entry (truncated write, unpicklable payload, wrong type)
-    is quarantined to ``<key>.corrupt`` rather than left in place: left
-    alone it would fail to load — and therefore silently re-miss and
-    re-simulate — forever, while deleting it would destroy the evidence.
+    An entry that fails its digest, does not unpickle or is not a
+    RunResult is quarantined to ``<key>.corrupt`` rather than left in
+    place: left alone it would re-miss and re-simulate forever, while
+    deleting it would destroy the evidence.
     """
     if not cache_enabled():
         return None
     path = cache_dir() / f"{_key(spec, config)}.pkl"
-    if not path.exists():
-        return None
     try:
-        with path.open("rb") as f:
-            obj = pickle.load(f)
+        obj = pickle.loads(unseal(path.read_bytes()))
+        if not isinstance(obj, RunResult):
+            raise TypeError(
+                f"cached object is {type(obj).__name__}, not RunResult"
+            )
     except FileNotFoundError:
-        return None  # raced with clear(); an ordinary miss
+        return None  # absent, or raced with clear(): an ordinary miss
     except Exception as exc:
         # Unpickling can raise nearly anything on a corrupt payload;
         # every such failure is the same condition: a bad entry.
-        _quarantine(path, exc)
-        return None
-    if not isinstance(obj, RunResult):
-        _quarantine(
-            path,
-            TypeError(f"cached object is {type(obj).__name__}, "
-                      f"not RunResult"),
-        )
+        quarantine(path, exc, "sim-cache entry",
+                   "the run will be re-simulated")
         return None
     return obj
-
-
-def _quarantine(path: Path, exc: Exception) -> None:
-    """Move a corrupt cache entry aside and warn (returns it to a miss)."""
-    target = path.with_suffix(".corrupt")
-    try:
-        path.replace(target)
-    except OSError:
-        return  # another process already moved/removed it
-    log.warning(
-        "quarantined corrupt sim-cache entry %s -> %s (%s: %s); "
-        "the run will be re-simulated",
-        path.name, target.name, type(exc).__name__, exc,
-    )
 
 
 def store(spec: WorkloadSpec, config: SystemConfig, result: RunResult) -> None:
     if not cache_enabled():
         return
-    d = cache_dir()
-    d.mkdir(parents=True, exist_ok=True)
-    path = d / f"{_key(spec, config)}.pkl"
-    # Unique tmp name: parallel processes computing the same key must not
-    # write into (or rename away) each other's half-written file.  The
-    # final rename is atomic, so concurrent stores race benignly — last
-    # writer wins with a complete file either way.
-    tmp = d / f"{path.stem}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
-    try:
-        with tmp.open("wb") as f:
-            pickle.dump(result, f, protocol=pickle.HIGHEST_PROTOCOL)
-        tmp.replace(path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    path = cache_dir() / f"{_key(spec, config)}.pkl"
+    buf = io.BytesIO()
+    pickle.dump(result, buf, protocol=pickle.HIGHEST_PROTOCOL)
+    atomic_write(path, seal(buf.getvalue()))
     # Chaos drill hook (docs/chaos.md): a simcache_corrupt event rots
     # the entry at rest, which the quarantine path in load() must turn
     # back into a clean re-simulated miss.
@@ -151,8 +125,8 @@ def clear() -> int:
     d = cache_dir()
     if not d.exists():
         return 0
-    n = 0
-    for pattern in ("*.pkl", "*.tmp", "*.corrupt"):
+    n = sweep_tmp(d)
+    for pattern in ("*.pkl", "*.corrupt"):
         for p in d.glob(pattern):
             p.unlink(missing_ok=True)
             n += 1

@@ -190,7 +190,9 @@ class ChaosPlan:
         Always schedules the :data:`REQUIRED_KINDS` trio with small
         ``nth`` values (so they trigger even in a short batch), then
         *extra_events* further events drawn from the remaining kinds,
-        optionally scoped to one of *keys*.
+        optionally scoped to one of *keys*.  ``simcache_corrupt`` events
+        are never scoped: their site fires with a workload name, not a
+        task key, so a scoped one would never match.
         """
         rng = random.Random(int(seed))
         events = [
@@ -202,6 +204,8 @@ class ChaosPlan:
         for _ in range(max(0, extra_events)):
             kind = rng.choice(optional)
             match = rng.choice(("", *keys)) if keys else ""
+            if kind == KIND_SIMCACHE_CORRUPT:
+                match = ""  # drawn anyway: later events keep their draws
             nth = rng.randint(1, 4)
             if kind == KIND_WORKER_HANG:
                 param = round(rng.uniform(10.0, 14.0), 3)
@@ -558,7 +562,8 @@ class DrillReport:
     plan_events: int = 0
     rounds: list = field(default_factory=list)
     injected: list = field(default_factory=list)
-    quarantined: int = 0
+    #: Files quarantined per artifact ("sidecar", "sim-cache").
+    quarantined: dict = field(default_factory=dict)
     scan: dict = field(default_factory=dict)
     #: Flight-recorder digest: span-spill totals plus, per victim slot,
     #: the final spans whose end edge never reached the disk.
@@ -589,12 +594,15 @@ class DrillReport:
                 f"  round {rnd.label}: {rnd.outcome} "
                 f"rc={rnd.returncode} ({rnd.elapsed_s:.1f}s)"
             )
+        quarantined = ", ".join(
+            f"{n} {artifact}" for artifact, n in self.quarantined.items()
+        )
         lines.append(
             f"journal: {self.scan.get('records', 0)} records, "
             f"torn={self.scan.get('torn_tail', 0)} "
             f"corrupt={self.scan.get('corrupt_records', 0)} "
             f"checksum={self.scan.get('checksum_failures', 0)}; "
-            f"{self.quarantined} sidecar(s) quarantined"
+            f"quarantined: {quarantined or 'none'}"
         )
         if self.flight:
             lines.append(
@@ -820,7 +828,7 @@ def run_drill(
         )
 
     _check_invariants(report, plan, state_dir, keys,
-                      ref_journal, chaos_journal)
+                      ref_journal, chaos_journal, chaos_cache)
     if trace:
         _flight_record(report, chaos_journal)
     return report
@@ -837,8 +845,8 @@ def _flight_record(report: DrillReport, chaos_journal: Path) -> None:
     violation: kills may tear the *tail*, never the middle.
     """
     # Lazy import: sim.journal imports this module at top level, and
-    # repro.obs.trace imports sim.journal — a module-level import here
-    # would close the cycle.
+    # repro.obs.assemble imports sim.journal — a module-level import
+    # here would close the cycle.
     from repro.obs.assemble import open_spans
     from repro.obs.trace import read_spans_dir, spans_dir_for
 
@@ -879,6 +887,7 @@ def _check_invariants(
     keys: list[str],
     ref_journal: Path,
     chaos_journal: Path,
+    chaos_cache: Path,
 ) -> None:
     from repro.sim.journal import Journal
 
@@ -949,20 +958,20 @@ def _check_invariants(
             f"checksum={scan.checksum_failures}"
         )
 
-    # Sidecar quarantines cannot exceed the sidecar faults injected.
-    report.quarantined = (
-        len(list(chaos_j.results_dir.glob("*.corrupt")))
-        if chaos_j.results_dir.exists() else 0
-    )
-    sidecar_faults = sum(
-        1 for rec in report.injected
-        if rec.get("kind") in (KIND_SIDECAR_CORRUPT, KIND_SIDECAR_TRUNCATE)
-    )
-    if report.quarantined > sidecar_faults:
-        report.problems.append(
-            f"{report.quarantined} sidecar(s) quarantined but only "
-            f"{sidecar_faults} sidecar fault(s) injected"
-        )
+    # Quarantines cannot exceed the faults injected against the artifact.
+    for artifact, directory, kinds in (
+        ("sidecar", chaos_j.results_dir,
+         (KIND_SIDECAR_CORRUPT, KIND_SIDECAR_TRUNCATE)),
+        ("sim-cache", chaos_cache, (KIND_SIMCACHE_CORRUPT,)),
+    ):
+        quarantined = len(list(directory.glob("*.corrupt")))
+        faults = sum(1 for rec in report.injected if rec.get("kind") in kinds)
+        report.quarantined[artifact] = quarantined
+        if quarantined > faults:
+            report.problems.append(
+                f"{quarantined} {artifact} file(s) quarantined but only "
+                f"{faults} {artifact} fault(s) injected"
+            )
 
 
 __all__ = [

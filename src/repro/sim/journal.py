@@ -22,11 +22,12 @@ baseline/regression tooling (``docs/regression.md``) attribute every
 digest in a journal to the code revision that produced it.
 
 Durability model (drilled end to end by ``python -m repro chaos``, see
-``docs/chaos.md``):
+``docs/chaos.md``); the checksum, scanner, atomic write, sealed
+envelope and quarantine are the shared ones of :mod:`repro.sim.durable`:
 
 * **Per-record checksums.**  Every line carries ``sum`` — a truncated
   sha256 over the record's canonical JSON without the ``sum`` field.  A
-  record that decodes but fails its checksum is dropped and counted,
+  record whose ``sum`` is missing or fails is dropped and counted,
   never trusted: resume then re-runs the point, which is always safe.
 * **Torn tail vs interior corruption.**  A crash mid-append tears at
   most the *final* line; that is expected damage, silently truncated
@@ -34,21 +35,17 @@ Durability model (drilled end to end by ``python -m repro chaos``, see
   broken line anywhere *else* — or a complete line failing its
   checksum — means something other than a crash touched the file, so it
   is skipped **loudly**: a one-shot ``RuntimeWarning`` plus counters.
-* **Sidecar digests.**  Results are pickled to
-  ``<journal-stem>-results/<sha256(key)[:24]>.pkl`` wrapped in a small
-  envelope: magic, sha256 of the payload, payload.  ``load_result``
-  verifies the digest and quarantines any unreadable or tampered
-  sidecar to ``*.corrupt`` (one-shot warning, counted) — mirroring the
-  sim-cache quarantine — so resume re-runs the point instead of
-  resuming from garbage.  Bare-pickle v1 sidecars (no magic) still load.
+* **Sealed sidecars.**  Results are pickled to
+  ``<journal-stem>-results/<sha256(key)[:24]>.pkl`` as a sealed blob:
+  magic, sha256 of the payload, payload.  ``load_result`` verifies the
+  digest and quarantines any unreadable or tampered sidecar to
+  ``*.corrupt`` (one-shot warning, counted) so resume re-runs the point
+  instead of resuming from garbage.
 * **Opt-in fsync.**  ``Journal(..., fsync=True)`` — or
   ``REPRO_JOURNAL_FSYNC=1`` — fsyncs every append and sidecar store,
   trading throughput for power-loss durability.  The default (flush
   only) already survives process crashes, which is what the drill
   attacks.
-
-v1 journals (no ``sum`` field) read back unchanged: checksums are only
-verified on records that carry one.
 
 Reads are **scan-cached**: :meth:`Journal.records`, :meth:`Journal.meta`
 and :meth:`Journal.completed_keys` share one parsed snapshot keyed on
@@ -59,82 +56,27 @@ once per accessor.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pickle
 import time
-import uuid
-import warnings
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
-from repro.sim import chaos
+from repro.sim import chaos, durable
+from repro.sim.durable import RecordScan
+# Re-exported: journal records and sidecars use the durable formats.
+from repro.sim.durable import CHECKSUM_FIELD, record_checksum
+from repro.sim.durable import SEAL_MAGIC as SIDECAR_MAGIC
 
 #: Stamped into ``meta`` records; bump on incompatible record changes.
 JOURNAL_SCHEMA_VERSION = 2
 
-#: Record field carrying the integrity checksum (short: it is on every line).
-CHECKSUM_FIELD = "sum"
-
-#: Sidecar envelope: magic + 32-byte payload sha256 + pickled payload.
-SIDECAR_MAGIC = b"RJS2"
-
 #: Set to ``1`` to fsync appends and sidecar stores (power-loss safety).
 FSYNC_ENV = "REPRO_JOURNAL_FSYNC"
-
-# One-shot warning latches (process-wide, matching the sim-cache and
-# digest-failure conventions: the first incident is loud, the rest are
-# counted).
-_warned_corrupt_records = False
-_warned_sidecar_quarantine = False
 
 
 def _key_digest(key: str) -> str:
     return hashlib.sha256(key.encode()).hexdigest()[:24]
-
-
-def record_checksum(record: dict) -> str:
-    """Truncated sha256 over the record's canonical JSON minus ``sum``."""
-    body = {k: v for k, v in record.items() if k != CHECKSUM_FIELD}
-    payload = json.dumps(body, sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()[:12]
-
-
-def _intact_record(line: str) -> Optional[tuple[dict, Optional[str]]]:
-    """Parse one journal line.
-
-    Returns ``(record, None)`` for an intact record, ``(None, why)``
-    for a damaged line (``why`` in ``undecodable`` / ``malformed`` /
-    ``checksum``).  v1 records (no checksum field) are intact by
-    definition — there is nothing to verify.
-    """
-    try:
-        parsed = json.loads(line)
-    except json.JSONDecodeError:
-        return (None, "undecodable")
-    if not (isinstance(parsed, dict) and "event" in parsed
-            and "key" in parsed):
-        return (None, "malformed")
-    if CHECKSUM_FIELD in parsed:
-        if record_checksum(parsed) != parsed[CHECKSUM_FIELD]:
-            return (None, "checksum")
-    return (parsed, None)
-
-
-@dataclass
-class JournalScan:
-    """One parsed pass over a journal file."""
-
-    #: Every intact record, in file order.
-    records: list = field(default_factory=list)
-    #: Half-written final line (crash mid-append): expected, repairable.
-    torn_tail: int = 0
-    #: Broken non-tail lines (undecodable or malformed): not crash
-    #: damage — warned about and skipped.
-    corrupt_records: int = 0
-    #: Complete lines whose ``sum`` did not verify: dropped, warned.
-    checksum_failures: int = 0
 
 
 class Journal:
@@ -154,7 +96,7 @@ class Journal:
             fsync if fsync is not None
             else os.environ.get(FSYNC_ENV, "") == "1"
         )
-        self._scan_cache: Optional[tuple[tuple[int, int], JournalScan]] = None
+        self._scan_cache: Optional[tuple[tuple[int, int], RecordScan]] = None
         self._tail_checked = False
         self._torn_counted = False
         self._counted_corrupt = 0
@@ -178,8 +120,7 @@ class Journal:
         record = {"event": event, "key": key, "ts": time.time(), **fields}
         if event == "meta":
             record.setdefault("schema", JOURNAL_SCHEMA_VERSION)
-        record[CHECKSUM_FIELD] = record_checksum(record)
-        line = json.dumps(record, sort_keys=True)
+        line = durable.seal_record(record)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.repair_tail()
         chaos.fire(chaos.SITE_JOURNAL_APPEND, key, path=self.path, line=line)
@@ -209,12 +150,8 @@ class Journal:
         if not data or data.endswith(b"\n"):
             return False
         cut = data.rfind(b"\n") + 1
-        tail = data[cut:]
-        try:
-            intact = _intact_record(tail.decode("utf-8").strip())[0] is not None
-        except UnicodeDecodeError:
-            intact = False
-        if intact:
+        tail = data[cut:].decode("utf-8", errors="replace").strip()
+        if durable.classify_line(tail)[0] == durable.INTACT:
             # Only the newline was lost; finish the line instead of
             # discarding a complete, checksum-verified record.
             with self.path.open("ab") as f:
@@ -228,58 +165,33 @@ class Journal:
     def store_result(self, key: str, result: Any) -> None:
         """Pickle a completed point's result for later resumption.
 
-        The payload is wrapped in the digest envelope (see module
-        docstring) and written atomically via a *uniquely named* tmp
-        file: two batches completing the same key concurrently must
-        never share a tmp path (a fixed ``.tmp`` suffix lets writer B
-        truncate the file writer A is about to rename, or rename it out
-        from under A entirely) — same discipline as the sim-cache
-        store.  A SIGKILL mid-write orphans at most the tmp file, which
+        The payload is sealed (see module docstring) and written with
+        :func:`~repro.sim.durable.atomic_write`: two batches completing
+        the same key concurrently never share a tmp path, and a SIGKILL
+        mid-write orphans at most the tmp file, which
         :meth:`sweep_orphans` removes at the next batch start.
         """
-        self.results_dir.mkdir(parents=True, exist_ok=True)
-        target = self.results_dir / f"{_key_digest(key)}.pkl"
-        tmp = self.results_dir / (
-            f"{target.stem}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
-        )
+        target = self._sidecar(key)
         payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        blob = SIDECAR_MAGIC + hashlib.sha256(payload).digest() + payload
-        try:
-            with tmp.open("wb") as f:
-                f.write(blob)
-                if self._fsync:
-                    f.flush()
-                    os.fsync(f.fileno())
-            tmp.replace(target)
-        finally:
-            tmp.unlink(missing_ok=True)
+        durable.atomic_write(target, durable.seal(payload),
+                             fsync=self._fsync)
         chaos.fire(chaos.SITE_SIDECAR_STORE, key, path=target)
 
     def sweep_orphans(self) -> int:
         """Remove ``*.tmp`` leftovers of stores killed mid-write.
 
-        Call at batch start only: tmp names are unique per (pid, uuid),
-        so a *live* concurrent batch's tmp could be swept mid-rename —
-        harmless for correctness (its ``replace`` already happened or
-        its write is re-run) but noisy.  The runner calls this before
-        submitting work.
+        Call at batch start only: a *live* concurrent batch's tmp could
+        be swept mid-rename — harmless for correctness (its ``replace``
+        already happened or its write is re-run) but noisy.  The runner
+        calls this before submitting work.
         """
-        if not self.results_dir.exists():
-            return 0
-        swept = 0
-        for tmp in sorted(self.results_dir.glob("*.tmp")):
-            try:
-                tmp.unlink()
-            except OSError:
-                continue
-            swept += 1
-        return swept
+        return durable.sweep_tmp(self.results_dir)
 
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
 
-    def scan(self) -> JournalScan:
+    def scan(self) -> RecordScan:
         """Parse the journal once, classifying every damaged line.
 
         The result is cached on the file's (size, mtime_ns): ``meta``,
@@ -290,7 +202,7 @@ class Journal:
         try:
             stat = os.stat(self.path)
         except OSError:
-            return JournalScan()
+            return RecordScan()
         cache_key = (stat.st_size, stat.st_mtime_ns)
         if self._scan_cache is not None and self._scan_cache[0] == cache_key:
             return self._scan_cache[1]
@@ -299,57 +211,32 @@ class Journal:
         self._publish(scan)
         return scan
 
-    def _parse(self) -> JournalScan:
-        scan = JournalScan()
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except OSError:
-            return scan
-        lines = text.split("\n")
-        ends_complete = text.endswith("\n") or not text
-        occupied = [i for i, line in enumerate(lines) if line.strip()]
-        last = occupied[-1] if occupied else -1
-        for i in occupied:
-            rec, problem = _intact_record(lines[i].strip())
-            if rec is not None:
-                scan.records.append(rec)
-            elif i == last and not ends_complete:
-                # Unterminated final line: crash mid-append, the one
-                # damage shape normal operation produces.
-                scan.torn_tail += 1
-            elif problem == "checksum":
-                scan.checksum_failures += 1
-            else:
-                scan.corrupt_records += 1
-        return scan
+    def _parse(self) -> RecordScan:
+        return durable.scan_records(self.path)
 
-    def _publish(self, scan: JournalScan) -> None:
+    def _publish(self, scan: RecordScan) -> None:
         """Surface a scan's damage: one-shot warning + counters."""
-        global _warned_corrupt_records
-        bad = scan.corrupt_records + scan.checksum_failures
-        if bad and not _warned_corrupt_records:
-            _warned_corrupt_records = True
-            warnings.warn(
+        if scan.corrupt_records or scan.checksum_failures:
+            durable.warn_once(
+                "journal record",
                 f"journal {self.path} carries damaged non-tail records "
                 f"({scan.corrupt_records} unparsable, "
                 f"{scan.checksum_failures} failing their checksum); they "
                 f"were skipped and their points will re-run on resume, "
                 f"but interior damage is not crash fallout — check the "
                 f"storage.  Further incidents are counted silently.",
-                RuntimeWarning,
-                stacklevel=3,
             )
         if scan.torn_tail:
             self._note_torn()
-        self._count(
-            "journal.corrupt_records",
+        durable.count(
+            self.registry, "journal.corrupt_records",
             scan.corrupt_records - self._counted_corrupt,
         )
         self._counted_corrupt = max(
             self._counted_corrupt, scan.corrupt_records
         )
-        self._count(
-            "journal.checksum_failures",
+        durable.count(
+            self.registry, "journal.checksum_failures",
             scan.checksum_failures - self._counted_checksum,
         )
         self._counted_checksum = max(
@@ -386,14 +273,7 @@ class Journal:
         """Digest-verified pickled payload bytes; None when absent or
         quarantined.  The byte form is what the chaos drill compares
         across runs — equality here is the bit-identity contract."""
-        target = self.results_dir / f"{_key_digest(key)}.pkl"
-        if not target.exists():
-            return None
-        try:
-            return self._read_verified(target)
-        except Exception as exc:
-            self._quarantine_sidecar(target, exc)
-            return None
+        return self._load(key, lambda payload: payload)
 
     def load_result(self, key: str) -> Optional[Any]:
         """Unpickle a stored result; None when absent or quarantined.
@@ -401,59 +281,29 @@ class Journal:
         Any unreadable sidecar — bad envelope, digest mismatch,
         unpicklable payload — is moved to ``*.corrupt`` (evidence
         preserved, the point re-runs on resume) with a one-shot warning
-        and a counted metric, mirroring the sim-cache quarantine.
+        and a counted metric, like every durable artifact.
         """
-        target = self.results_dir / f"{_key_digest(key)}.pkl"
-        if not target.exists():
-            return None
+        return self._load(key, pickle.loads)
+
+    def _sidecar(self, key: str) -> Path:
+        return self.results_dir / f"{_key_digest(key)}.pkl"
+
+    def _load(self, key: str, decode: Callable[[bytes], Any]) -> Any:
+        target = self._sidecar(key)
         try:
-            return pickle.loads(self._read_verified(target))
+            return decode(durable.unseal(target.read_bytes()))
+        except FileNotFoundError:
+            return None
         except Exception as exc:
-            self._quarantine_sidecar(target, exc)
+            durable.quarantine(target, exc, "journal sidecar",
+                               "the point will re-run on resume",
+                               registry=self.registry,
+                               metric="journal.sidecar_quarantined")
             return None
-
-    def _read_verified(self, target: Path) -> bytes:
-        data = target.read_bytes()
-        if data[:len(SIDECAR_MAGIC)] != SIDECAR_MAGIC:
-            if data[:1] == b"\x80":
-                return data  # v1 sidecar: bare pickle, no digest
-            raise ValueError("unrecognized sidecar format")
-        header_len = len(SIDECAR_MAGIC) + 32
-        digest = data[len(SIDECAR_MAGIC):header_len]
-        payload = data[header_len:]
-        if hashlib.sha256(payload).digest() != digest:
-            raise ValueError("sidecar payload digest mismatch")
-        return payload
-
-    def _quarantine_sidecar(self, target: Path, exc: Exception) -> None:
-        global _warned_sidecar_quarantine
-        quarantine = target.with_suffix(".corrupt")
-        try:
-            target.replace(quarantine)
-        except OSError:
-            return  # another process already moved/removed it
-        self._count("journal.sidecar_quarantined", 1)
-        if not _warned_sidecar_quarantine:
-            _warned_sidecar_quarantine = True
-            warnings.warn(
-                f"quarantined unreadable journal sidecar {target.name} -> "
-                f"{quarantine.name} ({type(exc).__name__}: {exc}); the "
-                f"point will re-run on resume.  Further quarantines are "
-                f"counted silently.",
-                RuntimeWarning,
-                stacklevel=3,
-            )
 
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-
-    def _count(self, name: str, delta: int) -> None:
-        if self.registry is None or delta <= 0:
-            return
-        from repro.obs.metrics import spec_for
-
-        self.registry.register(spec_for(name)).inc(delta)
 
     def _note_torn(self) -> None:
         # A file tail can be torn at most once per crash, and one
@@ -462,7 +312,7 @@ class Journal:
         if self._torn_counted:
             return
         self._torn_counted = True
-        self._count("journal.torn_records", 1)
+        durable.count(self.registry, "journal.torn_records")
 
 
 __all__ = [
@@ -470,7 +320,6 @@ __all__ = [
     "FSYNC_ENV",
     "JOURNAL_SCHEMA_VERSION",
     "Journal",
-    "JournalScan",
     "SIDECAR_MAGIC",
     "record_checksum",
 ]

@@ -192,7 +192,9 @@ def _apply_affinity(cpus: Optional[Sequence[int]]) -> None:
 SHM_MIN_ENV = "REPRO_POOL_SHM_MIN"
 DEFAULT_SHM_MIN = 1 << 20
 
-#: Wire-protocol tags (parent -> worker).
+#: Wire-protocol tags (parent -> worker): ``(MSG_RUN, key, fn, args,
+#: span)`` with ``span`` a trace-context wire dict or None, or
+#: ``(MSG_STOP,)``.
 MSG_RUN = "run"
 MSG_STOP = "stop"
 #: Wire-protocol tags (worker -> parent).
@@ -292,10 +294,7 @@ def _worker_main(
             break  # parent gone
         if message[0] != MSG_RUN:
             break
-        # Messages are 4-tuples, or 5-tuples when the dispatcher attached
-        # a trace context — old-shape senders keep working unchanged.
-        _, key, fn, args = message[:4]
-        wire = message[4] if len(message) > 4 else None
+        _, key, fn, args, wire = message
         ctx = None
         if wire is not None and trace_spec is not None:
             # Imported lazily: untraced pools never touch the obs layer.
@@ -451,10 +450,7 @@ class WorkerPool:
         worker opens a ``task`` span under it in its spill file.
         """
         try:
-            if span is None:
-                worker.conn.send((MSG_RUN, key, fn, args))
-            else:
-                worker.conn.send((MSG_RUN, key, fn, args, span))
+            worker.conn.send((MSG_RUN, key, fn, args, span))
         except (OSError, ValueError):
             return False
         worker.tasks_started += 1

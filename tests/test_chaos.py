@@ -38,7 +38,9 @@ from repro.sim.chaos import (
     ChaosEngine,
     ChaosInjectedError,
     ChaosPlan,
+    DrillReport,
     FaultEvent,
+    _check_invariants,
     _damage_file,
     run_drill,
 )
@@ -88,6 +90,17 @@ class TestPlan:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             FaultEvent.from_payload({"kind": "meteor_strike"})
+
+    def test_simcache_events_are_never_key_scoped(self):
+        # The sim-cache site fires with a workload name, not a task key,
+        # so a key-scoped simcache_corrupt event could never match.
+        keys = [f"numa-gpu/{w}" for w in DRILL_WORKLOADS]
+        events = [
+            e for seed in range(64)
+            for e in ChaosPlan.generate(seed, keys=keys).events
+            if e.kind == KIND_SIMCACHE_CORRUPT
+        ]
+        assert events and all(e.match == "" for e in events)
 
     def test_every_kind_has_a_site(self):
         for kind, site in KIND_TO_SITE.items():
@@ -191,9 +204,9 @@ class TestFaultKinds:
     )
     def test_sidecar_damage_is_quarantined_on_load(self, tmp_path, kind,
                                                    monkeypatch):
-        import repro.sim.journal as journal_mod
+        from repro.sim import durable
 
-        monkeypatch.setattr(journal_mod, "_warned_sidecar_quarantine", False)
+        monkeypatch.setattr(durable, "_warned_kinds", set())
         registry = MetricsRegistry()
         chaos.install(
             _engine(tmp_path, FaultEvent(kind, "", nth=1),
@@ -333,6 +346,19 @@ class TestDrill:
 
     def test_default_workloads_are_plausible(self):
         assert len(DRILL_WORKLOADS) >= 2
+
+    def test_simcache_quarantines_bounded_by_injected_faults(self, tmp_path):
+        cache = tmp_path / "cache-chaos"
+        cache.mkdir()
+        (cache / "entry.corrupt").write_bytes(b"rotted")
+        report = DrillReport(seed=0, system="s", workloads=(), jobs=1,
+                             pin=False, root=str(tmp_path))
+        _check_invariants(report, ChaosPlan(seed=0), tmp_path / "state", [],
+                          tmp_path / "ref.jsonl", tmp_path / "chaos.jsonl",
+                          cache)
+        assert report.quarantined == {"sidecar": 0, "sim-cache": 1}
+        assert any("1 sim-cache file(s) quarantined but only 0" in p
+                   for p in report.problems)
 
     @pytest.mark.slow
     def test_end_to_end_drill_passes(self, tmp_path, monkeypatch):

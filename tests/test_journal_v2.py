@@ -2,7 +2,8 @@
 
 Covers the durability contract: per-record checksums, torn-tail vs
 interior-corruption classification, sidecar digest envelopes with
-quarantine, the shared scan cache, opt-in fsync, v1 compatibility — and
+quarantine, the shared scan cache, opt-in fsync, rejection of the
+never-shipped v1 shapes (records without ``sum``, bare-pickle sidecars) — and
 two real two-process kill drills (SIGKILL mid-store, torn tail then
 ``--resume``), because the promises here are about dying processes, not
 mocked ones.
@@ -22,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import repro.sim.journal as journal_mod
+from repro.sim import durable
 from repro.obs.registry import MetricsRegistry
 from repro.sim.journal import (
     CHECKSUM_FIELD,
@@ -39,8 +41,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 @pytest.fixture(autouse=True)
 def _fresh_warning_latches(monkeypatch):
     """One-shot warning latches are process-wide; reset per test."""
-    monkeypatch.setattr(journal_mod, "_warned_corrupt_records", False)
-    monkeypatch.setattr(journal_mod, "_warned_sidecar_quarantine", False)
+    monkeypatch.setattr(durable, "_warned_kinds", set())
 
 
 def _journal(tmp_path, **kwargs) -> Journal:
@@ -91,9 +92,12 @@ class TestChecksums:
         assert registry.get("journal.checksum_failures").value() == 1
 
 
-class TestV1Compatibility:
-    def test_v1_records_without_checksum_still_intact(self, tmp_path):
-        journal = _journal(tmp_path)
+class TestV1ShapesRejected:
+    """The v1 shapes never shipped; their read shims are gone."""
+
+    def test_records_without_checksum_are_checksum_failures(self, tmp_path):
+        registry = MetricsRegistry()
+        journal = _journal(tmp_path, registry=registry)
         v1 = [
             {"event": "meta", "key": "", "ts": 1.0, "fingerprint": {}},
             {"event": "start", "key": "k", "ts": 2.0, "attempt": 1},
@@ -102,29 +106,35 @@ class TestV1Compatibility:
         journal.path.write_text(
             "".join(json.dumps(r) + "\n" for r in v1), encoding="utf-8"
         )
-        scan = journal.scan()
-        assert len(scan.records) == 3
-        assert scan.checksum_failures == 0
-        assert journal.completed_keys() == {"k"}
+        with pytest.warns(RuntimeWarning, match="checksum"):
+            scan = journal.scan()
+        assert scan.records == []
+        assert scan.checksum_failures == 3
+        assert journal.completed_keys() == set()
+        assert registry.get("journal.checksum_failures").value() == 3
 
-    def test_v1_bare_pickle_sidecar_loads(self, tmp_path):
-        journal = _journal(tmp_path)
+    def test_bare_pickle_sidecar_is_quarantined(self, tmp_path):
+        registry = MetricsRegistry()
+        journal = _journal(tmp_path, registry=registry)
         journal.results_dir.mkdir(parents=True)
-        key, value = "k", {"result": 42}
-        digest = journal_mod._key_digest(key)
+        digest = journal_mod._key_digest("k")
         (journal.results_dir / f"{digest}.pkl").write_bytes(
-            pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dumps({"result": 42}, protocol=pickle.HIGHEST_PROTOCOL)
         )
-        assert journal.load_result(key) == value
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert journal.load_result("k") is None
+        assert (journal.results_dir / f"{digest}.corrupt").exists()
+        assert registry.get("journal.sidecar_quarantined").value() == 1
 
-    def test_mixed_v1_v2_journal(self, tmp_path):
+    def test_unchecksummed_line_dropped_from_mixed_journal(self, tmp_path):
         journal = _journal(tmp_path)
         journal.path.write_text(
             json.dumps({"event": "start", "key": "a", "ts": 1.0}) + "\n",
             encoding="utf-8",
         )
         journal.append("done", "a", attempt=1)
-        assert [r["event"] for r in journal.records()] == ["start", "done"]
+        with pytest.warns(RuntimeWarning, match="checksum"):
+            assert [r["event"] for r in journal.records()] == ["done"]
 
 
 class TestTornTail:

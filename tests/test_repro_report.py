@@ -21,6 +21,7 @@ from repro.obs.report import (
     markdown_to_html,
     provenance_section,
 )
+from repro.sim.journal import Journal
 
 from .test_regress import fake_record
 
@@ -50,9 +51,15 @@ def _write_journal(path, system="numa-gpu", rdc_hit=0):
          "attempt": 1, "elapsed_s": 0.5, "config_hash": "cafe",
          "metrics": {**_digest(config=system), "rdc.hit": rdc_hit}},
     ]
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+    return _journal_of(path, records)
+
+
+def _journal_of(path, records):
+    """Write *records* through :meth:`Journal.append` (checksummed)."""
+    journal = Journal(path)
+    for rec in records:
+        fields = dict(rec)
+        journal.append(fields.pop("event"), fields.pop("key"), **fields)
     return path
 
 
@@ -66,12 +73,10 @@ class TestLoaders:
         assert rows[0]["metrics"]["sim.accesses"] == 100_000
 
     def test_failed_overrides_earlier_done(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        with open(path, "w") as fh:
-            fh.write(json.dumps({"event": "done", "key": "a", "ts": 1.0,
-                                 "attempt": 1}) + "\n")
-            fh.write(json.dumps({"event": "failed", "key": "a", "ts": 2.0,
-                                 "kind": "timeout"}) + "\n")
+        path = _journal_of(tmp_path / "j.jsonl", [
+            {"event": "done", "key": "a", "ts": 1.0, "attempt": 1},
+            {"event": "failed", "key": "a", "ts": 2.0, "kind": "timeout"},
+        ])
         _, rows = load_journal_rows([path])
         assert rows[0]["event"] == "failed"
 
@@ -102,12 +107,10 @@ class TestSections:
         assert "4200" in text or "4,200" in text
 
     def test_inventory_marks_failures(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        with open(path, "w") as fh:
-            fh.write(json.dumps({
-                "event": "failed", "key": "numa-gpu/Euler", "ts": 1.0,
-                "kind": "timeout", "attempts": 3, "elapsed_s": 9.0,
-            }) + "\n")
+        path = _journal_of(tmp_path / "j.jsonl", [{
+            "event": "failed", "key": "numa-gpu/Euler", "ts": 1.0,
+            "kind": "timeout", "attempts": 3, "elapsed_s": 9.0,
+        }])
         _, rows = load_journal_rows([path])
         text = inventory_section(rows)
         assert "timeout" in text

@@ -23,6 +23,7 @@ from repro.serve import ServeClient, ThreadedServer
 from repro.serve.jobs import JobRequest, RequestError
 from repro.serve.routes import ROUTES, match_route, methods_for
 from repro.serve.store import ResultStore, cas_key
+from repro.sim import durable
 
 WORKLOAD = "Lulesh"
 OTHER_WORKLOADS = ("XSBench", "AMG", "CoMD", "MCB", "HPGMG")
@@ -140,6 +141,11 @@ class TestJobRequest:
 # ---------------------------------------------------------------------------
 
 class TestResultStore:
+    @pytest.fixture(autouse=True)
+    def _fresh_warning_latch(self, monkeypatch):
+        """Quarantines warn once per artifact kind per process."""
+        monkeypatch.setattr(durable, "_warned_kinds", set())
+
     def test_round_trip(self, tmp_path):
         store = ResultStore(tmp_path)
         key = cas_key(config_hash="abc", code_version=1,
@@ -164,7 +170,7 @@ class TestResultStore:
         with pytest.warns(RuntimeWarning, match="quarantined"):
             assert store.load(key) is None
         assert not path.exists()
-        assert path.with_name(path.name + ".corrupt").exists()
+        assert path.with_suffix(".corrupt").exists()
         assert registry.get("serve.store_quarantined").total() == 1
         # quarantine cleared the slot: a fresh save works again
         store.save(key, {"ok": True})
@@ -180,6 +186,17 @@ class TestResultStore:
         path.write_text(json.dumps(envelope))
         with pytest.warns(RuntimeWarning):
             assert store.load(key) is None
+
+    def test_orphaned_tmp_swept_on_open(self, tmp_path):
+        store = ResultStore(tmp_path)
+        key = "feedface" * 4
+        store.save(key, {"ok": True})
+        # A save SIGKILLed between write and rename leaves its tmp file.
+        orphan = store.results_dir / f"{key}.4242.abcd1234.tmp"
+        orphan.write_text("{half-written")
+        reopened = ResultStore(tmp_path)
+        assert not orphan.exists()
+        assert reopened.load(key) == {"ok": True}
 
     def test_key_mismatch_detected(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-import logging
 import pickle
+import random
 
 import pytest
 
 from repro.perf.stats import RunResult
 from repro.sim import cache as simcache
+from repro.sim import durable
 from repro.workloads.base import WorkloadSpec
 
 
@@ -28,6 +29,7 @@ def live_cache(monkeypatch, tmp_path):
     """Point the cache at a tmp dir and re-enable it (conftest disables)."""
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(durable, "_warned_kinds", set())
     return tmp_path
 
 
@@ -49,18 +51,15 @@ class TestQuarantine:
         assert isinstance(hit, RunResult)
         assert hit.workload == spec.abbr
 
-    def test_corrupt_entry_quarantined_with_warning(
-        self, live_cache, config, caplog
-    ):
+    def test_corrupt_entry_quarantined_with_warning(self, live_cache, config):
         spec = cache_spec()
         path = _entry_path(spec, config)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(b"not a pickle at all")
-        with caplog.at_level(logging.WARNING, logger="repro.sim.cache"):
+        with pytest.warns(RuntimeWarning, match="quarantined"):
             assert simcache.load(spec, config) is None  # a miss, not a crash
         assert not path.exists()
         assert path.with_suffix(".corrupt").exists()
-        assert any("quarantined" in r.message for r in caplog.records)
 
     def test_truncated_pickle_quarantined(self, live_cache, config):
         spec = cache_spec()
@@ -74,10 +73,38 @@ class TestQuarantine:
         spec = cache_spec()
         path = _entry_path(spec, config)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("wb") as f:
-            pickle.dump({"not": "a RunResult"}, f)
-        assert simcache.load(spec, config) is None
+        path.write_bytes(durable.seal(pickle.dumps({"not": "a RunResult"})))
+        with pytest.warns(RuntimeWarning, match="not RunResult"):
+            assert simcache.load(spec, config) is None
         assert path.with_suffix(".corrupt").exists()
+
+    def test_bit_flips_never_load_a_different_result(self, live_cache,
+                                                     config):
+        """A damaged entry is a quarantined miss, never a wrong hit."""
+        spec = cache_spec()
+        original = RunResult(
+            workload=spec.abbr, config_label="flips", n_gpus=config.n_gpus,
+            pages_mapped=[1000 + g for g in range(config.n_gpus)],
+            pages_replicated=[7 * g for g in range(config.n_gpus)],
+            remote_pages_touched=[300 + g for g in range(config.n_gpus)],
+            page_access_counts=list(range(500, 400, -1)),
+        )
+        simcache.store(spec, config, original)
+        path = _entry_path(spec, config)
+        clean = path.read_bytes()
+        rng = random.Random(1302)
+        for _ in range(64):
+            bit = rng.randrange(len(clean) * 8)
+            damaged = bytearray(clean)
+            damaged[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(damaged))
+            loaded = simcache.load(spec, config)
+            if loaded is None:
+                assert not path.exists()
+                assert path.with_suffix(".corrupt").exists()
+                path.with_suffix(".corrupt").unlink()
+            else:
+                assert loaded == original
 
     def test_recompute_after_quarantine(self, live_cache, config):
         spec = cache_spec()
