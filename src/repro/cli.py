@@ -42,9 +42,10 @@ from repro.config import ConfigError
 from repro.numa.system import ENGINE_REFERENCE, ENGINE_VECTORIZED
 from repro.obs import Observability, default_registry
 from repro.obs.export import (
-    write_chrome_trace,
-    write_jsonl,
+    assemble_trace,
+    build_chrome_trace,
     write_metrics_json,
+    write_trace,
 )
 from repro.sim import cache as simcache
 from repro.sim import experiments as E
@@ -131,15 +132,11 @@ def _cmd_trace(args) -> int:
     result = run_workload(args.workload, cfg, label=args.system,
                           use_cache=False, obs=obs)
     out = args.out or f"{args.workload}-{args.system}.trace.json"
-    write_chrome_trace(out, result, cfg, obs)
+    write_trace(out, build_chrome_trace(result, cfg, obs))
     dropped = obs.tracer.dropped
     print(f"{len(obs.tracer)} event(s) retained"
           + (f", {dropped} dropped (ring full)" if dropped else ""))
     print(f"Chrome trace written to {out} — open at https://ui.perfetto.dev")
-    if args.jsonl:
-        with open(args.jsonl, "w") as fh:
-            n = write_jsonl(fh, obs, result)
-        print(f"{n} JSONL record(s) written to {args.jsonl}")
     if args.metrics_out:
         write_metrics_json(
             args.metrics_out, obs,
@@ -151,8 +148,6 @@ def _cmd_trace(args) -> int:
 
 def _cmd_trace_assemble(args) -> int:
     """Merge journal + span spills into one Perfetto timeline."""
-    from repro.obs.assemble import assemble_trace, write_trace
-
     if args.batch_journal:
         journal = Path(args.batch_journal)
     else:
@@ -178,7 +173,7 @@ def _cmd_trace_assemble(args) -> int:
     write_trace(out, doc)
     meta = doc["otherData"]
     print(f"{meta['spans']} span(s) assembled from {journal} "
-          f"(trace {meta['trace_id'] or '<none>'}, "
+          f"(trace {', '.join(meta['trace_ids']) or '<none>'}, "
           f"{meta['unfinished_spans']} unfinished, "
           f"{meta['damaged_span_records']} damaged)")
     print(f"Perfetto trace written to {out} — open at "
@@ -630,8 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument("--out", default=None, metavar="PATH",
                          help="Chrome trace path (default: "
                               "<workload>-<system>.trace.json)")
-    trace_p.add_argument("--jsonl", default=None, metavar="PATH",
-                         help="also dump events + metrics as JSON Lines")
     trace_p.add_argument("--ring", type=int, default=65_536, metavar="N",
                          help="tracer ring-buffer capacity (events)")
     trace_p.add_argument("--sample", type=int, default=1, metavar="N",

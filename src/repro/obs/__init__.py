@@ -3,18 +3,20 @@
 The observability layer answers the paper's *traffic-shape* questions —
 who hits in the RDC (§3), how many bytes cross which NVLink (§2.1), when
 GPU-VI invalidations fire (§4.3) — as first-class, documented data
-instead of end-of-run aggregates.  It has four pieces:
+instead of end-of-run aggregates.  It has one home per kind of data:
 
 * :class:`~repro.obs.registry.MetricsRegistry` — named counters, gauges,
   and histograms with per-kernel snapshotting.  The metric *names* are a
   stable contract declared in :mod:`repro.obs.metrics` and documented in
   ``docs/metrics.md`` (CI keeps the two in sync).
 * :class:`~repro.obs.tracer.Tracer` — a ring-buffered, sampled stream of
-  typed events (:mod:`repro.obs.events`): RDC activity, IMST
-  transitions, epoch flushes, page migrations/replications, link-fault
-  epochs, runner retries.
-* Exporters (:mod:`repro.obs.export`) — JSONL and Chrome ``trace_event``
-  JSON loadable in Perfetto; see ``docs/observability.md``.
+  discrete events (:mod:`repro.obs.events`): epoch flushes, page
+  migrations/replications, link-fault epochs.
+* :class:`~repro.obs.trace.SpanSpill` — the crash-safe span files a
+  traced batch leaves next to its journal (``docs/tracing.md``).
+* :mod:`repro.obs.export` — the one ``trace_event`` writer: an observed
+  run on modelled time or a traced batch on wall time, both loadable
+  in Perfetto; see ``docs/observability.md``.
 * The :class:`~repro.obs.observe.Observability` facade — the one object
   the simulator holds.  All hooks fire on rare paths (per kernel, per
   migration), so an observed run is bit-identical to an unobserved one
@@ -38,13 +40,13 @@ Quickstart::
 
     from repro import carve_config, run_workload
     from repro.obs import Observability
-    from repro.obs.export import write_chrome_trace
+    from repro.obs.export import build_chrome_trace, write_trace
 
     obs = Observability(trace=True)
     cfg = carve_config(rdc_bytes=2 << 30)
     result = run_workload("Lulesh", cfg, use_cache=False, obs=obs)
     print(obs.registry.get("rdc.hit").total())
-    write_chrome_trace("lulesh.trace.json", result, cfg, obs)  # Perfetto
+    write_trace("lulesh.trace.json", build_chrome_trace(result, cfg, obs))
 
 or from the CLI: ``python -m repro trace Lulesh --system carve-hwc``.
 """

@@ -1,48 +1,80 @@
-"""Trace and metric exporters: JSONL and Chrome ``trace_event``.
+"""Perfetto ``trace_event`` documents and metric dumps: the one writer.
 
-Two output formats:
+Every ``trace_event`` JSON in the repository (loadable at
+https://ui.perfetto.dev and ``chrome://tracing``) is built here, by one
+of two builders sharing the process-row metadata and the document
+wrapper, and written by :func:`write_trace`:
 
-* **JSONL** — one JSON object per line: a header, every trace event, and
-  a final metrics snapshot.  Greppable, streamable, diff-friendly.
-* **Chrome trace** — the ``trace_event`` JSON format consumed by
-  Perfetto (https://ui.perfetto.dev) and ``chrome://tracing``.  Kernels
-  become ``"X"`` (complete) slices on one track per GPU, per-kernel
-  counter snapshots become ``"C"`` counter tracks, and discrete events
-  (migrations, epoch flushes, link faults) become ``"i"`` instants.
+* :func:`build_chrome_trace` — one observed run on **modelled** time.
+  Kernels become ``"X"`` slices on one row per GPU, the registry's
+  per-kernel snapshots become ``"C"`` counter tracks, and every event
+  the tracer ring retained (migrations, replications, epoch flushes,
+  link faults) becomes an ``"i"`` instant.  The simulator is untimed, so
+  timestamps come from :class:`repro.perf.model.PerformanceModel`:
+  kernel *k*'s slice starts where kernel *k-1*'s ended and lasts the
+  modelled kernel time — the quantity the paper's figures are drawn in.
+* :func:`assemble_trace` — one traced batch on **wall** time, read back
+  from its artifacts long after the processes are gone: the journal's
+  transitions (instants on the runner row), the span spills (the
+  runner's attempt spans, one track per worker slot; each worker's
+  ``task`` spans on a row labeled with slot and NUMA node), and
+  optionally the serve job's event log (a ``serve`` row).  Spans whose
+  end edge never reached the disk — crash victims — run to the end of
+  the timeline flagged ``unfinished``: the flight-recorder view.
 
-The simulator itself is untimed — counters first, roofline pricing after
-— so timestamps are synthesised here from
-:class:`repro.perf.model.PerformanceModel`: kernel *k*'s slice starts
-where kernel *k-1*'s ended, and its duration is the modelled kernel time.
-That makes the Perfetto view show *modelled* time, which is exactly the
-quantity the paper's figures are drawn in.
+Files are replaced atomically (:func:`repro.sim.durable.atomic_write`):
+an interrupted write leaves the previous file, never truncated JSON.
 """
 
 from __future__ import annotations
 
 import json
-from typing import IO, Optional
+from pathlib import Path
+from typing import Optional
 
-from repro.obs.events import (
-    EVENT_IMST,
-    EVENT_KERNEL,
-    EVENT_RDC,
-)
-
-#: Bulk per-kernel summary kinds that would clutter the instant track —
-#: their information is already on the counter tracks.
-_SUMMARY_KINDS = frozenset({EVENT_KERNEL, EVENT_RDC, EVENT_IMST})
+from repro.obs.trace import read_spans_dir, spans_dir_for
+from repro.sim.durable import atomic_write
 
 _US = 1e6  # seconds -> microseconds (trace_event timestamps are µs)
 
+#: pid of the synthetic "serve" process row (job lifecycle instants).
+PID_SERVE = 1
+#: pid of the runner process row (attempt spans + journal instants).
+PID_RUNNER = 2
+#: Worker slot N renders as process row ``PID_WORKER_BASE + N``.
+PID_WORKER_BASE = 10
 
-def _counter_track_args(name: str, samples: dict) -> dict:
-    """Chrome counter ``args``: one series per rendered label key."""
-    return {key or "value": value for key, value in samples.items()}
 
+def _process_rows(names: dict) -> list:
+    """Name and order each process row (``{pid: label}``)."""
+    rows = []
+    for pid in sorted(names):
+        rows.append({
+            "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+            "args": {"name": names[pid]},
+        })
+        rows.append({
+            "name": "process_sort_index", "ph": "M", "pid": pid, "tid": 0,
+            "args": {"sort_index": pid},
+        })
+    return rows
+
+
+def _document(names: dict, events: list, other: dict) -> dict:
+    """The ``trace_event`` document: row metadata, events, ``otherData``."""
+    return {
+        "displayTimeUnit": "ms",
+        "traceEvents": _process_rows(names) + events,
+        "otherData": other,
+    }
+
+
+# ---------------------------------------------------------------------------
+# One observed run, modelled time
+# ---------------------------------------------------------------------------
 
 def build_chrome_trace(result, config, obs) -> dict:
-    """Assemble a Chrome ``trace_event`` document for one observed run.
+    """The Perfetto document for one observed run.
 
     ``result`` is the :class:`~repro.perf.stats.RunResult`, ``config``
     the :class:`~repro.config.SystemConfig` it ran under (needed to price
@@ -58,22 +90,10 @@ def build_chrome_trace(result, config, obs) -> dict:
     # kernel they were recorded in.
     kernel_times = [model.kernel_time(ks) for ks in result.kernels]
     n_gpus = result.n_gpus
+    # pid 0 = system (counters, system-wide instants), 1..n = GPUs.
+    names = {0: f"system ({result.config_label})"}
+    names.update({gpu + 1: f"GPU {gpu}" for gpu in range(n_gpus)})
     events: list = []
-
-    # Process/thread naming metadata: pid 1..n = GPUs, pid 0 = system.
-    events.append({
-        "name": "process_name", "ph": "M", "pid": 0, "tid": 0,
-        "args": {"name": f"system ({result.config_label})"},
-    })
-    for gpu in range(n_gpus):
-        events.append({
-            "name": "process_name", "ph": "M", "pid": gpu + 1, "tid": 0,
-            "args": {"name": f"GPU {gpu}"},
-        })
-        events.append({
-            "name": "thread_name", "ph": "M", "pid": gpu + 1, "tid": 0,
-            "args": {"name": "kernels"},
-        })
 
     # Kernel slices on modelled time.  kernel_starts[i] is the µs offset
     # of kernel i; the list is also the clock for counters and instants.
@@ -119,78 +139,247 @@ def build_chrome_trace(result, config, obs) -> dict:
             events.append({
                 "name": name, "ph": "C", "pid": 0, "tid": 0,
                 "ts": end_ts,
-                "args": _counter_track_args(name, samples),
+                # one series per rendered label key
+                "args": {key or "value": v for key, v in samples.items()},
             })
 
-    # Discrete happenings as instant events, placed at the start of the
-    # kernel they occurred in (the simulator has no finer clock).
-    tracer = obs.tracer if obs is not None else None
-    if tracer is not None:
-        for ev in tracer.events():
-            if ev.kind in _SUMMARY_KINDS:
-                continue
-            if 0 <= ev.kernel < len(kernel_starts):
-                ts = kernel_starts[ev.kernel]
-            else:
-                ts = 0.0
-            args = {"count": ev.count}
-            args.update(ev.payload)
-            events.append({
-                "name": ev.kind, "ph": "i", "s": "g" if ev.gpu < 0 else "p",
-                "pid": (ev.gpu + 1) if ev.gpu >= 0 else 0, "tid": 0,
-                "ts": ts, "args": args,
-            })
+    # Every retained event as an instant, placed at the start of the
+    # kernel it occurred in (the simulator has no finer clock).
+    for ev in obs.tracer.events() if obs is not None else ():
+        ts = kernel_starts[ev.kernel] \
+            if 0 <= ev.kernel < len(kernel_starts) else 0.0
+        events.append({
+            "name": ev.kind, "ph": "i", "s": "g" if ev.gpu < 0 else "p",
+            "pid": ev.gpu + 1 if ev.gpu >= 0 else 0, "tid": 0,
+            "ts": ts, "args": dict(ev.payload),
+        })
 
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "workload": result.workload,
-            "config": result.config_label,
-            "n_gpus": n_gpus,
-            # The paper's quantity: measured (non-warmup) kernels only.
-            "modelled_total_s": model.run_time(result).total_s,
-            # What the timeline spans: every kernel, warmup included.
-            "timeline_total_s": cursor / _US,
-        },
-    }
+    return _document(names, events, {
+        "workload": result.workload,
+        "config": result.config_label,
+        "n_gpus": n_gpus,
+        # The paper's quantity: measured (non-warmup) kernels only.
+        "modelled_total_s": model.run_time(result).total_s,
+        # What the timeline spans: every kernel, warmup included.
+        "timeline_total_s": cursor / _US,
+    })
 
 
-def write_chrome_trace(path, result, config, obs) -> dict:
-    """Build and write the Chrome trace; returns the document."""
-    doc = build_chrome_trace(result, config, obs)
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    return doc
+# ---------------------------------------------------------------------------
+# One traced batch, wall time
+# ---------------------------------------------------------------------------
+
+def _us(ts: float, t0: float) -> int:
+    """Seconds-since-epoch to integer µs relative to the trace start."""
+    return max(0, int(round((ts - t0) * _US)))
 
 
-def write_jsonl(fh: IO[str], obs, result=None) -> int:
-    """Stream the observed run as JSON Lines; returns lines written.
+def _pair_spans(records: list[dict]) -> tuple[list[dict], list[dict]]:
+    """Match begin/end edges; returns ``(closed, open)`` span dicts.
 
-    Layout: one ``{"record": "header"}`` line, one ``{"record":
-    "event"}`` line per retained trace event, one final ``{"record":
-    "metrics"}`` line holding the full registry snapshot.
+    A closed span carries ``ts_begin``/``ts_end``/``status``; an open
+    one (end edge never written — the process died first) only
+    ``ts_begin``.  Pairing is by span id; duplicate begins (a retried
+    dispatch) keep the earliest begin and latest end.
     """
-    lines = 0
-    header = {
-        "record": "header",
-        "events": len(obs.tracer) if obs.tracer is not None else 0,
-        "dropped": obs.tracer.dropped if obs.tracer is not None else 0,
-    }
-    if result is not None:
-        header["workload"] = result.workload
-        header["config"] = result.config_label
-        header["n_gpus"] = result.n_gpus
-    fh.write(json.dumps(header) + "\n")
-    lines += 1
-    if obs.tracer is not None:
-        for ev in obs.tracer.events():
-            fh.write(json.dumps({"record": "event", **ev.to_dict()}) + "\n")
-            lines += 1
-    fh.write(json.dumps(
-        {"record": "metrics", "metrics": obs.registry.snapshot()}
-    ) + "\n")
-    return lines + 1
+    begins: dict[str, dict] = {}
+    closed: list[dict] = []
+    for record in records:
+        span_id = record.get("span", "")
+        if record.get("ph") == "B":
+            if span_id not in begins:
+                begins[span_id] = record
+        elif record.get("ph") == "E":
+            begin = begins.pop(span_id, None)
+            if begin is None:
+                continue  # end without a begin: skip rather than guess
+            closed.append({
+                "begin": begin,
+                "ts_begin": begin.get("ts", 0.0),
+                "ts_end": record.get("ts", begin.get("ts", 0.0)),
+                "status": record.get("status", "ok"),
+            })
+    open_spans = [
+        {"begin": begin, "ts_begin": begin.get("ts", 0.0)}
+        for begin in begins.values()
+    ]
+    return closed, open_spans
+
+
+def open_spans(records: list[dict]) -> list[dict]:
+    """Begin records whose end edge never hit the disk.
+
+    On a healthy run this is empty; after a worker SIGKILL it is the
+    victim's final timeline — what the chaos flight recorder reports.
+    """
+    _, unfinished = _pair_spans(records)
+    return sorted(
+        (span["begin"] for span in unfinished),
+        key=lambda r: (r.get("ts", 0.0), r.get("span", "")),
+    )
+
+
+def _row_for(record: dict) -> tuple[int, int]:
+    """``(pid, tid)`` placement of one span record."""
+    name = record.get("name", "")
+    slot = record.get("slot", -1)
+    if name == "attempt":
+        # Runner-side spans: one runner process, one track per slot so
+        # concurrent attempts never overlap on a row.
+        return PID_RUNNER, slot + 2 if isinstance(slot, int) else 1
+    if isinstance(slot, int) and slot >= 0:
+        return PID_WORKER_BASE + slot, 1
+    return PID_RUNNER, 1
+
+
+def _span_label(record: dict) -> str:
+    name = record.get("name", "")
+    key = record.get("key", "")
+    if name == "attempt":
+        return f"attempt {key} #{record.get('attempt', '?')}"
+    if key and name == "task":
+        return f"task {key}"
+    return name or "span"
+
+
+def assemble_trace(
+    journal_path,
+    *,
+    title: Optional[str] = None,
+    trace_id: Optional[str] = None,
+    serve_events: Optional[list[dict]] = None,
+) -> dict:
+    """The Perfetto document for a traced batch.
+
+    *journal_path* names the batch journal; the spans directory is
+    found next to it.  A journal reused across batches (chaos rounds,
+    ``--resume``) holds one trace per batch: *trace_id* keeps one of
+    them, and by default every trace is assembled — a crash victim of
+    an earlier round stays visible.  ``otherData["trace_ids"]`` lists
+    the traces shown.  *serve_events* adds the job-service lifecycle
+    row.
+    """
+    # Lazy: keeps the journal (and its chaos hooks) out of the CLI's
+    # start-up imports; only an assembly needs it.
+    from repro.sim.journal import Journal
+
+    journal_path = Path(journal_path)
+    journal_records: list[dict] = []
+    if journal_path.exists():
+        journal_records = Journal(journal_path).records()
+    span_records, damaged = read_spans_dir(spans_dir_for(journal_path))
+    if trace_id:
+        span_records = [
+            r for r in span_records if r.get("trace") == trace_id
+        ]
+    trace_ids = list(dict.fromkeys(
+        r["trace"]
+        for r in sorted(span_records, key=lambda r: r.get("ts", 0.0))
+        if r.get("trace")
+    ))
+
+    timestamps = [r["ts"] for r in span_records if "ts" in r]
+    timestamps += [r["ts"] for r in journal_records if "ts" in r]
+    if serve_events:
+        timestamps += [e["ts"] for e in serve_events if "ts" in e]
+    t0 = min(timestamps) if timestamps else 0.0
+    t_max = max(timestamps) if timestamps else 0.0
+
+    events: list[dict] = []
+    names: dict[int, str] = {}
+
+    closed, unfinished = _pair_spans(span_records)
+    for span in closed + unfinished:
+        begin = span["begin"]
+        pid, tid = _row_for(begin)
+        if pid >= PID_WORKER_BASE:
+            slot = pid - PID_WORKER_BASE
+            node = begin.get("node", -1)
+            label = f"worker {slot:02d}"
+            if isinstance(node, int) and node >= 0:
+                label += f" (node {node})"
+            names.setdefault(pid, label)
+        elif pid == PID_RUNNER:
+            names.setdefault(pid, "runner")
+        finished = "ts_end" in span
+        ts_end = span["ts_end"] if finished else t_max
+        args = {
+            "trace_id": begin.get("trace", ""),
+            "span_id": begin.get("span", ""),
+            "parent_id": begin.get("parent", ""),
+            "key": begin.get("key", ""),
+            "status": span.get("status", "unfinished"),
+        }
+        if "attempt" in begin:
+            args["attempt"] = begin["attempt"]
+        if not finished:
+            args["unfinished"] = True
+        events.append({
+            "name": _span_label(begin),
+            "cat": "span" if finished else "span,unfinished",
+            "ph": "X",
+            "pid": pid,
+            "tid": tid,
+            "ts": _us(span["ts_begin"], t0),
+            "dur": max(1, _us(ts_end, t0) - _us(span["ts_begin"], t0)),
+            "args": args,
+        })
+
+    for record in journal_records:
+        event = record.get("event", "")
+        if event in ("span", "meta") or "ts" not in record:
+            continue
+        events.append({
+            "name": f"{event} {record.get('key', '')}".strip(),
+            "cat": "journal",
+            "ph": "i",
+            "s": "p",
+            "pid": PID_RUNNER,
+            "tid": 1,
+            "ts": _us(record["ts"], t0),
+            "args": {
+                k: v for k, v in record.items()
+                if k not in ("ts", "sum") and not isinstance(v, dict)
+            },
+        })
+        names.setdefault(PID_RUNNER, "runner")
+
+    for event in serve_events or ():
+        if "ts" not in event:
+            continue
+        names.setdefault(PID_SERVE, "serve")
+        events.append({
+            "name": event.get("kind", "event"),
+            "cat": "serve",
+            "ph": "i",
+            "s": "p",
+            "pid": PID_SERVE,
+            "tid": 1,
+            "ts": _us(event["ts"], t0),
+            "args": {k: v for k, v in event.items() if k != "ts"},
+        })
+
+    events.sort(key=lambda e: (e["ts"], e["pid"], e["tid"], e["name"]))
+    return _document(names, events, {
+        "title": title or journal_path.stem,
+        "trace_id": trace_id or "",
+        "trace_ids": trace_ids,
+        "journal": journal_path.name,
+        "spans": len(span_records),
+        "unfinished_spans": len(unfinished),
+        "damaged_span_records": damaged,
+    })
+
+
+# ---------------------------------------------------------------------------
+# Writers
+# ---------------------------------------------------------------------------
+
+def write_trace(path, doc: dict) -> Path:
+    """Write a ``trace_event`` document as Perfetto-loadable JSON."""
+    path = Path(path)
+    atomic_write(path, json.dumps(doc, sort_keys=True).encode("utf-8"))
+    return path
 
 
 def write_metrics_json(path, obs, extra: Optional[dict] = None) -> dict:
@@ -213,14 +402,19 @@ def write_metrics_json(path, obs, extra: Optional[dict] = None) -> dict:
     }
     if extra:
         doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+    atomic_write(
+        path, json.dumps(doc, indent=2, sort_keys=True).encode("utf-8")
+    )
     return doc
 
 
 __all__ = [
+    "PID_RUNNER",
+    "PID_SERVE",
+    "PID_WORKER_BASE",
+    "assemble_trace",
     "build_chrome_trace",
-    "write_chrome_trace",
-    "write_jsonl",
+    "open_spans",
     "write_metrics_json",
+    "write_trace",
 ]

@@ -33,8 +33,8 @@ class Observability:
 
     ``trace=False`` (the default) gives metrics-only observation: the
     tracer is constructed disabled and every event hook short-circuits.
-    Pass ``trace=True`` (optionally with ``ring``/``sample_every``/
-    ``sample_overrides``) to also capture the typed event stream.
+    Pass ``trace=True`` (optionally with ``ring``/``sample_every``) to
+    also capture the discrete events.
     """
 
     def __init__(
@@ -42,19 +42,11 @@ class Observability:
         registry: Optional[MetricsRegistry] = None,
         *,
         trace: bool = False,
-        tracer: Optional[Tracer] = None,
         ring: int = DEFAULT_CAPACITY,
         sample_every: int = 1,
-        sample_overrides: Optional[dict] = None,
-        context=None,
-        spill=None,
     ) -> None:
         self.registry = registry if registry is not None else default_registry()
-        self.tracer = tracer if tracer is not None else Tracer(
-            ring, enabled=trace, sample_every=sample_every,
-            sample_overrides=sample_overrides, context=context,
-            spill=spill,
-        )
+        self.tracer = Tracer(ring, enabled=trace, sample_every=sample_every)
         r = self.registry
         # Cached handles: end_kernel runs once per kernel but touches ~20
         # metrics; skipping the name lookup keeps it cheap.
@@ -99,25 +91,12 @@ class Observability:
         self._rdc_stale_base: dict = {}
         self._imst_base: dict = {}
         self._dropped_synced = 0
-        #: Open per-kernel span context (distributed tracing attached).
-        self._kernel_ctx = None
-        self._spill_synced = (0, 0, 0)
 
     # -- kernel lifecycle -----------------------------------------------
 
     def begin_kernel(self, kernel_index: int, kernel_id: int) -> None:
         self._kernel = kernel_index
         self.registry.begin_kernel(kernel_id)
-        if self.tracer.enabled:
-            self.tracer.record(
-                ev.EVENT_KERNEL, kernel=kernel_index,
-                kernel_id=kernel_id, phase="begin",
-            )
-        if self.tracer.span_capable:
-            self._kernel_ctx = self.tracer.span_begin(
-                f"kernel:{kernel_index}", kernel=kernel_index,
-                kernel_id=kernel_id,
-            )
 
     def end_kernel(self, ks, system) -> None:
         """Absorb one finished kernel's counters into the registry.
@@ -127,7 +106,6 @@ class Observability:
         and link snapshot), ``system`` the
         :class:`~repro.numa.system.MultiGpuSystem` that ran it.
         """
-        kern = self._kernel
         gpus = ks.gpus
 
         def bulk(counter, values) -> None:
@@ -202,39 +180,6 @@ class Observability:
         if ks.link_scale is not None:
             self.on_link_fault(ks.link_scale)
 
-        tracer = self.tracer
-        if tracer.enabled:
-            for g, st in enumerate(gpus):
-                tracer.record_many(
-                    ev.EVENT_RDC, st.rdc_hits + st.rdc_misses,
-                    kernel=kern, gpu=g,
-                    hits=st.rdc_hits, misses=st.rdc_misses,
-                    inserts=st.rdc_inserts, stale=stale[g],
-                )
-                tracer.record_many(
-                    ev.EVENT_INVALIDATE, st.invalidates_sent,
-                    kernel=kern, gpu=g,
-                )
-                if imst_deltas and any(imst_deltas[g]):
-                    tracer.record_many(
-                        ev.EVENT_IMST,
-                        imst_deltas[g][0] + imst_deltas[g][1],
-                        kernel=kern, gpu=g,
-                        broadcasts=imst_deltas[g][0],
-                        avoided=imst_deltas[g][1],
-                        demotions=imst_deltas[g][2],
-                    )
-            tracer.record(
-                ev.EVENT_KERNEL, kernel=kern,
-                kernel_id=ks.kernel_id, phase="end", accesses=total,
-                warmup=ks.warmup,
-            )
-        if self._kernel_ctx is not None:
-            tracer.span_end(
-                self._kernel_ctx, f"kernel:{kern}", kernel=kern,
-                accesses=total,
-            )
-            self._kernel_ctx = None
         self.registry.end_kernel()
         self._kernel = -1
 
@@ -282,20 +227,6 @@ class Observability:
                 ev.EVENT_LINK_FAULT, kernel=self._kernel, links=faulted,
             )
 
-    # -- runner hooks ------------------------------------------------------
-
-    def on_runner_retry(self, key: str, attempt: int, kind: str) -> None:
-        """The fault-tolerant runner is retrying task *key*.
-
-        The failure kind lands in the payload as ``failure_kind``
-        (``kind`` is the event-kind parameter of ``Tracer.record``).
-        """
-        if self.tracer.enabled:
-            self.tracer.record(
-                ev.EVENT_RUNNER_RETRY,
-                key=key, attempt=attempt, failure_kind=kind,
-            )
-
     # -- run lifecycle -----------------------------------------------------
 
     def end_run(self, result, system) -> None:
@@ -316,17 +247,6 @@ class Observability:
         if new_drops:
             self._c_dropped.inc(new_drops)
             self._dropped_synced = self.tracer.dropped
-        spill = self.tracer.spill
-        if spill is not None:
-            now = (spill.spans, spill.bytes_written, spill.dropped)
-            base = self._spill_synced
-            deltas = tuple(n - b for n, b in zip(now, base))
-            names = ("trace.spans", "trace.spill_bytes",
-                     "trace.dropped_spans")
-            for name, delta in zip(names, deltas):
-                if delta:
-                    self.registry.get(name).inc(delta)
-            self._spill_synced = now
 
 
 __all__ = ["Observability"]

@@ -175,9 +175,8 @@ class ServeApp:
                          f"(state: {job.state})",
                 "state": job.state,
             }
-        # Lazy import, same rationale as job_report: assembly pulls in
-        # the analysis stack and only runs on demand.
-        from repro.obs.assemble import assemble_trace
+        # Imported lazily: assembly only runs on demand.
+        from repro.obs.export import assemble_trace
 
         doc = assemble_trace(
             journal,

@@ -844,10 +844,9 @@ def _flight_record(report: DrillReport, chaos_journal: Path) -> None:
     record that decodes but fails its checksum) is an invariant
     violation: kills may tear the *tail*, never the middle.
     """
-    # Lazy import: sim.journal imports this module at top level, and
-    # repro.obs.assemble imports sim.journal — a module-level import
-    # here would close the cycle.
-    from repro.obs.assemble import open_spans
+    # Lazy, like every repro import here: sim.journal imports this
+    # module at start-up, so it stays stdlib-only at module level.
+    from repro.obs.export import open_spans
     from repro.obs.trace import read_spans_dir, spans_dir_for
 
     records, damaged = read_spans_dir(spans_dir_for(chaos_journal))

@@ -238,12 +238,11 @@ class _Telemetry:
 
     Wraps a :class:`repro.obs.registry.MetricsRegistry` (``runner.*``
     counters and ``pool.*`` gauges from the contract in
-    :mod:`repro.obs.metrics`) and/or an ``Observability`` (retry trace
-    events).  Every method is a cheap no-op when nothing was attached.
+    :mod:`repro.obs.metrics`).  Every method is a cheap no-op when
+    nothing was attached.
     """
 
-    def __init__(self, registry, obs, on_event=None) -> None:
-        self._obs = obs
+    def __init__(self, registry, on_event=None) -> None:
         self._on_event = on_event
         #: The attached registry (also consumed by the result-digest
         #: path, which counts ``obs.digest_errors`` against it).
@@ -264,11 +263,9 @@ class _Telemetry:
         if self._attempts is not None:
             self._attempts.inc()
 
-    def retry(self, key: str, attempt: int, kind: str) -> None:
+    def retry(self) -> None:
         if self._retries is not None:
             self._retries.inc()
-        if self._obs is not None:
-            self._obs.on_runner_retry(key, attempt, kind)
 
     def failure(self, kind: str) -> None:
         if self._failures is not None:
@@ -301,7 +298,6 @@ def run_tasks(
     tasks: Sequence[Task],
     policy: RunnerPolicy,
     registry=None,
-    obs=None,
     trace: Optional[TraceContext] = None,
     on_event: Optional[Callable[[dict], None]] = None,
 ) -> BatchResult:
@@ -309,11 +305,8 @@ def run_tasks(
 
     *registry* (a :class:`repro.obs.registry.MetricsRegistry`) collects
     the ``runner.attempts`` / ``runner.retries`` / ``runner.failures``
-    counters plus the pool gauges; *obs* (a
-    :class:`repro.obs.Observability`) additionally receives
-    ``runner.retry`` trace events (its registry is used when *registry*
-    is not given).  Both are observational only — task scheduling,
-    retries, and results are unaffected.
+    counters plus the pool gauges.  It is observational only — task
+    scheduling, retries, and results are unaffected.
 
     *trace* (a :class:`repro.obs.TraceContext`) attaches distributed
     tracing (docs/tracing.md): every attempt gets a span in the
@@ -327,9 +320,7 @@ def run_tasks(
     tracing on or off.
     """
     policy.validate()
-    if registry is None and obs is not None:
-        registry = obs.registry
-    telem = _Telemetry(registry, obs, on_event)
+    telem = _Telemetry(registry, on_event)
     keys = [t.key for t in tasks]
     if len(set(keys)) != len(keys):
         raise ValueError("task keys must be unique within a batch")
@@ -524,7 +515,7 @@ def _run_inline(
                     if ctx is not None:
                         spill.span_end(ctx, "attempt", key=task.key,
                                        attempt=attempt, status="retry")
-                    telem.retry(task.key, attempt, KIND_EXCEPTION)
+                    telem.retry()
                     if delay > 0:
                         time.sleep(delay)
                     attempt += 1
@@ -615,7 +606,7 @@ def _run_isolated(
                 entry.task, entry.attempt + 1,
                 time.monotonic() + delay, entry.first_started,
             ))
-            telem.retry(entry.task.key, entry.attempt, kind)
+            telem.retry()
             return
         report = FailureReport(
             key=entry.task.key, kind=kind, exception_type=exc_type,

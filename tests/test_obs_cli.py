@@ -15,7 +15,7 @@ class TestTraceParser:
         assert args.system == "carve-hwc"
         assert args.ring == 65_536
         assert args.sample == 1
-        assert args.out is None and args.jsonl is None
+        assert args.out is None and args.metrics_out is None
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
@@ -45,20 +45,6 @@ class TestTraceCommand:
         assert isinstance(doc["traceEvents"], list) and doc["traceEvents"]
         phases = {e["ph"] for e in doc["traceEvents"]}
         assert "X" in phases and "M" in phases
-
-    def test_jsonl_sidecar(self, tmp_path):
-        out = tmp_path / "t.trace.json"
-        jsonl = tmp_path / "t.jsonl"
-        rc = main([
-            "trace", "Lulesh", "--system", "numa-gpu",
-            "--out", str(out), "--jsonl", str(jsonl),
-        ])
-        assert rc == 0
-        records = [
-            json.loads(line) for line in jsonl.read_text().splitlines()
-        ]
-        assert records[0]["record"] == "header"
-        assert records[-1]["record"] == "metrics"
 
 
 @pytest.mark.slow

@@ -1,39 +1,42 @@
-"""Tests for the JSONL / Chrome-trace exporters (repro.obs.export)."""
+"""Tests for the Perfetto document builder and writers (repro.obs.export)."""
 
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
+from collections import Counter
 
 import pytest
 
-from repro.config import COHERENCE_HARDWARE
+from repro.config import COHERENCE_HARDWARE, COHERENCE_SOFTWARE, WRITE_BACK
+from repro.numa.replication import ReplicationPlan
 from repro.numa.system import MultiGpuSystem
 from repro.obs import Observability
 from repro.obs.export import (
     build_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
     write_metrics_json,
+    write_trace,
 )
 from repro.obs.metrics import METRIC_NAMES, default_registry
 from repro.workloads.base import generate_trace
 from repro.workloads.suite import get
 
-from .conftest import tiny_rdc_config
+from .conftest import make_kernel, make_trace, small_config, tiny_rdc_config
+
+
+def _lulesh(cfg):
+    spec = dataclasses.replace(
+        get("Lulesh"), n_kernels=3, warmup_kernels=1,
+        max_accesses=3000, min_accesses=500,
+    )
+    return generate_trace(spec, cfg)
 
 
 @pytest.fixture(scope="module")
 def observed_run():
     cfg = tiny_rdc_config(coherence=COHERENCE_HARDWARE)
-    spec = dataclasses.replace(
-        get("Lulesh"), n_kernels=3, warmup_kernels=1,
-        max_accesses=3000, min_accesses=500,
-    )
-    trace = generate_trace(spec, cfg)
     obs = Observability(trace=True)
-    result = MultiGpuSystem(cfg, obs=obs).run(trace)
+    result = MultiGpuSystem(cfg, obs=obs).run(_lulesh(cfg))
     return result, cfg, obs
 
 
@@ -84,33 +87,9 @@ class TestChromeTrace:
     def test_write_chrome_trace_roundtrip(self, observed_run, tmp_path):
         result, cfg, obs = observed_run
         path = tmp_path / "t.trace.json"
-        doc = write_chrome_trace(path, result, cfg, obs)
+        doc = build_chrome_trace(result, cfg, obs)
+        assert write_trace(path, doc) == path
         assert json.loads(path.read_text()) == json.loads(json.dumps(doc))
-
-
-class TestJsonl:
-    def test_every_line_parses(self, observed_run):
-        result, _cfg, obs = observed_run
-        buf = io.StringIO()
-        n = write_jsonl(buf, obs, result)
-        lines = buf.getvalue().splitlines()
-        assert len(lines) == n
-        records = [json.loads(line) for line in lines]
-        assert records[0]["record"] == "header"
-        assert records[0]["workload"] == result.workload
-        assert records[-1]["record"] == "metrics"
-        kinds = {r["record"] for r in records}
-        assert kinds == {"header", "event", "metrics"}
-
-    def test_event_count_matches_tracer(self, observed_run):
-        _result, _cfg, obs = observed_run
-        buf = io.StringIO()
-        write_jsonl(buf, obs)
-        events = [
-            json.loads(line) for line in buf.getvalue().splitlines()
-            if json.loads(line)["record"] == "event"
-        ]
-        assert len(events) == len(obs.tracer)
 
 
 class TestMetricsJson:
@@ -130,3 +109,93 @@ class TestMetricsJson:
         path = tmp_path / "m.json"
         doc = write_metrics_json(path, r)
         assert doc["metrics"]["runner.attempts"]["values"] == {"": 3}
+
+
+def _migration_run():
+    cfg = small_config(migration=True, migration_threshold=2)
+    # CTA 0 (GPU 0) first-touches page 0; GPU 1's CTAs then walk it.
+    trace = make_trace([make_kernel([0] + list(range(1, 9)),
+                                    cta_ids=[0] + [1] * 8, n_ctas=4)])
+    return cfg, trace, None
+
+
+def _replication_run():
+    plan = ReplicationPlan(policy="read_only",
+                           replica_holders={0: [0, 1, 2, 3]})
+    trace = make_trace([make_kernel(list(range(8)), n_ctas=4)])
+    return small_config(), trace, plan
+
+
+def _software_coherence_run():
+    cfg = tiny_rdc_config(coherence=COHERENCE_SOFTWARE,
+                          write_policy=WRITE_BACK)
+    return cfg, _lulesh(cfg), None
+
+
+class TestNothingLost:
+    """The Perfetto document carries everything the run observed."""
+
+    @pytest.mark.parametrize("scenario", [
+        _migration_run, _replication_run, _software_coherence_run,
+    ])
+    def test_every_ring_event_is_one_instant(self, scenario):
+        cfg, trace, plan = scenario()
+        obs = Observability(trace=True)
+        result = MultiGpuSystem(cfg, plan, obs=obs).run(trace)
+        assert len(obs.tracer), "scenario recorded no events"
+        doc = build_chrome_trace(result, cfg, obs)
+
+        def key(name, pid, args):
+            return name, pid, json.dumps(args, sort_keys=True)
+
+        retained = Counter(
+            key(ev.kind, ev.gpu + 1 if ev.gpu >= 0 else 0, ev.payload)
+            for ev in obs.tracer.events()
+        )
+        instants = [e for e in doc["traceEvents"] if e["ph"] == "i"]
+        assert Counter(
+            key(e["name"], e["pid"], e["args"]) for e in instants
+        ) == retained
+        # each instant sits at the start of a kernel slice
+        starts = {e["ts"] for e in doc["traceEvents"] if e["ph"] == "X"}
+        assert all(e["ts"] in starts for e in instants)
+
+    def test_per_kernel_volumes_stay_on_counter_tracks(self, observed_run):
+        result, cfg, obs = observed_run
+        doc = build_chrome_trace(result, cfg, obs)
+        tracks = Counter(
+            e["name"] for e in doc["traceEvents"] if e["ph"] == "C"
+        )
+        expected = Counter(
+            name for snap in obs.registry.kernel_snapshots
+            for name in snap.counters
+        )
+        assert tracks == expected
+        for prefix in ("rdc.", "coh.invalidate", "imst."):
+            assert any(name.startswith(prefix) for name in tracks), prefix
+
+
+class TestAtomicWrites:
+    """A failed write leaves the previous file intact and no tmp."""
+
+    def test_metrics_json_serialisation_error(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"previous": true}')
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_metrics_json(path, default_registry(),
+                               extra={"bad": object()})
+        assert path.read_bytes() == before
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_trace_serialisation_error(self, observed_run, tmp_path):
+        result, cfg, obs = observed_run
+        path = tmp_path / "t.trace.json"
+        write_trace(path, build_chrome_trace(result, cfg, obs))
+        before = path.read_bytes()
+        doc = build_chrome_trace(result, cfg, obs)
+        doc["otherData"]["bad"] = object()
+        with pytest.raises(TypeError):
+            write_trace(path, doc)
+        assert path.read_bytes() == before
+        assert list(tmp_path.glob("*.tmp")) == []

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import os
 
-from repro.obs import Observability
 from repro.obs.metrics import default_registry
 from repro.sim.runner import RunnerPolicy, Task, run_tasks
 
@@ -67,20 +66,6 @@ class TestRegistryWiring:
         assert registry.get("runner.attempts").total() == 4
         assert registry.get("runner.retries").total() == 2
         assert registry.get("runner.failures").total() == 1
-
-    def test_obs_supplies_registry_and_gets_retry_events(self, tmp_path):
-        obs = Observability(trace=True)
-        run_tasks(
-            [Task(key="flaky", fn=_flaky, args=(str(tmp_path), 1))],
-            RunnerPolicy(retries=1, backoff_base_s=0.0),
-            obs=obs,
-        )
-        assert obs.registry.get("runner.retries").total() == 1
-        retry_events = [
-            ev for ev in obs.tracer.events() if ev.kind == "runner.retry"
-        ]
-        assert len(retry_events) == 1
-        assert retry_events[0].payload["key"] == "flaky"
 
     def test_no_registry_is_free(self):
         batch = run_tasks(

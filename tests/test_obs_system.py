@@ -29,7 +29,6 @@ from repro.numa.system import (
 from repro.obs import Observability
 from repro.obs.events import (
     EVENT_EPOCH_FLUSH,
-    EVENT_KERNEL,
     EVENT_MIGRATION,
     EVENT_REPLICATION,
 )
@@ -155,17 +154,6 @@ class TestHooks:
         assert sum(len(ev.payload["holders"]) for ev in installs) \
             == replicated
         assert result.total(include_warmup=True).accesses == len(lines)
-
-    def test_kernel_events_bracket_each_kernel(self):
-        trace, cfg = _small_trace_and_cfg()
-        obs = Observability(trace=True)
-        result = _run(cfg, trace, obs=obs)
-        kernel_events = [
-            ev for ev in obs.tracer.events() if ev.kind == EVENT_KERNEL
-        ]
-        begins = [e for e in kernel_events if e.payload["phase"] == "begin"]
-        ends = [e for e in kernel_events if e.payload["phase"] == "end"]
-        assert len(begins) == len(ends) == len(result.kernels)
 
     def test_end_of_run_gauges(self):
         trace, cfg = _small_trace_and_cfg()

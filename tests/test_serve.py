@@ -563,7 +563,7 @@ class TestIntegration:
             assert store.journal_path(final["key"]).exists()
 
     def test_trace_endpoint_round_trip(self, tmp_path):
-        from repro.obs.assemble import PID_WORKER_BASE
+        from repro.obs.export import PID_WORKER_BASE
 
         # pool_jobs=2: the isolated pool path, so worker task spans
         # (not just runner attempt spans) appear in the timeline

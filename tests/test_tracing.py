@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from repro.obs.assemble import (
+from repro.obs.export import (
     PID_RUNNER,
     PID_SERVE,
     PID_WORKER_BASE,
@@ -170,8 +170,8 @@ class TestAssemble:
         assert batch.ok
         doc = assemble_trace(journal)
         other = doc["otherData"]
-        # the trace id was recovered from the journal meta record
-        assert other["trace_id"] == trace.trace_id
+        # every trace in the journal is shown: here, the one batch
+        assert other["trace_ids"] == [trace.trace_id]
         assert other["unfinished_spans"] == 0
         assert other["damaged_span_records"] == 0
         names = {
@@ -209,10 +209,18 @@ class TestAssemble:
             run_tasks(_tasks(("a",)),
                       RunnerPolicy(jobs=2, journal_path=journal),
                       trace=trace)
-        # default: newest meta record's trace wins
-        assert assemble_trace(journal)["otherData"]["trace_id"] == \
-            second.trace_id
+        # default: every trace in the journal, oldest first
+        doc = assemble_trace(journal)
+        assert doc["otherData"]["trace_ids"] == [
+            first.trace_id, second.trace_id,
+        ]
+        slices = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        assert {s["args"]["trace_id"] for s in slices} == {
+            first.trace_id, second.trace_id,
+        }
+        # an explicit trace id keeps only that batch
         doc = assemble_trace(journal, trace_id=first.trace_id)
+        assert doc["otherData"]["trace_ids"] == [first.trace_id]
         slices = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert slices and all(
             s["args"]["trace_id"] == first.trace_id for s in slices
@@ -288,6 +296,29 @@ class TestCrashSpillIntegrity:
                       if e["ph"] == "X" and "unfinished" in e["cat"]]
         assert any(e["args"]["key"] == "victim" for e in unfinished)
         assert all(e["args"]["unfinished"] is True for e in unfinished)
+
+    def test_resumed_round_keeps_the_victim_visible(self, tmp_path,
+                                                    monkeypatch):
+        # round 2 resumes the same journal under a new trace (as every
+        # chaos round and `suite --trace --resume` does); the default
+        # timeline must still show round 1's victim
+        journal, first = self._crashed_batch(tmp_path, monkeypatch)
+        monkeypatch.delenv("REPRO_INJECT_FAULT")
+        second = TraceContext.mint(seed="resume")
+        batch = run_tasks(
+            _tasks(("ok-1", "victim", "ok-2")),
+            RunnerPolicy(jobs=2, journal_path=journal, resume=True),
+            trace=second,
+        )
+        assert batch.ok and "victim" in batch.results
+        doc = assemble_trace(journal)
+        unfinished = [e for e in doc["traceEvents"]
+                      if e["ph"] == "X" and "unfinished" in e["cat"]]
+        assert any(e["args"]["key"] == "victim" for e in unfinished)
+        other = doc["otherData"]
+        records, _ = read_spans_dir(spans_dir_for(journal))
+        assert other["spans"] == len(records)
+        assert other["trace_ids"] == [first.trace_id, second.trace_id]
 
     def test_flight_recorder_names_the_victim_slot(self, tmp_path,
                                                    monkeypatch):
