@@ -49,7 +49,7 @@ from repro.obs.export import (
 )
 from repro.sim import cache as simcache
 from repro.sim import experiments as E
-from repro.sim.driver import run_workload, time_of
+from repro.sim.driver import run_workload
 from repro.sim.runner import RunnerPolicy, default_journal_dir
 from repro.workloads import suite
 from repro.workloads.base import generate_trace
@@ -182,17 +182,17 @@ def _cmd_trace_assemble(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    runs = E.run_suites(
+        {name: E.SuiteRun(name, _resolve_config(name, args.rdc_gb))
+         for name in _HEADLINE},
+        workloads=[args.workload], use_cache=not args.no_cache,
+    )
+    t_single = runs[E.SINGLE_GPU].time_s(args.workload)
     rows = []
-    t_single = None
-    for name in _HEADLINE:
-        cfg = _resolve_config(name, args.rdc_gb)
-        r = run_workload(args.workload, cfg, label=name,
-                         use_cache=not args.no_cache)
-        t = time_of(r, cfg)
-        if name == E.SINGLE_GPU:
-            t_single = t
-        speedup = "-" if t_single is None else f"{t_single / t:.2f}x"
-        rows.append([name, speedup, f"{r.remote_fraction:.1%}",
+    for name, run in runs.items():
+        r = run.results[args.workload]
+        rows.append([name, f"{t_single / run.time_s(args.workload):.2f}x",
+                     f"{r.remote_fraction:.1%}",
                      f"{r.replication_pressure:.2f}x"])
     print(format_table(
         ["system", "speedup vs 1 GPU", "remote accesses", "memory pressure"],

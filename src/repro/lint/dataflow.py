@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from repro.lint.findings import LintConfigError
 from repro.lint.graph import MODULE_BODY, ProjectGraph
 
 SCOPE_VERSION = 1
@@ -73,7 +74,7 @@ class ScopePolicy:
     parent_roots: tuple = (
         ("sim/pool.py", "WorkerPool"),
         ("sim/runner.py", "run_tasks"),
-        ("sim/runner.py", "run_suite"),
+        ("sim/experiments.py", "run_suites"),
         ("sim/chaos.py", "run_drill"),
     )
     #: Modules in which ``*.Process(...)`` counts as a fork point.
@@ -135,10 +136,20 @@ def _expand_root(graph: ProjectGraph, module: str, name: str) -> list:
 
 def reach(graph: ProjectGraph, roots, mode: str = "calls",
           stop_modules: tuple = ()) -> Reachability:
-    """BFS over the graph from *roots* (``(module, name)`` pairs)."""
+    """BFS over the graph from *roots* (``(module, name)`` pairs).
+
+    A root whose module exists but names nothing in it is stale config
+    and raises :class:`LintConfigError`; one in an absent module (a
+    partial tree) is skipped.
+    """
     root_ids = []
     for module, name in roots:
-        root_ids.extend(_expand_root(graph, module, name))
+        expanded = _expand_root(graph, module, name)
+        if not expanded and module in graph.modules:
+            raise LintConfigError(
+                f"lint root {module}::{name} resolves to no function"
+            )
+        root_ids.extend(expanded)
     return reach_from_ids(graph, root_ids, mode=mode,
                           stop_modules=stop_modules,
                           origin=tuple(roots))

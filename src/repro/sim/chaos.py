@@ -29,11 +29,6 @@ Arming a plan is environment-driven so subprocesses inherit it:
 ``REPRO_CHAOS_STATE`` at the shared state directory.  In-process code
 (tests) can instead call :func:`install` with a constructed engine.
 
-The legacy single-fault hook (``REPRO_INJECT_FAULT="<mode>:<key-substr>"``
-with modes ``fail``/``crash``/``hang``/``flaky``) predates plans and
-remains supported; it lives here now and :mod:`repro.sim.pool`
-re-exports its contract.
-
 Nothing in this module runs on the simulated path; the wall-clock and
 sleep calls below are drill orchestration (DET001 allowlists this file
 next to ``sim/runner.py``).
@@ -63,14 +58,6 @@ from typing import Optional, Sequence, Union
 PLAN_ENV = "REPRO_CHAOS_PLAN"
 #: Directory for cross-process claim files and injection records.
 STATE_ENV = "REPRO_CHAOS_STATE"
-
-#: Legacy single-fault hook (predates plans): ``"<mode>:<key-substr>"``
-#: where mode is one of ``fail`` (raise), ``crash`` (SIGKILL self),
-#: ``hang`` (sleep forever), ``flaky`` (raise on first attempt only,
-#: using a sentinel under :data:`FAULT_STATE_ENV`).  An empty substring
-#: matches every task.
-FAULT_ENV = "REPRO_INJECT_FAULT"
-FAULT_STATE_ENV = "REPRO_INJECT_FAULT_STATE"
 
 # ---------------------------------------------------------------------------
 # Fault sites and kinds
@@ -500,37 +487,6 @@ def fire(
         engine.fire(site, key, path=path, line=line)
 
 
-def fire_task(key: str) -> None:
-    """Task-entry hook: legacy env fault first, then the plan engine."""
-    maybe_inject_env_fault(key)
-    fire(SITE_TASK, key)
-
-
-def maybe_inject_env_fault(key: str) -> None:
-    """The legacy :data:`FAULT_ENV` single-fault hook (see above)."""
-    spec = os.environ.get(FAULT_ENV)
-    if not spec:
-        return
-    mode, _, match = spec.partition(":")
-    if match and match not in key:
-        return
-    if mode == "fail":
-        raise RuntimeError(f"injected failure for {key!r}")
-    if mode == "crash":
-        os.kill(os.getpid(), signal.SIGKILL)
-    if mode == "hang":
-        time.sleep(3600)
-    if mode == "flaky":
-        state_dir = Path(os.environ.get(FAULT_STATE_ENV, "."))
-        sentinel = state_dir / (
-            hashlib.sha256(key.encode()).hexdigest()[:24] + ".flaky"
-        )
-        if not sentinel.exists():
-            state_dir.mkdir(parents=True, exist_ok=True)
-            sentinel.touch()
-            raise RuntimeError(f"injected flaky failure for {key!r}")
-
-
 # ---------------------------------------------------------------------------
 # The drill
 # ---------------------------------------------------------------------------
@@ -705,9 +661,8 @@ def run_drill(
 
     def child_env(cache_dir: Path, chaos_on: bool) -> dict:
         env = dict(os.environ)
-        for var in (FAULT_ENV, FAULT_STATE_ENV, PLAN_ENV, STATE_ENV,
-                    "REPRO_NO_CACHE", "REPRO_JOURNAL_FSYNC",
-                    "REPRO_POOL_SHM_MIN"):
+        for var in (PLAN_ENV, STATE_ENV, "REPRO_NO_CACHE",
+                    "REPRO_JOURNAL_FSYNC", "REPRO_POOL_SHM_MIN"):
             env.pop(var, None)
         env["REPRO_CACHE_DIR"] = str(cache_dir)
         existing = env.get("PYTHONPATH", "")
@@ -982,9 +937,7 @@ __all__ = [
     "DRILL_WORKLOADS",
     "DrillReport",
     "DrillRound",
-    "FAULT_ENV",
     "FAULT_KINDS",
-    "FAULT_STATE_ENV",
     "FaultEvent",
     "KIND_ENOSPC",
     "KIND_SHM_FAIL",
@@ -1008,9 +961,7 @@ __all__ = [
     "active",
     "attach_registry",
     "fire",
-    "fire_task",
     "install",
-    "maybe_inject_env_fault",
     "run_drill",
     "uninstall",
 ]

@@ -77,8 +77,10 @@ def run_workload(
 class _TraceMemo:
     """The last generated trace of this process and its trace key.
 
-    One entry is enough: suites, ``compare`` and sweeps run every system
-    of a workload back to back, so consecutive points share the trace.
+    One entry is enough: every batch (suites, figures, ``compare`` and
+    sweeps) is submitted workload-major to ``run_tasks``, which runs it
+    in submission order, so all points of a workload follow one another
+    and only the first generates its trace.
     Fork-safe by construction: generation is a pure function of the key,
     so a forked worker's inherited copy can only save it work, and what
     either side stores after the fork cannot change any result.

@@ -4,6 +4,10 @@ Every configuration the paper evaluates is defined here once, and each
 figure/table has a function that produces exactly the numbers the paper
 plots.  The benchmark scripts under ``benchmarks/`` call these and print
 the rows; examples call them interactively.
+
+Each figure or table runs its (system x workload) points as one
+workload-major batch through :func:`run_suites`; a failed point raises
+:class:`~repro.sim.runner.BatchFailed` rather than shortening a row.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from repro.sim.runner import (
     config_hash,
     run_tasks,
 )
-from repro.sim.sweep import simulate_point
 from repro.workloads import suite
 
 GB = 2**30
@@ -121,6 +124,63 @@ class SuiteRun:
         return time_of(self.results[abbr], self.config)
 
 
+def simulate_named(
+    abbr: str, config: SystemConfig, label: str, use_cache: bool
+) -> RunResult:
+    """Top-level (hence picklable) task entry of one suite point.
+
+    Calls this module's ``run_workload``, looked up at call time, with
+    the workload *name*, so a wrapper installed on it sees every point.
+    """
+    return run_workload(abbr, config, label=label, use_cache=use_cache)
+
+
+def run_suites(
+    suites: dict[str, SuiteRun],
+    workloads: Optional[list[str]] = None,
+    use_cache: bool = True,
+    runner: Optional[RunnerPolicy] = None,
+    registry=None,
+    trace=None,
+    on_event=None,
+) -> dict[str, SuiteRun]:
+    """Run several configurations across the workload list as one batch.
+
+    *suites* maps a batch-unique id to an empty :class:`SuiteRun` naming
+    the run label and configuration; point keys are ``<id>/<workload>``.
+    Points are submitted workload-major, so all systems of a workload
+    run back to back on one trace.  The runs are filled in place.
+
+    Without *runner* a failed point raises
+    :class:`~repro.sim.runner.BatchFailed`; with one, failed workloads
+    land in :attr:`SuiteRun.failures`.  *registry*, *trace* and
+    *on_event* thread straight through to
+    :func:`repro.sim.runner.run_tasks` (see docs/tracing.md).
+    """
+    names = workloads if workloads is not None else suite.all_abbrs()
+    for abbr in names:
+        suite.get(abbr)  # an unknown name fails before any simulation
+    tasks = [
+        Task(key=f"{sid}/{abbr}", fn=simulate_named,
+             args=(abbr, run.config, run.config_name, use_cache),
+             config_hash=config_hash(run.config))
+        for abbr in names
+        for sid, run in suites.items()
+    ]
+    batch = run_tasks(tasks, runner, registry=registry, trace=trace,
+                      on_event=on_event)
+    for sid, run in suites.items():
+        for abbr in names:
+            key = f"{sid}/{abbr}"
+            if key in batch.results:
+                run.results[abbr] = batch.results[key]
+            elif key in batch.failures:
+                run.failures[abbr] = batch.failures[key]
+            else:
+                run.cancelled.append(abbr)
+    return suites
+
+
 def run_suite(
     config_name: str,
     base: Optional[SystemConfig] = None,
@@ -134,47 +194,24 @@ def run_suite(
 ) -> SuiteRun:
     """Run one named configuration across the workload list.
 
-    With *runner* set, workloads execute through the fault-tolerant
-    engine (:mod:`repro.sim.runner`): crash-isolated workers, timeouts,
-    retries, and journal resume; failed workloads land in
-    :attr:`SuiteRun.failures` instead of raising.  Without it, the
-    serial in-process path runs unchanged (bit-identical results).
-
-    *registry* (a :class:`repro.obs.registry.MetricsRegistry`, runner
-    path only) collects the ``runner.*`` lifecycle counters.  *trace*
-    (a :class:`repro.obs.TraceContext`) and *on_event* (a per-point
-    completion callback) thread straight through to
-    :func:`repro.sim.runner.run_tasks` — see docs/tracing.md.
+    The one-system case of :func:`run_suites` (same policy, failure and
+    tracing semantics); point keys are ``<config_name>/<workload>``.
     """
-    config = config_for(config_name, base, rdc_bytes)
-    names = workloads if workloads is not None else suite.all_abbrs()
-    run = SuiteRun(config_name=config_name, config=config)
-    if runner is None:
-        for abbr in names:
-            run.results[abbr] = run_workload(
-                abbr, config, label=config_name, use_cache=use_cache
-            )
-        return run
-    tasks = [
-        Task(
-            key=f"{config_name}/{abbr}",
-            fn=simulate_point,
-            args=(suite.get(abbr), config, config_name, use_cache),
-            config_hash=config_hash(config),
-        )
-        for abbr in names
-    ]
-    batch = run_tasks(tasks, runner, registry=registry, trace=trace,
-                      on_event=on_event)
-    for abbr in names:
-        key = f"{config_name}/{abbr}"
-        if key in batch.results:
-            run.results[abbr] = batch.results[key]
-        elif key in batch.failures:
-            run.failures[abbr] = batch.failures[key]
-        else:
-            run.cancelled.append(abbr)
-    return run
+    run = SuiteRun(config_name, config_for(config_name, base, rdc_bytes))
+    return run_suites(
+        {config_name: run}, workloads, use_cache, runner,
+        registry=registry, trace=trace, on_event=on_event,
+    )[config_name]
+
+
+def _run_systems(
+    names, workloads: Optional[list[str]], use_cache: bool
+) -> dict[str, SuiteRun]:
+    """One batch of the named default configurations (figures)."""
+    return run_suites(
+        {name: SuiteRun(name, config_for(name)) for name in names},
+        workloads, use_cache,
+    )
 
 
 def speedups_vs(
@@ -208,57 +245,54 @@ def relative_performance(
 def figure2(workloads: Optional[list[str]] = None,
             use_cache: bool = True) -> dict[str, dict[str, float]]:
     """Fig. 2: NUMA-GPU and +RO-replication relative to ideal."""
-    ideal = run_suite(IDEAL, workloads=workloads, use_cache=use_cache)
-    rows: dict[str, dict[str, float]] = {}
-    for name in (NUMA_GPU, NUMA_REPL_RO):
-        run = run_suite(name, workloads=workloads, use_cache=use_cache)
-        rows[name] = relative_performance(run, ideal)
-    return rows
+    runs = _run_systems((IDEAL, NUMA_GPU, NUMA_REPL_RO), workloads,
+                        use_cache)
+    return {
+        name: relative_performance(runs[name], runs[IDEAL])
+        for name in (NUMA_GPU, NUMA_REPL_RO)
+    }
 
 
 def figure8(workloads: Optional[list[str]] = None,
             use_cache: bool = True) -> dict[str, dict[str, float]]:
     """Fig. 8: fraction of remote memory accesses, NUMA-GPU vs CARVE."""
-    out: dict[str, dict[str, float]] = {}
-    for name in (NUMA_GPU, CARVE_HWC):
-        run = run_suite(name, workloads=workloads, use_cache=use_cache)
-        out[name] = {
-            abbr: r.remote_fraction for abbr, r in run.results.items()
-        }
-    return out
+    runs = _run_systems((NUMA_GPU, CARVE_HWC), workloads, use_cache)
+    return {
+        name: {abbr: r.remote_fraction for abbr, r in run.results.items()}
+        for name, run in runs.items()
+    }
 
 
 def figure9(workloads: Optional[list[str]] = None,
             use_cache: bool = True) -> dict[str, dict[str, float]]:
     """Fig. 9: CARVE upper bound (no coherence) relative to ideal."""
-    ideal = run_suite(IDEAL, workloads=workloads, use_cache=use_cache)
-    rows: dict[str, dict[str, float]] = {}
-    for name in (NUMA_GPU, NUMA_REPL_RO, CARVE_NOC):
-        run = run_suite(name, workloads=workloads, use_cache=use_cache)
-        rows[name] = relative_performance(run, ideal)
-    return rows
+    runs = _run_systems((IDEAL, NUMA_GPU, NUMA_REPL_RO, CARVE_NOC),
+                        workloads, use_cache)
+    return {
+        name: relative_performance(runs[name], runs[IDEAL])
+        for name in (NUMA_GPU, NUMA_REPL_RO, CARVE_NOC)
+    }
 
 
 def figure11(workloads: Optional[list[str]] = None,
              use_cache: bool = True) -> dict[str, dict[str, float]]:
     """Fig. 11: software vs hardware RDC coherence, relative to ideal."""
-    ideal = run_suite(IDEAL, workloads=workloads, use_cache=use_cache)
-    rows: dict[str, dict[str, float]] = {}
-    for name in (NUMA_GPU, CARVE_SWC, CARVE_HWC, CARVE_NOC):
-        run = run_suite(name, workloads=workloads, use_cache=use_cache)
-        rows[name] = relative_performance(run, ideal)
-    return rows
+    systems = (NUMA_GPU, CARVE_SWC, CARVE_HWC, CARVE_NOC)
+    runs = _run_systems((IDEAL, *systems), workloads, use_cache)
+    return {
+        name: relative_performance(runs[name], runs[IDEAL])
+        for name in systems
+    }
 
 
 def figure13(workloads: Optional[list[str]] = None,
              use_cache: bool = True) -> dict[str, dict[str, float]]:
     """Fig. 13: speedup over a single GPU for the four headline systems."""
-    single = run_suite(SINGLE_GPU, workloads=workloads, use_cache=use_cache)
-    rows: dict[str, dict[str, float]] = {}
-    for name in (NUMA_GPU, NUMA_REPL_RO, CARVE_HWC, IDEAL):
-        run = run_suite(name, workloads=workloads, use_cache=use_cache)
-        rows[name] = speedups_vs(run, single)
-    return rows
+    systems = (NUMA_GPU, NUMA_REPL_RO, CARVE_HWC, IDEAL)
+    runs = _run_systems((SINGLE_GPU, *systems), workloads, use_cache)
+    return {
+        name: speedups_vs(runs[name], runs[SINGLE_GPU]) for name in systems
+    }
 
 
 def figure14(
@@ -273,10 +307,12 @@ def figure14(
     per bandwidth point.
     """
     bws = link_bandwidths_gbs or [32.0, 64.0, 128.0, 256.0]
-    single = run_suite(SINGLE_GPU, workloads=workloads, use_cache=use_cache)
+    systems = (NUMA_GPU, NUMA_REPL_RO, CARVE_HWC, IDEAL)
+    runs = _run_systems((SINGLE_GPU, *systems), workloads, use_cache)
+    single = runs[SINGLE_GPU]
     out: dict[str, dict[float, float]] = {}
-    for name in (NUMA_GPU, NUMA_REPL_RO, CARVE_HWC, IDEAL):
-        run = run_suite(name, workloads=workloads, use_cache=use_cache)
+    for name in systems:
+        run = runs[name]
         series: dict[float, float] = {}
         for bw in bws:
             priced = run.config.replace(
@@ -304,20 +340,20 @@ def table5a(
 ) -> dict[str, float]:
     """Table V(a): geomean NUMA speedup vs RDC size (plus the baseline)."""
     sizes = rdc_sizes_gb or [0.5, 1.0, 2.0, 4.0]
-    single = run_suite(SINGLE_GPU, workloads=workloads, use_cache=use_cache)
-    out: dict[str, float] = {}
-    numa = run_suite(NUMA_GPU, workloads=workloads, use_cache=use_cache)
-    out["NUMA-GPU"] = geometric_mean(list(speedups_vs(numa, single).values()))
+    suites = {
+        "single": SuiteRun(SINGLE_GPU, config_for(SINGLE_GPU)),
+        "NUMA-GPU": SuiteRun(NUMA_GPU, config_for(NUMA_GPU)),
+    }
     for size in sizes:
-        run = run_suite(
-            CARVE_HWC,
-            workloads=workloads,
-            rdc_bytes=int(size * GB),
-            use_cache=use_cache,
+        suites[f"CARVE-{size:g}GB"] = SuiteRun(
+            CARVE_HWC, config_for(CARVE_HWC, rdc_bytes=int(size * GB))
         )
-        key = f"CARVE-{size:g}GB"
-        out[key] = geometric_mean(list(speedups_vs(run, single).values()))
-    return out
+    runs = run_suites(suites, workloads, use_cache)
+    single = runs.pop("single")
+    return {
+        key: geometric_mean(list(speedups_vs(run, single).values()))
+        for key, run in runs.items()
+    }
 
 
 def table5b(

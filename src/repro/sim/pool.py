@@ -27,7 +27,7 @@ mechanics.
 
 Nothing here runs on the simulated path: results are produced by the
 task callables and transported byte-identically, so pooled execution is
-bit-identical to the serial in-process loop.
+bit-identical to the runner's inline path.
 """
 
 from __future__ import annotations
@@ -41,17 +41,14 @@ from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
-# Fault injection for drilling the harness itself lives in
-# :mod:`repro.sim.chaos` — both the legacy single-fault env hook and
-# the seeded multi-fault ChaosPlan engine (docs/chaos.md).  The pool
-# re-exports the legacy env contract and fires the hooks at its two
-# fault sites: task entry (worker loop) and shared-memory export.
+# Fault injection for drilling the harness itself is the seeded
+# ChaosPlan engine of :mod:`repro.sim.chaos` (docs/chaos.md).  The pool
+# fires its hook at two fault sites: task entry (worker loop) and
+# shared-memory export.
 from repro.sim.chaos import (
-    FAULT_ENV as FAULT_ENV,  # re-export: the env contract is part of the API
-    FAULT_STATE_ENV as FAULT_STATE_ENV,
     SITE_SHM_EXPORT as _SITE_SHM_EXPORT,
+    SITE_TASK as _SITE_TASK,
     fire as _chaos_fire,
-    fire_task as _maybe_inject_fault,
 )
 
 
@@ -310,7 +307,7 @@ def _worker_main(
             ctx = TraceContext.from_wire(wire).child("task")
             spill.span_begin(ctx, "task", key=key)
         try:
-            _maybe_inject_fault(key)
+            _chaos_fire(_SITE_TASK, key)
             result = fn(*args)
             payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
             reply = _export_payload(payload, shm_min, key)
@@ -585,8 +582,6 @@ class WorkerPool:
 __all__ = [
     "DEFAULT_SHM_MIN",
     "ERR",
-    "FAULT_ENV",
-    "FAULT_STATE_ENV",
     "MSG_RUN",
     "MSG_STOP",
     "OK_INLINE",

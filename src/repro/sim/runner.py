@@ -20,10 +20,11 @@ module runs a batch of independent tasks with:
   attempt count) aggregated into the batch result instead of being
   swallowed or aborting the batch.
 
-The serial in-process path (``jobs=1``, no timeout) executes tasks
-exactly like a plain loop would, so results stay bit-identical to
-runner-less execution; subprocess isolation is engaged only when
-parallelism or a timeout is requested.
+Every suite, sweep, figure and ``compare`` runs its points through
+:func:`run_tasks`.  The inline path (``jobs=1``, no timeout) runs them
+in-process in submission order; subprocess isolation is engaged only
+for parallelism or a timeout, with bit-identical results.  Without a
+policy, a failed point raises :class:`BatchFailed`.
 
 Isolated execution runs on the **persistent worker pool** of
 :mod:`repro.sim.pool`: ``jobs`` long-lived subprocesses amortize
@@ -58,14 +59,7 @@ from repro.obs.trace import (
 )
 from repro.sim import chaos
 from repro.sim.journal import Journal
-from repro.sim.pool import (
-    ERR,
-    FAULT_ENV as FAULT_ENV,  # re-export: the contract lives with the pool
-    FAULT_STATE_ENV as FAULT_STATE_ENV,
-    WorkerPool,
-    _maybe_inject_fault,
-    result_payload,
-)
+from repro.sim.pool import ERR, WorkerPool, result_payload
 
 #: Failure kinds carried by :class:`FailureReport`.
 KIND_EXCEPTION = "exception"  # the task raised
@@ -100,9 +94,9 @@ def _stable_unit(text: str) -> float:
 class RunnerPolicy:
     """Execution policy for a batch of tasks.
 
-    The default policy (one job, no timeout) runs tasks serially
-    in-process — the bit-identical legacy behaviour.  Any of ``jobs > 1``
-    or a ``timeout_s`` switches the batch to subprocess isolation.
+    The default policy (one job, no timeout) runs tasks inline.  Any of
+    ``jobs > 1`` or a ``timeout_s`` switches the batch to subprocess
+    isolation; results are bit-identical either way.
     """
 
     #: Maximum concurrent worker processes (1 = serial).
@@ -229,6 +223,14 @@ class BatchResult:
         return not self.failures and not self.cancelled
 
 
+class BatchFailed(RuntimeError):
+    """A point of a policy-less batch failed; carries its report."""
+
+    def __init__(self, report: FailureReport) -> None:
+        super().__init__(f"{report.summary()}\n{report.traceback}".rstrip())
+        self.report = report
+
+
 # ---------------------------------------------------------------------------
 # Batch execution
 # ---------------------------------------------------------------------------
@@ -296,12 +298,16 @@ class _Telemetry:
 
 def run_tasks(
     tasks: Sequence[Task],
-    policy: RunnerPolicy,
+    policy: Optional[RunnerPolicy] = None,
     registry=None,
     trace: Optional[TraceContext] = None,
     on_event: Optional[Callable[[dict], None]] = None,
 ) -> BatchResult:
-    """Execute *tasks* under *policy*; never raises for task failures.
+    """Execute *tasks* in submission order under *policy*.
+
+    Task failures land in :attr:`BatchResult.failures`; with no *policy*
+    the batch runs fail-fast under the default one and raises
+    :class:`BatchFailed` instead.
 
     *registry* (a :class:`repro.obs.registry.MetricsRegistry`) collects
     the ``runner.attempts`` / ``runner.retries`` / ``runner.failures``
@@ -319,6 +325,9 @@ def run_tasks(
     feed.  Both are observational: results stay byte-identical with
     tracing on or off.
     """
+    fail_fast = policy is None
+    if fail_fast:
+        policy = RunnerPolicy(keep_going=False)
     policy.validate()
     telem = _Telemetry(registry, on_event)
     keys = [t.key for t in tasks]
@@ -395,6 +404,8 @@ def run_tasks(
         if t.key in batch.failures
     }
     batch.cancelled.sort(key=order.__getitem__)
+    if fail_fast and batch.failures:
+        raise BatchFailed(next(iter(batch.failures.values())))
     return batch
 
 
@@ -486,7 +497,7 @@ def _run_inline(
     trace: Optional[TraceContext] = None,
     spill: Optional[SpanSpill] = None,
 ) -> None:
-    """Serial in-process execution (the bit-identical default path)."""
+    """In-process execution in submission order (the default path)."""
     for i, task in enumerate(todo):
         attempt = 1
         started = time.perf_counter()
@@ -500,7 +511,7 @@ def _run_inline(
                                  attempt=attempt, slot=-1)
             telem.attempt()
             try:
-                _maybe_inject_fault(task.key)
+                chaos.fire(chaos.SITE_TASK, task.key)
                 result = task.fn(*task.args)
             except Exception as exc:
                 if attempt <= policy.retries:

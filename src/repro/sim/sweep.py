@@ -9,16 +9,15 @@ Sensitivity studies come in two flavours here:
   re-priced for every point, which is how Fig. 14 evaluates five link
   bandwidths for the cost of one.
 
-``Sweep`` drives both, memoising runs through the standard disk cache.
-
-Both sweeps optionally execute through the fault-tolerant runner
-(:mod:`repro.sim.runner`): pass a :class:`~repro.sim.runner.RunnerPolicy`
-to run points in crash-isolated worker subprocesses with timeouts,
-retries, and journal-based resume.  A failed point no longer aborts the
-sweep — it is recorded as a :class:`~repro.sim.runner.FailureReport` in
-:attr:`SweepResult.failures` while every other point completes.  Without
-a runner the legacy serial in-process path executes unchanged
-(bit-identical results).
+Both memoise runs through the standard disk cache and execute as one
+batch through :func:`repro.sim.runner.run_tasks`, submitted
+workload-major so the points of one workload share its trace.  Pass a
+:class:`~repro.sim.runner.RunnerPolicy` to run points in crash-isolated
+worker subprocesses with timeouts, retries, and journal-based resume; a
+failed point is then recorded as a
+:class:`~repro.sim.runner.FailureReport` in :attr:`SweepResult.failures`
+while every other point completes.  Without a policy a failed point
+raises :class:`~repro.sim.runner.BatchFailed`.
 """
 
 from __future__ import annotations
@@ -154,30 +153,15 @@ def run_sweep(
 ) -> SweepResult:
     """Re-simulation sweep: one run per (value, workload).
 
-    With *runner* set, points execute through the fault-tolerant engine;
-    failed points land in :attr:`SweepResult.failures` instead of
-    raising.  Without it, the serial in-process path runs unchanged.
+    With *runner* set, failed points land in :attr:`SweepResult.failures`
+    instead of raising; without it a failed point raises
+    :class:`~repro.sim.runner.BatchFailed`.
     """
     specs = [resolve_workload(w) for w in workloads]
     configs = _validated_configs(name, values, config_factory)
     sweep = SweepResult(
         name=name, values=list(values), workloads=[s.abbr for s in specs]
     )
-    if runner is None:
-        for v, cfg in configs:
-            model = PerformanceModel(cfg)
-            for spec in specs:
-                result = run_workload(
-                    spec, cfg, label=f"{name}={v:g}", use_cache=use_cache
-                )
-                sweep.points[(v, spec.abbr)] = SweepPoint(
-                    value=v,
-                    workload=spec.abbr,
-                    time_s=model.total_time_s(result),
-                    result=result,
-                )
-        return sweep
-
     tasks = [
         Task(
             key=point_key(name, v, spec.abbr),
@@ -185,8 +169,8 @@ def run_sweep(
             args=(spec, cfg, f"{name}={v:g}", use_cache),
             config_hash=config_hash(cfg),
         )
-        for v, cfg in configs
         for spec in specs
+        for v, cfg in configs
     ]
     batch = run_tasks(tasks, runner)
     for v, cfg in configs:
@@ -225,9 +209,10 @@ def reprice_sweep(
     counters (capacities, policies, GPU counts), or the sweep is invalid;
     bandwidths, latencies, and overheads are fair game.
 
-    With *runner* set, the base simulations run through the
-    fault-tolerant engine; a failed workload is reported under every
-    sweep value in :attr:`SweepResult.failures`.
+    The base simulations run as one batch under *runner*; with one set,
+    a failed workload is reported under every sweep value in
+    :attr:`SweepResult.failures`, and without one it raises
+    :class:`~repro.sim.runner.BatchFailed`.
     """
     base_config.validate()
     specs = [resolve_workload(w) for w in workloads]
@@ -247,34 +232,26 @@ def reprice_sweep(
     sweep = SweepResult(
         name=name, values=list(values), workloads=[s.abbr for s in specs]
     )
-    if runner is None:
-        results = {
-            spec.abbr: run_workload(
-                spec, base_config, label=f"{name}-base", use_cache=use_cache
-            )
-            for spec in specs
-        }
-    else:
-        tasks = [
-            Task(
-                key=f"{name}-base/{spec.abbr}",
-                fn=simulate_point,
-                args=(spec, base_config, f"{name}-base", use_cache),
-                config_hash=config_hash(base_config),
-            )
-            for spec in specs
-        ]
-        batch = run_tasks(tasks, runner)
-        results = {}
-        for spec in specs:
-            key = f"{name}-base/{spec.abbr}"
-            if key in batch.results:
-                results[spec.abbr] = batch.results[key]
-            elif key in batch.failures:
-                for v in values:
-                    sweep.failures[(v, spec.abbr)] = batch.failures[key]
-            else:
-                sweep.cancelled.extend((v, spec.abbr) for v in values)
+    tasks = [
+        Task(
+            key=f"{name}-base/{spec.abbr}",
+            fn=simulate_point,
+            args=(spec, base_config, f"{name}-base", use_cache),
+            config_hash=config_hash(base_config),
+        )
+        for spec in specs
+    ]
+    batch = run_tasks(tasks, runner)
+    results = {}
+    for spec in specs:
+        key = f"{name}-base/{spec.abbr}"
+        if key in batch.results:
+            results[spec.abbr] = batch.results[key]
+        elif key in batch.failures:
+            for v in values:
+                sweep.failures[(v, spec.abbr)] = batch.failures[key]
+        else:
+            sweep.cancelled.extend((v, spec.abbr) for v in values)
     for v, priced in priced_configs:
         model = PerformanceModel(priced)
         for abbr, result in results.items():

@@ -13,6 +13,8 @@ from repro.config import (
     SystemConfig,
 )
 from repro.gpu.cta import KernelTrace, WorkloadTrace
+from repro.sim import driver
+from repro.sim.chaos import PLAN_ENV, STATE_ENV, ChaosPlan, FaultEvent
 
 
 def small_config(**changes) -> SystemConfig:
@@ -62,6 +64,38 @@ def make_trace(kernels, name: str = "test") -> WorkloadTrace:
     return WorkloadTrace(name=name, kernels=list(kernels))
 
 
+def arm_chaos(monkeypatch, state_dir, *events: FaultEvent) -> None:
+    """Arm a plan of *events* through the environment.
+
+    Every process of a batch, forked pool workers included, inherits
+    the plan and shares *state_dir*, so each event fires exactly once
+    across the batch (one ``worker_kill`` event per worker death).
+    """
+    state_dir.mkdir(parents=True, exist_ok=True)
+    plan_path = state_dir / "plan.json"
+    ChaosPlan(seed=0, events=tuple(events)).save(plan_path)
+    monkeypatch.setenv(PLAN_ENV, str(plan_path))
+    monkeypatch.setenv(STATE_ENV, str(state_dir / "state"))
+
+
+def count_generations(monkeypatch) -> list[str]:
+    """Record the workload of every real trace generation from now on.
+
+    Starts from an empty one-entry trace memo, so the returned list (of
+    workload abbreviations) holds exactly the traces a batch generated.
+    """
+    calls: list[str] = []
+    real = driver.generate_trace
+
+    def counting(spec, config):
+        calls.append(spec.abbr)
+        return real(spec, config)
+
+    monkeypatch.setattr(driver, "_trace_memo", driver._TraceMemo())
+    monkeypatch.setattr(driver, "generate_trace", counting)
+    return calls
+
+
 @pytest.fixture
 def config() -> SystemConfig:
     return small_config()
@@ -87,4 +121,6 @@ __all__ = [
     "tiny_rdc_config",
     "make_kernel",
     "make_trace",
+    "arm_chaos",
+    "count_generations",
 ]

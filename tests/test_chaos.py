@@ -260,7 +260,7 @@ class TestHookPlumbing:
         assert engine is not None and engine.plan == plan
         assert chaos.active() is engine  # memoized on the env values
         with pytest.raises(ChaosInjectedError):
-            chaos.fire_task("k")
+            chaos.fire(SITE_TASK, "k")
 
     def test_unreadable_plan_leaves_chaos_off(self, tmp_path, monkeypatch):
         bad = tmp_path / "plan.json"
@@ -268,7 +268,7 @@ class TestHookPlumbing:
         monkeypatch.setenv(PLAN_ENV, str(bad))
         monkeypatch.setenv(STATE_ENV, str(tmp_path / "state"))
         assert chaos.active() is None
-        chaos.fire_task("k")  # still a no-op
+        chaos.fire(SITE_TASK, "k")  # still a no-op
 
     def test_attach_registry_fills_missing_only(self, tmp_path):
         eng = _engine(tmp_path, FaultEvent(KIND_WORKER_EXCEPTION, "", nth=1))
@@ -278,17 +278,6 @@ class TestHookPlumbing:
         assert eng.registry is registry
         chaos.attach_registry(MetricsRegistry())
         assert eng.registry is registry  # first one sticks
-
-    def test_legacy_env_fault_fail_and_flaky(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(chaos.FAULT_ENV, "fail:victim")
-        chaos.maybe_inject_env_fault("bystander")
-        with pytest.raises(RuntimeError):
-            chaos.maybe_inject_env_fault("the-victim-key")
-        monkeypatch.setenv(chaos.FAULT_ENV, "flaky:")
-        monkeypatch.setenv(chaos.FAULT_STATE_ENV, str(tmp_path))
-        with pytest.raises(RuntimeError):
-            chaos.maybe_inject_env_fault("k")
-        chaos.maybe_inject_env_fault("k")  # second attempt passes
 
 
 _KILL_CHILD = """

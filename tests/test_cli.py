@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.cli import _HEADLINE as HEADLINE
 from repro.cli import build_parser, main
 from repro.sim import experiments as E
+from repro.sim.driver import run_workload, time_of
 from repro.sim.runner import KIND_CRASH, FailureReport
 
 
@@ -79,6 +81,26 @@ class TestCommands:
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         assert main(["cache", "--clear"]) == 0
         assert "removed 1" in capsys.readouterr().out
+
+    def test_compare_speedups_match_direct_runs(self, capsys):
+        # Euler: cheap, and its speedups differ across the systems.
+        assert main(["compare", "Euler", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        times = {
+            name: time_of(
+                run_workload("Euler", E.config_for(name), label=name,
+                             use_cache=False),
+                E.config_for(name),
+            )
+            for name in HEADLINE
+        }
+        cells = [[c.strip() for c in line.split("|")]
+                 for line in out.splitlines()]
+        rows = {c[0]: c[1] for c in cells if c[0] in times}
+        assert rows == {
+            name: f"{times[E.SINGLE_GPU] / t:.2f}x"
+            for name, t in times.items()
+        }
 
     @pytest.mark.slow
     def test_run_end_to_end(self, capsys):

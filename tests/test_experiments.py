@@ -10,6 +10,9 @@ from repro.config import (
     REPLICATE_READ_ONLY,
 )
 from repro.sim import experiments as E
+from repro.sim.chaos import KIND_WORKER_EXCEPTION, FaultEvent
+from repro.sim.runner import BatchFailed
+from tests.conftest import arm_chaos, count_generations
 
 
 class TestConfigRegistry:
@@ -79,3 +82,32 @@ class TestSuiteHelpers:
 
     def test_suite_run_time_helper(self, runs):
         assert runs[E.NUMA_GPU].time_s("Lulesh") > 0
+
+
+class TestBatchOrder:
+    def test_figure_generates_each_trace_once(self, monkeypatch):
+        # Five systems x two workloads, run workload-major: every system
+        # of a workload reuses the trace generated for its first point.
+        calls = count_generations(monkeypatch)
+        rows = E.figure11(["Nekbone", "OverFeat"], use_cache=False)
+        assert calls == ["Nekbone", "OverFeat"]
+        assert all(set(row) == {"Nekbone", "OverFeat"}
+                   for row in rows.values())
+
+
+class TestFailedPoints:
+    def test_run_suite_without_policy_raises(self, monkeypatch, tmp_path):
+        arm_chaos(monkeypatch, tmp_path,
+                  FaultEvent(KIND_WORKER_EXCEPTION, "numa-gpu/OverFeat"))
+        with pytest.raises(BatchFailed, match="numa-gpu/OverFeat") as info:
+            E.run_suite(E.NUMA_GPU, workloads=["Nekbone", "OverFeat"],
+                        use_cache=False)
+        assert info.value.report.kind == "exception"
+        assert "ChaosInjectedError" in str(info.value)  # the traceback
+
+    def test_figure_raises_instead_of_a_short_row(self, monkeypatch,
+                                                  tmp_path):
+        arm_chaos(monkeypatch, tmp_path,
+                  FaultEvent(KIND_WORKER_EXCEPTION, "carve-hwc/OverFeat"))
+        with pytest.raises(BatchFailed, match="carve-hwc/OverFeat"):
+            E.figure8(["Nekbone", "OverFeat"], use_cache=False)

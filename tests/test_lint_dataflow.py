@@ -2,6 +2,8 @@
 
 import ast
 
+import pytest
+
 from repro.lint.dataflow import (
     ScopePolicy,
     derive_scope,
@@ -10,6 +12,7 @@ from repro.lint.dataflow import (
     render_chain,
     scope_document,
 )
+from repro.lint.findings import LintConfigError
 from repro.lint.graph import build_graph
 
 
@@ -98,6 +101,18 @@ class TestReach:
                   mode="calls")
         assert "numa/system.py::MultiGpuSystem.run" in r
         assert "numa/system.py::MultiGpuSystem.step" in r
+
+
+    def test_stale_root_raises_config_error(self):
+        # The module is in the graph but the named entry is not: the
+        # root went stale, and walking from nothing would hide it.
+        g = graph_of(CHAIN_TREE)
+        with pytest.raises(LintConfigError, match="run_suite"):
+            reach(g, [("sim/driver.py", "run_suite")])
+
+    def test_root_in_absent_module_is_skipped(self):
+        g = graph_of(CHAIN_TREE)
+        assert len(reach(g, [("sim/runner.py", "run_tasks")])) == 0
 
 
 class TestScope:

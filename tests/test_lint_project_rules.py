@@ -20,11 +20,19 @@ from repro.lint import run_lint
 #: time.time() reaches the perf model two helper modules below the
 #: driver: DET001's per-file scope sees the direct call in model.py,
 #: DET004 sees the *chain* from run_workload.
+#: The driver's other scope roots; a tree that has ``sim/driver.py``
+#: must define every root of it, or the lint reports stale config.
+DRIVER_ROOTS = (
+    "def time_of():\n    return 0\n"
+    "def run_time():\n    return 0\n"
+)
+
 TAINT_TREE = {
     "sim/driver.py": (
         "from repro.core import helper_a\n"
         "def run_workload():\n"
         "    return helper_a.compute()\n"
+        + DRIVER_ROOTS
     ),
     "core/helper_a.py": (
         "from repro.core import helper_b\n"
@@ -166,6 +174,7 @@ class TestDet005:
                 "from repro.core import model\n"
                 "def run_workload():\n"
                 "    return model.simulate(random.Random())\n"
+                + DRIVER_ROOTS
             ),
             "core/model.py": (
                 "def simulate(rng):\n    return rng.random()\n"
@@ -182,6 +191,7 @@ class TestDet005:
                 "from repro.core import model\n"
                 "def run_workload():\n"
                 "    return model.simulate(random.Random(1302))\n"
+                + DRIVER_ROOTS
             ),
             "core/model.py": (
                 "def simulate(rng):\n    return rng.random()\n"

@@ -30,7 +30,14 @@ from repro.sim.pool import (
     result_payload,
     shm_min_bytes,
 )
-from repro.sim.runner import FAULT_ENV, RunnerPolicy, Task, run_tasks
+from repro.sim.chaos import (
+    KIND_WORKER_EXCEPTION,
+    KIND_WORKER_KILL,
+    PLAN_ENV,
+    FaultEvent,
+)
+from repro.sim.runner import RunnerPolicy, Task, run_tasks
+from tests.conftest import arm_chaos
 
 
 def _ok(x):
@@ -170,17 +177,20 @@ class TestWorkerPool:
         assert batch.ok
         assert len(set(batch.results.values())) <= 2
 
-    def test_crashed_worker_is_respawned_and_batch_completes(self, monkeypatch):
+    def test_crashed_worker_is_respawned_and_batch_completes(
+            self, monkeypatch, tmp_path):
         # The victim kills its worker; with more tasks than workers the
         # batch can only complete if the dead slot is respawned.
-        monkeypatch.setenv(FAULT_ENV, "crash:victim")
+        arm_chaos(monkeypatch, tmp_path,
+                  FaultEvent(KIND_WORKER_KILL, "victim"))
         keys = ["victim"] + [f"ok{i}" for i in range(6)]
         batch = run_tasks(_tasks(_ok, keys), RunnerPolicy(jobs=2))
         assert set(batch.failures) == {"victim"}
         assert len(batch.results) == 6
 
-    def test_dead_pipe_surfaces_exactly_one_death_event(self, monkeypatch):
-        monkeypatch.setenv(FAULT_ENV, "crash:")
+    def test_dead_pipe_surfaces_exactly_one_death_event(self, monkeypatch,
+                                                        tmp_path):
+        arm_chaos(monkeypatch, tmp_path, FaultEvent(KIND_WORKER_KILL))
         pool = WorkerPool(jobs=1)
         pool.start()
         worker = pool.workers[0]
@@ -261,14 +271,15 @@ class TestPoolPolicyParity:
 
     def test_resume_skips_completed_points(self, tmp_path, monkeypatch):
         journal = tmp_path / "j.jsonl"
-        monkeypatch.setenv(FAULT_ENV, "fail:c")
+        arm_chaos(monkeypatch, tmp_path / "chaos",
+                  FaultEvent(KIND_WORKER_EXCEPTION, "c"))
         first = run_tasks(
             _tasks(_ok, ["a", "b", "c"]),
             RunnerPolicy(jobs=2, journal_path=journal),
         )
         assert set(first.failures) == {"c"}
 
-        monkeypatch.delenv(FAULT_ENV)
+        monkeypatch.delenv(PLAN_ENV)
         second = run_tasks(
             _tasks(_ok, ["a", "b", "c"], arg=7),
             RunnerPolicy(jobs=2, journal_path=journal, resume=True),

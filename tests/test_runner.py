@@ -13,17 +13,21 @@ import time
 
 import pytest
 
+from repro.sim.chaos import (
+    KIND_WORKER_EXCEPTION,
+    KIND_WORKER_KILL,
+    FaultEvent,
+)
 from repro.sim.journal import Journal
 from repro.sim.runner import (
     KIND_CRASH,
     KIND_EXCEPTION,
     KIND_TIMEOUT,
-    FAULT_ENV,
-    FAULT_STATE_ENV,
     RunnerPolicy,
     Task,
     run_tasks,
 )
+from tests.conftest import arm_chaos
 
 
 def _ok(x):
@@ -161,8 +165,10 @@ class TestIsolated:
 
 
 class TestFaultInjection:
-    def test_injected_crash_hits_matching_key_only(self, monkeypatch):
-        monkeypatch.setenv(FAULT_ENV, "crash:victim")
+    def test_injected_crash_hits_matching_key_only(self, monkeypatch,
+                                                   tmp_path):
+        arm_chaos(monkeypatch, tmp_path,
+                  FaultEvent(KIND_WORKER_KILL, "victim"))
         batch = run_tasks(
             _tasks(_ok, ["victim", "bystander"]), RunnerPolicy(jobs=2)
         )
@@ -170,8 +176,8 @@ class TestFaultInjection:
         assert batch.results["bystander"] == 2
 
     def test_injected_flaky_succeeds_on_retry(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(FAULT_ENV, "flaky:f1")
-        monkeypatch.setenv(FAULT_STATE_ENV, str(tmp_path))
+        arm_chaos(monkeypatch, tmp_path,
+                  FaultEvent(KIND_WORKER_EXCEPTION, "f1"))
         policy = RunnerPolicy(jobs=2, retries=1, backoff_base_s=0.01)
         batch = run_tasks(_tasks(_ok, ["f1"]), policy)
         assert batch.ok
@@ -220,14 +226,16 @@ class TestJournalResume:
 
 
 class TestCrashLoopBreaker:
-    def test_breaker_fails_the_batch(self, monkeypatch):
-        # Every task crashes its worker; with generous retries the batch
-        # would previously grind through respawn after respawn.  The
-        # breaker opens after max_slot_crashes consecutive deaths of one
-        # slot and fails the batch with a diagnostic, keep_going or not.
+    def test_breaker_fails_the_batch(self, monkeypatch, tmp_path):
+        # Every attempt crashes its worker; with generous retries the
+        # batch would previously grind through respawn after respawn.
+        # The breaker opens after max_slot_crashes consecutive deaths of
+        # one slot and fails the batch with a diagnostic, keep_going or
+        # not.  Three deaths over two slots give one slot two in a row.
         from repro.sim.runner import KIND_CRASH_LOOP
 
-        monkeypatch.setenv(FAULT_ENV, "crash:")
+        arm_chaos(monkeypatch, tmp_path,
+                  *[FaultEvent(KIND_WORKER_KILL)] * 3)
         policy = RunnerPolicy(
             jobs=2, retries=10, backoff_base_s=0.01,
             max_slot_crashes=2, keep_going=True,
@@ -243,14 +251,15 @@ class TestCrashLoopBreaker:
         assert "died 2 times in a row" in report.message
         assert "breaker opened" in report.message
 
-    def test_intermittent_crashes_do_not_trip(self, monkeypatch):
+    def test_intermittent_crashes_do_not_trip(self, monkeypatch, tmp_path):
         # One crashing key among healthy ones: its two attempts (retries
         # exhausted) can produce at most two consecutive deaths on any
         # slot, under a breaker of three — so the batch must finish
         # through the ordinary retry/crash path, never the breaker.
         from repro.sim.runner import KIND_CRASH_LOOP
 
-        monkeypatch.setenv(FAULT_ENV, "crash:victim")
+        arm_chaos(monkeypatch, tmp_path,
+                  *[FaultEvent(KIND_WORKER_KILL, "victim")] * 2)
         policy = RunnerPolicy(
             jobs=2, retries=1, backoff_base_s=0.01, max_slot_crashes=3,
         )

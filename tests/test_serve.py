@@ -24,6 +24,8 @@ from repro.serve.jobs import JobRequest, RequestError
 from repro.serve.routes import ROUTES, match_route, methods_for
 from repro.serve.store import ResultStore, cas_key
 from repro.sim import durable
+from repro.sim.chaos import KIND_WORKER_KILL, FaultEvent
+from tests.conftest import arm_chaos
 
 WORKLOAD = "Lulesh"
 OTHER_WORKLOADS = ("XSBench", "AMG", "CoMD", "MCB", "HPGMG")
@@ -595,9 +597,10 @@ class TestIntegration:
 
     def test_worker_crash_surfaces_failure_report(self, tmp_path,
                                                   monkeypatch):
-        # SIGKILL the pool worker at task entry (legacy chaos hook);
-        # pool_jobs=2 keeps the crash in an isolated worker process.
-        monkeypatch.setenv("REPRO_INJECT_FAULT", f"crash:{WORKLOAD}")
+        # SIGKILL the pool worker at task entry (a one-event chaos
+        # plan); pool_jobs=2 keeps the crash in an isolated worker.
+        arm_chaos(monkeypatch, tmp_path / "chaos",
+                  FaultEvent(KIND_WORKER_KILL, WORKLOAD))
         with ThreadedServer(tmp_path, pool_jobs=2) as srv:
             c = ServeClient(port=srv.port)
             r = c.submit("numa-gpu", workloads=[WORKLOAD],

@@ -1,13 +1,16 @@
 """Tests for the parameter-sweep utilities."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.config import ConfigError, LinkConfig, baseline_config
-from repro.sim.runner import FAULT_ENV, KIND_CRASH, RunnerPolicy
+from repro.sim.chaos import KIND_WORKER_KILL, PLAN_ENV, FaultEvent
+from repro.sim.runner import KIND_CRASH, RunnerPolicy
 from repro.sim.sweep import point_key, reprice_sweep, run_sweep
 from repro.workloads.base import WorkloadSpec
+from tests.conftest import arm_chaos, count_generations
 
 GB = 2**30
 
@@ -91,7 +94,8 @@ class TestFaultTolerantSweep:
         journal = tmp_path / "sweep.jsonl"
         abbr = WL_NAMES[0].abbr
         victim = point_key("rdc", 0.5 * GB, abbr)
-        monkeypatch.setenv(FAULT_ENV, f"crash:{victim}")
+        arm_chaos(monkeypatch, tmp_path / "chaos",
+                  FaultEvent(KIND_WORKER_KILL, victim))
         sweep = self._run(RunnerPolicy(jobs=2, journal_path=journal))
 
         assert not sweep.ok
@@ -103,7 +107,7 @@ class TestFaultTolerantSweep:
         assert sweep.time(2 * GB, abbr) > 0
 
         # Clear the fault; resume re-runs only the crashed point.
-        monkeypatch.delenv(FAULT_ENV)
+        monkeypatch.delenv(PLAN_ENV)
         resumed = self._run(
             RunnerPolicy(jobs=2, journal_path=journal, resume=True)
         )
@@ -177,3 +181,18 @@ class TestRepriceSweep:
                 lambda v: base.with_rdc(int(v * GB)),
                 WL_NAMES, use_cache=False,
             )
+
+
+class TestSweepOrder:
+    def test_inline_sweep_generates_each_trace_once(self, monkeypatch):
+        # Three values x two workloads, submitted workload-major: the
+        # three points of a workload share one generated trace.
+        calls = count_generations(monkeypatch)
+        specs = [fast_spec(), replace(fast_spec(), name="other",
+                                      abbr="other")]
+        base = baseline_config()
+        sweep = run_sweep("rdc", [0.5 * GB, 1 * GB, 2 * GB],
+                          lambda v: base.with_rdc(int(v)), specs,
+                          use_cache=False)
+        assert sweep.ok and len(sweep.points) == 6
+        assert calls == ["sweep", "other"]

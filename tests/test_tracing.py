@@ -35,7 +35,9 @@ from repro.obs.trace import (
     spans_dir_for,
     worker_spill_name,
 )
+from repro.sim.chaos import KIND_WORKER_KILL, PLAN_ENV, FaultEvent
 from repro.sim.runner import RunnerPolicy, Task, run_tasks
+from tests.conftest import arm_chaos
 
 
 def _ok(x):
@@ -260,7 +262,8 @@ class TestAssemble:
 class TestCrashSpillIntegrity:
     def _crashed_batch(self, tmp_path, monkeypatch):
         """A pooled traced batch whose 'victim' task SIGKILLs its worker."""
-        monkeypatch.setenv("REPRO_INJECT_FAULT", "crash:victim")
+        arm_chaos(monkeypatch, tmp_path / "chaos",
+                  FaultEvent(KIND_WORKER_KILL, "victim"))
         journal = tmp_path / "batch.jsonl"
         trace = TraceContext.mint(seed="crash")
         batch = run_tasks(
@@ -303,7 +306,7 @@ class TestCrashSpillIntegrity:
         # chaos round and `suite --trace --resume` does); the default
         # timeline must still show round 1's victim
         journal, first = self._crashed_batch(tmp_path, monkeypatch)
-        monkeypatch.delenv("REPRO_INJECT_FAULT")
+        monkeypatch.delenv(PLAN_ENV)
         second = TraceContext.mint(seed="resume")
         batch = run_tasks(
             _tasks(("ok-1", "victim", "ok-2")),
