@@ -13,10 +13,9 @@ the full harness is expensive only on its first run.
 Benchmarks that persist a machine-readable payload (``BENCH_*.json`` at
 the repository root) write it through :func:`save_bench_json`, which
 stamps the payload with a ``provenance`` block (schema version,
-generation timestamp, git sha, simulator CODE_VERSION) and carries a
-bounded ``history`` of previous stamped runs forward, so
-``python -m repro report`` can render the headline numbers as a trend
-across PRs (see ``docs/regression.md``).
+generation timestamp, git sha, simulator CODE_VERSION) so every number
+says which code produced it.  End-to-end host time is perfbench's job
+(``perfbench/README.md``).
 """
 
 from __future__ import annotations
@@ -24,16 +23,13 @@ from __future__ import annotations
 import json
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Union
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
-#: Version of the stamped BENCH_*.json envelope (payload + provenance +
-#: history).  Bump when the envelope shape changes incompatibly.
+#: Version of the stamped BENCH_*.json envelope (payload + provenance).
+#: Bump when the envelope shape changes incompatibly.
 BENCH_SCHEMA_VERSION = 1
-
-#: Upper bound on carried-forward history entries per payload.
-BENCH_HISTORY_LIMIT = 50
 
 
 def save_result(name: str, text: str) -> Path:
@@ -44,13 +40,8 @@ def save_result(name: str, text: str) -> Path:
     return path
 
 
-def bench_provenance(trend_keys: Iterable[str] = ()) -> dict:
-    """The ``provenance`` stamp for a BENCH_*.json payload.
-
-    *trend_keys* names the top-level payload scalars (e.g.
-    ``speedup_geomean``) worth tracking run-over-run; the report's trend
-    table uses them as columns.
-    """
+def bench_provenance() -> dict:
+    """The ``provenance`` stamp for a BENCH_*.json payload."""
     from repro.obs.baseline import environment_fingerprint
 
     fp = environment_fingerprint()
@@ -62,55 +53,16 @@ def bench_provenance(trend_keys: Iterable[str] = ()) -> dict:
         "git_sha": fp.get("git_sha"),
         "code_version": fp.get("code_version"),
         "python": fp.get("python"),
-        "trend_keys": list(trend_keys),
     }
 
 
-def _history_entry(prev: dict) -> Optional[dict]:
-    """Condense a previously stamped payload into one trend row."""
-    stamp = prev.get("provenance")
-    if not isinstance(stamp, dict):
-        return None  # pre-stamping payload: no trustworthy attribution
-    entry = {
-        "generated_at": stamp.get("generated_at"),
-        "git_sha": stamp.get("git_sha"),
-        "code_version": stamp.get("code_version"),
-    }
-    for key in stamp.get("trend_keys") or ():
-        if key in prev:
-            entry[key] = prev[key]
-    return entry
-
-
-def save_bench_json(
-    path: Union[str, Path],
-    payload: dict,
-    trend_keys: Iterable[str] = (),
-) -> Path:
-    """Stamp *payload* and write it to *path*, appending trend history.
-
-    If *path* already holds a stamped payload, its headline numbers are
-    condensed into one ``history`` entry and carried forward (bounded at
-    :data:`BENCH_HISTORY_LIMIT`), so the file accumulates a run-over-run
-    trend instead of overwriting it.
-    """
+def save_bench_json(path: Union[str, Path], payload: dict) -> Path:
+    """Stamp *payload* with its provenance and write it to *path*."""
     path = Path(path)
-    history: list = []
-    if path.exists():
-        try:
-            prev = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            prev = None
-        if isinstance(prev, dict):
-            history = [e for e in prev.get("history") or ()
-                       if isinstance(e, dict)]
-            entry = _history_entry(prev)
-            if entry is not None:
-                history.append(entry)
-    out = dict(payload)
-    out["provenance"] = bench_provenance(trend_keys)
-    out["history"] = history[-BENCH_HISTORY_LIMIT:]
-    path.write_text(json.dumps(out, indent=2) + "\n")
+    path.write_text(
+        json.dumps({**payload, "provenance": bench_provenance()}, indent=2)
+        + "\n"
+    )
     return path
 
 

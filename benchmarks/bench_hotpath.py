@@ -5,9 +5,8 @@ paper's main configurations and records accesses/second (plus the
 speedup of the vectorized engine over the reference per-access loop) to
 ``BENCH_hotpath.json`` at the repository root, so the perf trajectory of
 the hot path is tracked from PR to PR.  The payload is stamped with a
-provenance block (git sha, CODE_VERSION, timestamp) and carries a
-run-over-run trend history — see ``_common.save_bench_json`` and
-``docs/regression.md``.
+provenance block (git sha, CODE_VERSION, timestamp) — see
+``_common.save_bench_json``.
 
 Each (workload, config) cell is timed best-of-N (wall-clock noise between
 otherwise identical runs is easily 20-30% on shared machines; the minimum
@@ -243,10 +242,7 @@ def main(argv=None) -> int:
     payload = run_bench(
         max_accesses=80000, n_kernels=4, repeats=args.repeats or 5
     )
-    save_bench_json(
-        args.output, payload,
-        trend_keys=("speedup_geomean", "speedup_min"),
-    )
+    save_bench_json(args.output, payload)
     print(
         f"geomean x{payload['speedup_geomean']:.2f}, "
         f"min x{payload['speedup_min']:.2f} -> {args.output}"

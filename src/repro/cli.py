@@ -93,9 +93,14 @@ def _cmd_configs(_args) -> int:
     return 0
 
 
+def _rdc_bytes(rdc_gb: Optional[float]) -> int:
+    """``--rdc-gb`` in bytes.  Only an absent flag means the 2 GB
+    default: ``--rdc-gb 0`` reaches validation and is refused."""
+    return 2 * 2**30 if rdc_gb is None else int(rdc_gb * 2**30)
+
+
 def _resolve_config(name: str, rdc_gb: Optional[float]):
-    rdc_bytes = int(rdc_gb * 2**30) if rdc_gb else 2 * 2**30
-    return E.config_for(name, rdc_bytes=rdc_bytes)
+    return E.config_for(name, rdc_bytes=_rdc_bytes(rdc_gb))
 
 
 def _cmd_run(args) -> int:
@@ -218,7 +223,6 @@ def _cmd_suite(args) -> int:
         pin=args.pin,
         fsync_journal=args.fsync_journal,
     )
-    rdc_bytes = int(args.rdc_gb * 2**30) if args.rdc_gb else 2 * 2**30
     registry = default_registry() if args.metrics_out else None
     trace_ctx = None
     if args.trace:
@@ -228,7 +232,7 @@ def _cmd_suite(args) -> int:
     run = E.run_suite(
         args.system,
         workloads=args.workloads,
-        rdc_bytes=rdc_bytes,
+        rdc_bytes=_rdc_bytes(args.rdc_gb),
         use_cache=not args.no_cache,
         runner=policy,
         registry=registry,
@@ -339,11 +343,7 @@ def _cmd_baseline(args) -> int:
         collect_run_record,
         store_points,
     )
-    from repro.obs.regress import (
-        RegressionPolicy,
-        compare_records,
-        summarize_reports,
-    )
+    from repro.obs.regress import compare_records, summarize_reports
 
     store = BaselineStore(args.dir)
 
@@ -370,15 +370,13 @@ def _cmd_baseline(args) -> int:
         ))
         return 0
 
-    rdc_bytes = int(args.rdc_gb * 2**30) if args.rdc_gb else 2 * 2**30
     points = store_points(store, args.systems, args.workloads)
 
     if args.action == "record":
         for system, workload in points:
-            cfg = E.config_for(system, rdc_bytes=rdc_bytes)
+            cfg = _resolve_config(system, args.rdc_gb)
             record = collect_run_record(
-                workload, system, cfg,
-                engine=args.engine, repeats=args.repeats,
+                workload, system, cfg, engine=args.engine
             )
             path = store.save(record)
             det = record["deterministic"]
@@ -388,10 +386,6 @@ def _cmd_baseline(args) -> int:
         return 0
 
     # compare: re-run every point and gate it against the store.
-    policy = RegressionPolicy(
-        wall_epsilon=args.wall_epsilon,
-        deterministic_only=args.deterministic_only,
-    )
     reports = []
     missing = []
     for system, workload in points:
@@ -399,12 +393,11 @@ def _cmd_baseline(args) -> int:
         if baseline is None:
             missing.append(f"{system}/{workload}")
             continue
-        cfg = E.config_for(system, rdc_bytes=rdc_bytes)
+        cfg = _resolve_config(system, args.rdc_gb)
         current = collect_run_record(
-            workload, system, cfg,
-            engine=args.engine, repeats=args.repeats,
+            workload, system, cfg, engine=args.engine
         )
-        reports.append(compare_records(baseline, current, policy))
+        reports.append(compare_records(baseline, current))
     if reports:
         print(summarize_reports(reports))
     if args.report:
@@ -425,25 +418,19 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_report(args) -> int:
     """Aggregate journals + metrics dumps into the markdown dashboard."""
-    from pathlib import Path
-
     from repro.obs.report import build_report, markdown_to_html
 
     journals = args.journal or sorted(
         str(p) for p in default_journal_dir().glob("*.jsonl")
     )
-    bench = args.bench or sorted(
-        str(p) for p in Path(".").glob("BENCH_*.json")
-    )
     md = build_report(
         journal_paths=journals,
         metrics_paths=args.metrics or (),
-        bench_paths=bench,
     )
     Path(args.out).write_text(md, encoding="utf-8")
     print(f"report written to {args.out} "
           f"({len(journals)} journal(s), {len(args.metrics or ())} "
-          f"metrics dump(s), {len(bench)} bench payload(s))")
+          f"metrics dump(s))")
     if args.html:
         Path(args.html).write_text(markdown_to_html(md), encoding="utf-8")
         print(f"HTML report written to {args.html}")
@@ -751,15 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "must be bit-exact across engines")
     base_p.add_argument("--rdc-gb", type=float, default=None,
                         help="RDC size per GPU in GB (CARVE systems)")
-    base_p.add_argument("--repeats", type=int, default=2, metavar="N",
-                        help="wall-time repeats per point (best-of-N)")
-    base_p.add_argument("--wall-epsilon", type=float, default=0.5,
-                        metavar="FRACTION",
-                        help="tolerated relative wall-throughput loss "
-                             "before the band tier fails (compare)")
-    base_p.add_argument("--deterministic-only", action="store_true",
-                        help="gate only bit-exact traffic counters "
-                             "(CI mode: immune to machine noise)")
     base_p.add_argument("--report", default=None, metavar="PATH",
                         help="write the comparison as markdown (compare)")
     base_p.set_defaults(fn=_cmd_baseline)
@@ -849,7 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report_p = sub.add_parser(
         "report",
-        help="aggregate journals/metrics/bench payloads into a "
+        help="aggregate journals and metrics dumps into a "
              "markdown (+HTML) dashboard",
     )
     report_p.add_argument("--journal", nargs="+", default=None,
@@ -860,10 +838,6 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="PATH",
                           help="--metrics-out JSON dump(s) to render "
                                "link-traffic matrices from")
-    report_p.add_argument("--bench", nargs="+", default=None,
-                          metavar="PATH",
-                          help="stamped BENCH_*.json payload(s) "
-                               "(default: BENCH_*.json in the cwd)")
     report_p.add_argument("--out", default="report.md", metavar="PATH",
                           help="markdown output path (default: report.md)")
     report_p.add_argument("--html", default=None, metavar="PATH",

@@ -4,8 +4,8 @@ A **run record** is the durable, JSON-safe identity of one simulated
 (workload, system) point: the deterministic traffic digest the paper's
 claims are made of (``sim.accesses``, ``rdc.hit``/``rdc.miss``,
 ``coh.invalidate``, ``link.bytes``, ``mig.page_moves``, the per-link
-byte matrix), the modelled and measured performance numbers, and an
-**environment fingerprint** (simulator ``CODE_VERSION``, config hash,
+byte matrix), the modelled total time, and an **environment
+fingerprint** (simulator ``CODE_VERSION``, config hash,
 execution engine, git sha, python version) that says *what produced it*.
 
 Records live in the **baseline store** — a directory (``baselines/`` at
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import os
 import subprocess
 import time
@@ -140,7 +139,6 @@ def make_run_record(
     workload: str,
     *,
     engine: str,
-    wall_s: float,
     modelled_s: float,
     recorded_at: Optional[float] = None,
 ) -> dict:
@@ -150,8 +148,6 @@ def make_run_record(
         raise ValueError(
             f"cannot digest result for {system}/{workload}: not a RunResult"
         )
-    deterministic = {key: digest[key] for key in DETERMINISTIC_KEYS}
-    accesses = deterministic["sim.accesses"]
     return {
         "kind": RECORD_KIND,
         "schema_version": SCHEMA_VERSION,
@@ -162,13 +158,9 @@ def make_run_record(
         # lint: disable=DET001
         "recorded_at": recorded_at if recorded_at is not None else time.time(),
         "fingerprint": environment_fingerprint(config, engine),
-        "deterministic": deterministic,
+        "deterministic": {key: digest[key] for key in DETERMINISTIC_KEYS},
         "link_matrix": _link_matrix(result),
-        "perf": {
-            "modelled_total_s": modelled_s,
-            "wall_s": wall_s,
-            "accesses_per_s": (accesses / wall_s) if wall_s > 0 else 0.0,
-        },
+        "perf": {"modelled_total_s": modelled_s},
     }
 
 
@@ -202,33 +194,25 @@ def collect_run_record(
     config,
     *,
     engine: Optional[str] = None,
-    repeats: int = 1,
 ) -> dict:
-    """Run one point (uncached) and build its record.
+    """Run one point once (uncached, untimed) and build its record.
 
-    Wall time is best-of-*repeats* — the standard robust throughput
-    estimator — while counters come from the first run (they are
-    deterministic, so any run would do).
+    Host time is perfbench's job (``perfbench/README.md``): a record
+    holds only what the simulator computes, so it reads the same on
+    every machine.
     """
     from repro.numa.system import ENGINE_VECTORIZED
     from repro.perf.model import PerformanceModel
     from repro.sim.driver import run_workload
 
     engine = engine or ENGINE_VECTORIZED
-    best = math.inf
-    result = None
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()  # lint: disable=DET001 - wall-time is
-        r = run_workload(          # the measured quantity here
-            workload, config, label=system, use_cache=False, engine=engine
-        )
-        best = min(best, time.perf_counter() - t0)  # lint: disable=DET001
-        if result is None:
-            result = r
+    result = run_workload(
+        workload, config, label=system, use_cache=False, engine=engine
+    )
     modelled = PerformanceModel(config).total_time_s(result)
     return make_run_record(
         result, config, system, workload,
-        engine=engine, wall_s=best, modelled_s=modelled,
+        engine=engine, modelled_s=modelled,
     )
 
 

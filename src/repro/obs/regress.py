@@ -8,13 +8,13 @@ deterministic, so the gate has two tiers with different semantics:
   matrix and the config hash) must match the baseline **bit-exact**.
   Any drift means simulator semantics changed: either a bug, or an
   intentional change that must re-record its baselines.
-* **band tier** — throughput/latency quantities carry measurement noise
-  (wall clock) or are expected to move only with the pricing model
-  (modelled time).  They are gated by relative tolerance bands:
-  wall-clock throughput fails only on a *regression* beyond
-  ``wall_epsilon`` (improvements always pass); modelled time is
-  two-sided with a tiny ``modelled_epsilon`` because it is a pure
-  function of the deterministic counters.
+* **band tier** — the perf model's total time, gated two-sided within
+  :data:`MODELLED_EPSILON`.  It is a pure function of the counters, so
+  it should move only when the pricing model does.
+
+Neither tier reads a clock, so the gate cannot flake.  Host time is
+measured by perfbench alone; older committed records may still carry
+``perf.wall_s``/``perf.accesses_per_s``, and the gate ignores them.
 
 ``compare_records`` never raises on metric drift — it returns a
 :class:`RegressionReport` whose :meth:`~RegressionReport.render` is a
@@ -39,27 +39,8 @@ TIER_EXACT = "exact"
 TIER_BAND = "band"
 
 
-@dataclass(frozen=True)
-class RegressionPolicy:
-    """Tolerances of the band tier (the exact tier has none).
-
-    ``wall_epsilon`` is the relative wall-clock throughput loss
-    tolerated before ``perf.accesses_per_s`` fails (one-sided: faster
-    always passes).  The default is deliberately loose — single-machine
-    wall clock is noisy; CI gates that must never flake should pass
-    ``deterministic_only=True`` and gate traffic shape alone.
-    """
-
-    wall_epsilon: float = 0.5
-    modelled_epsilon: float = 1e-6
-    #: Skip the band tier entirely (CI mode: bit-exact gates only).
-    deterministic_only: bool = False
-
-    def validate(self) -> None:
-        if not 0 <= self.wall_epsilon:
-            raise ValueError("wall_epsilon cannot be negative")
-        if not 0 <= self.modelled_epsilon:
-            raise ValueError("modelled_epsilon cannot be negative")
+#: Relative tolerance of the two-sided modelled-time band.
+MODELLED_EPSILON = 1e-6
 
 
 @dataclass
@@ -140,19 +121,13 @@ def _exact(report: RegressionReport, metric: str, base, cur,
     ))
 
 
-def compare_records(
-    baseline: dict,
-    current: dict,
-    policy: Optional[RegressionPolicy] = None,
-) -> RegressionReport:
+def compare_records(baseline: dict, current: dict) -> RegressionReport:
     """Gate *current* against *baseline*; returns the full report.
 
     Both arguments are run records (:mod:`repro.obs.baseline`).  Schema
     problems become failing findings — a malformed or future-schema
     baseline can never silently pass.
     """
-    policy = policy or RegressionPolicy()
-    policy.validate()
     report = RegressionReport(
         system=current.get("system", "?"),
         workload=current.get("workload", "?"),
@@ -215,33 +190,17 @@ def compare_records(
            if baseline.get("link_matrix") != current.get("link_matrix")
            else "")
 
-    # -- band tier: modelled time and wall throughput --------------------
-    if not policy.deterministic_only:
-        base_perf = baseline.get("perf", {})
-        cur_perf = current.get("perf", {})
-
-        base_t = base_perf.get("modelled_total_s")
-        cur_t = cur_perf.get("modelled_total_s")
-        if base_t and cur_t is not None:
-            rel = abs(cur_t - base_t) / base_t
-            report.findings.append(Finding(
-                metric="perf.modelled_total_s", tier=TIER_BAND,
-                baseline=base_t, current=cur_t,
-                ok=rel <= policy.modelled_epsilon,
-                note=f"two-sided band ±{policy.modelled_epsilon:g}",
-            ))
-
-        base_tp = base_perf.get("accesses_per_s")
-        cur_tp = cur_perf.get("accesses_per_s")
-        if base_tp and cur_tp is not None:
-            floor = base_tp * (1.0 - policy.wall_epsilon)
-            report.findings.append(Finding(
-                metric="perf.accesses_per_s", tier=TIER_BAND,
-                baseline=base_tp, current=cur_tp,
-                ok=cur_tp >= floor,
-                note=f"one-sided band: fails below "
-                     f"{1.0 - policy.wall_epsilon:.0%} of baseline",
-            ))
+    # -- band tier: modelled time ----------------------------------------
+    base_t = baseline["perf"].get("modelled_total_s")
+    cur_t = current["perf"].get("modelled_total_s")
+    if base_t and cur_t is not None:
+        rel = abs(cur_t - base_t) / base_t
+        report.findings.append(Finding(
+            metric="perf.modelled_total_s", tier=TIER_BAND,
+            baseline=base_t, current=cur_t,
+            ok=rel <= MODELLED_EPSILON,
+            note=f"two-sided band ±{MODELLED_EPSILON:g}",
+        ))
     return report
 
 
@@ -260,7 +219,7 @@ def summarize_reports(reports: list[RegressionReport]) -> str:
 
 __all__ = [
     "Finding",
-    "RegressionPolicy",
+    "MODELLED_EPSILON",
     "RegressionReport",
     "TIER_BAND",
     "TIER_EXACT",

@@ -1,10 +1,9 @@
 """``repro report`` — aggregate journals + metrics into a dashboard.
 
-The observability layer produces three kinds of durable artefacts:
+The observability layer produces two kinds of durable artefacts:
 runner journals (``.repro-journal/*.jsonl``, one record per attempt with
-a metric digest on ``done``), ``--metrics-out`` JSON dumps of the metric
-registry, and stamped ``BENCH_*.json`` benchmark payloads at the repo
-root.  This module renders them — plus baseline comparisons from
+a metric digest on ``done``) and ``--metrics-out`` JSON dumps of the
+metric registry.  This module renders them — plus baseline comparisons from
 :mod:`repro.obs.regress` — into one markdown (optionally HTML) report:
 
 * **provenance** — the environment fingerprint each journal was written
@@ -18,9 +17,7 @@ root.  This module renders them — plus baseline comparisons from
 * **per-link traffic matrices** — from ``link.bytes{src,dst}`` samples
   in metrics dumps;
 * **baseline gate** — rendered :class:`~repro.obs.regress.
-  RegressionReport` tables with per-metric deltas;
-* **benchmark trends** — the stamped history carried inside
-  ``BENCH_*.json`` files (see ``benchmarks/_common.py``).
+  RegressionReport` tables with per-metric deltas.
 
 Everything degrades gracefully: a section with no input data renders a
 one-line "no data" note instead of failing, so the command is usable on
@@ -110,20 +107,6 @@ def link_matrix_of(doc: dict) -> Optional[list[list[int]]]:
     if not cells:
         return None
     return [[cells.get((s, d), 0) for d in range(n)] for s in range(n)]
-
-
-def load_bench_payloads(paths: Iterable) -> list[dict]:
-    """Parse stamped ``BENCH_*.json`` payloads (bad files skipped)."""
-    out = []
-    for path in paths:
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            continue
-        if isinstance(doc, dict):
-            doc["_path"] = str(path)
-            out.append(doc)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +268,7 @@ def comparison_markdown(reports: list[RegressionReport]) -> str:
         lines.append(f"### {report.system}/{report.workload} — {verdict}")
         lines.append("")
         if report.ok:
-            lines.append("All gated metrics within policy.")
+            lines.append("All gated metrics ok.")
         else:
             table = [
                 [f.metric, f.tier, _fmt(f.baseline) if f.baseline is not None
@@ -303,39 +286,6 @@ def comparison_markdown(reports: list[RegressionReport]) -> str:
     return "\n".join(lines).rstrip()
 
 
-def bench_trend_section(payloads: list[dict]) -> str:
-    lines = ["## Benchmark trends", ""]
-    if not payloads:
-        lines.append("_No BENCH_*.json payloads found._")
-        return "\n".join(lines)
-    for doc in payloads:
-        name = doc.get("bench", doc["_path"])
-        lines.append(f"### {name} ({doc['_path']})")
-        lines.append("")
-        stamp = doc.get("provenance")
-        if not isinstance(stamp, dict):
-            lines.append("_Unstamped payload (no provenance block) — "
-                         "regenerate with the current harness._")
-            lines.append("")
-            continue
-        entries = list(doc.get("history", []))
-        entries.append({**stamp, **{k: doc.get(k) for k in
-                                    stamp.get("trend_keys", [])}})
-        trend_keys = stamp.get("trend_keys", [])
-        header = ["recorded", "git sha", "code version"] + list(trend_keys)
-        rows = []
-        for e in entries:
-            when = e.get("generated_at")
-            rows.append(
-                [when or "-", e.get("git_sha") or "-",
-                 e.get("code_version", "-")]
-                + [_fmt(e.get(k, "-")) for k in trend_keys]
-            )
-        lines.append(_md_table(header, rows))
-        lines.append("")
-    return "\n".join(lines).rstrip()
-
-
 # ---------------------------------------------------------------------------
 # Whole-report assembly
 # ---------------------------------------------------------------------------
@@ -343,14 +293,12 @@ def bench_trend_section(payloads: list[dict]) -> str:
 def build_report(
     journal_paths: Iterable = (),
     metrics_paths: Iterable = (),
-    bench_paths: Iterable = (),
     regression_reports: Optional[list[RegressionReport]] = None,
     title: str = "repro report",
 ) -> str:
     """Assemble the full markdown dashboard from the given artefacts."""
     metas, rows = load_journal_rows(journal_paths)
     docs = load_metrics_docs(metrics_paths)
-    payloads = load_bench_payloads(bench_paths)
     when = time.strftime("%Y-%m-%d %H:%M:%S UTC", time.gmtime())
     sections = [
         f"# {title}",
@@ -366,8 +314,6 @@ def build_report(
         link_matrix_section(docs),
         "",
         comparison_markdown(regression_reports or []),
-        "",
-        bench_trend_section(payloads),
         "",
     ]
     return "\n".join(sections)
@@ -436,14 +382,12 @@ def markdown_to_html(md: str, title: str = "repro report") -> str:
 
 
 __all__ = [
-    "bench_trend_section",
     "build_report",
     "comparison_markdown",
     "comparison_section",
     "inventory_section",
     "link_matrix_of",
     "link_matrix_section",
-    "load_bench_payloads",
     "load_journal_rows",
     "load_metrics_docs",
     "markdown_to_html",

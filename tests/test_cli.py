@@ -155,3 +155,11 @@ class TestExitStatus:
         assert rc == 2
         err = capsys.readouterr().err
         assert "invalid configuration" in err
+
+    def test_zero_rdc_size_is_refused_not_defaulted(self, capsys):
+        # --rdc-gb 0 is a value, not an absent flag: it must reach
+        # validation instead of silently simulating the 2 GB default.
+        rc = main(["run", "Lulesh", "--system", "carve-swc",
+                   "--rdc-gb", "0"])
+        assert rc == 2
+        assert "RDC size must be positive" in capsys.readouterr().err

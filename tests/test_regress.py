@@ -12,12 +12,7 @@ from repro.obs.baseline import (
     RECORD_KIND,
     SCHEMA_VERSION,
 )
-from repro.obs.regress import (
-    TIER_EXACT,
-    RegressionPolicy,
-    compare_records,
-    summarize_reports,
-)
+from repro.obs.regress import compare_records, summarize_reports
 
 
 def fake_record(**overrides) -> dict:
@@ -46,11 +41,7 @@ def fake_record(**overrides) -> dict:
         },
         "deterministic": det,
         "link_matrix": [[0, 10], [12, 0]],
-        "perf": {
-            "modelled_total_s": 2.0,
-            "wall_s": 0.5,
-            "accesses_per_s": 200_000.0,
-        },
+        "perf": {"modelled_total_s": 2.0},
     }
     rec.update(overrides)
     return rec
@@ -108,25 +99,6 @@ class TestExactTier:
 
 
 class TestBandTier:
-    def test_throughput_regression_fails(self):
-        current = fake_record()
-        current["perf"]["accesses_per_s"] = 90_000.0  # -55%
-        report = compare_records(fake_record(), current)
-        assert not report.ok
-        assert {f.metric for f in report.failures()} == \
-            {"perf.accesses_per_s"}
-        assert "perf.accesses_per_s" in report.render()
-
-    def test_throughput_improvement_always_passes(self):
-        current = fake_record()
-        current["perf"]["accesses_per_s"] = 10 * 200_000.0
-        assert compare_records(fake_record(), current).ok
-
-    def test_small_slowdown_within_band_passes(self):
-        current = fake_record()
-        current["perf"]["accesses_per_s"] = 150_000.0  # -25% < 50%
-        assert compare_records(fake_record(), current).ok
-
     def test_modelled_time_band_is_two_sided(self):
         for direction in (+1, -1):
             current = fake_record()
@@ -135,27 +107,17 @@ class TestBandTier:
             assert {f.metric for f in report.failures()} == \
                 {"perf.modelled_total_s"}, direction
 
-    def test_deterministic_only_skips_band(self):
-        current = fake_record()
-        current["perf"]["accesses_per_s"] = 1.0
-        current["perf"]["modelled_total_s"] = 99.0
-        policy = RegressionPolicy(deterministic_only=True)
-        report = compare_records(fake_record(), current, policy)
+    def test_committed_wall_fields_do_not_gate(self):
+        # Committed records may still carry host-time fields; the gate
+        # reads no clock, so any values there are ignored.
+        baseline, current = fake_record(), fake_record()
+        baseline["perf"].update(wall_s=0.5, accesses_per_s=1e12)
+        current["perf"].update(wall_s=99.0, accesses_per_s=1.0)
+        report = compare_records(baseline, current)
         assert report.ok
-        assert all(f.tier == TIER_EXACT for f in report.findings)
-
-    def test_custom_wall_epsilon(self):
-        current = fake_record()
-        current["perf"]["accesses_per_s"] = 150_000.0  # -25%
-        policy = RegressionPolicy(wall_epsilon=0.1)
-        report = compare_records(fake_record(), current, policy)
-        assert not report.ok
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            RegressionPolicy(wall_epsilon=-0.1).validate()
-        with pytest.raises(ValueError):
-            RegressionPolicy(modelled_epsilon=-1.0).validate()
+        assert {f.metric for f in report.findings
+                if f.metric.startswith("perf.")} == \
+            {"perf.modelled_total_s"}
 
 
 class TestFingerprintNotes:
@@ -206,8 +168,7 @@ class TestBaselineParser:
         args = build_parser().parse_args(["baseline", "compare"])
         assert args.action == "compare"
         assert args.dir == "baselines"
-        assert args.repeats == 2
-        assert not args.deterministic_only
+        assert args.engine == "vectorized"
 
     def test_trace_metrics_out_accepted(self):
         args = build_parser().parse_args(
@@ -225,8 +186,7 @@ class TestBaselineParser:
 class TestBaselineCliRoundTrip:
     """record -> compare on an unchanged tree, then seeded perturbations."""
 
-    POINT = ["--systems", "numa-gpu", "--workloads", "Lulesh",
-             "--repeats", "1"]
+    POINT = ["--systems", "numa-gpu", "--workloads", "Lulesh"]
 
     def _record(self, tmp_path):
         store = tmp_path / "store"
@@ -243,7 +203,7 @@ class TestBaselineCliRoundTrip:
         store = self._record(tmp_path)
         rc = main([
             "baseline", "compare", "--dir", str(store),
-            "--engine", "reference", "--deterministic-only",
+            "--engine", "reference",
         ] + self.POINT)
         assert rc == 0
 
@@ -263,16 +223,6 @@ class TestBaselineCliRoundTrip:
         assert "rdc.hit" in out and "FAIL" in out
         md = report_md.read_text()
         assert "rdc.hit" in md and "FAIL" in md and "delta" in md
-
-    def test_injected_throughput_regression_fails(self, tmp_path, capsys):
-        store = self._record(tmp_path)
-        path = store / "numa-gpu" / "Lulesh.json"
-        record = json.loads(path.read_text())
-        record["perf"]["accesses_per_s"] *= 1e6  # current can't keep up
-        path.write_text(json.dumps(record))
-        rc = main(["baseline", "compare", "--dir", str(store)] + self.POINT)
-        assert rc == 1
-        assert "perf.accesses_per_s" in capsys.readouterr().out
 
     def test_missing_baseline_exits_two(self, tmp_path, capsys):
         rc = main([

@@ -9,7 +9,6 @@ import pytest
 from repro.cli import main
 from repro.obs.regress import compare_records
 from repro.obs.report import (
-    bench_trend_section,
     build_report,
     comparison_markdown,
     comparison_section,
@@ -119,26 +118,6 @@ class TestSections:
         assert "No journal fingerprints" in provenance_section([])
         assert "No " in inventory_section([])
         assert "_No" in link_matrix_section([])
-        assert "No BENCH" in bench_trend_section([])
-
-    def test_bench_trend_renders_stamped_history(self):
-        doc = {
-            "_path": "BENCH_x.json", "bench": "x", "speedup": 2.5,
-            "provenance": {"schema_version": 1,
-                           "generated_at": "2026-08-06T00:00:00+00:00",
-                           "git_sha": "bbb", "code_version": 10,
-                           "trend_keys": ["speedup"]},
-            "history": [{"generated_at": "2026-08-05T00:00:00+00:00",
-                         "git_sha": "aaa", "code_version": 9,
-                         "speedup": 2.0}],
-        }
-        text = bench_trend_section([doc])
-        assert "aaa" in text and "bbb" in text
-        assert "2.5" in text and "speedup" in text
-
-    def test_bench_trend_flags_unstamped(self):
-        text = bench_trend_section([{"_path": "BENCH_x.json", "bench": "x"}])
-        assert "Unstamped" in text
 
 
 class TestComparisonMarkdown:
@@ -172,11 +151,11 @@ class TestBuildReport:
         }))
         md = build_report(
             journal_paths=[journal], metrics_paths=[metrics],
-            bench_paths=[], regression_reports=[],
+            regression_reports=[],
         )
         for heading in ("## Provenance", "## Run inventory",
                         "## Per-link traffic matrices",
-                        "## Benchmark trends"):
+                        "## Baseline gate"):
             assert heading in md
         assert "GPU 0" in md
 

@@ -250,6 +250,39 @@ class TestScheduling:
             # the cached job serves the stored payload
             assert c.result(again["id"])["fingerprint"] == {"fake": True}
 
+    def test_concurrent_clients_execute_each_config_once(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.serve.jobs.execute_request",
+                            _fake_execute())
+        configs = [WORKLOAD, *OTHER_WORKLOADS[:2]]
+        dedups: list[str] = []
+        lock = threading.Lock()
+        with ThreadedServer(tmp_path, pool_jobs=1) as srv:
+            def client_main() -> None:
+                c = ServeClient(port=srv.port)
+                for _ in range(2):
+                    for workload in configs:
+                        r = c.submit("numa-gpu", workloads=[workload])
+                        with lock:
+                            dedups.append(r["dedup"])
+
+            threads = [threading.Thread(target=client_main)
+                       for _ in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            c = ServeClient(port=srv.port)
+            for job in c.jobs()["jobs"]:
+                c.wait(job["id"], timeout=30)
+            snap = c.metricsz().body
+        assert len(dedups) == 18
+        assert dedups.count("new") == len(configs)
+        assert set(dedups) <= {"new", "coalesced", "cached"}
+        hits = (snap["serve.coalesced"]["values"].get("", 0)
+                + snap["serve.deduped"]["values"].get("", 0))
+        assert hits == len(dedups) - len(configs)
+
     def test_cas_survives_restart(self, tmp_path, monkeypatch):
         monkeypatch.setattr("repro.serve.jobs.execute_request",
                             _fake_execute())

@@ -7,6 +7,7 @@ import pytest
 
 from repro.config import ConfigError, LinkConfig, baseline_config
 from repro.sim.chaos import KIND_WORKER_KILL, PLAN_ENV, FaultEvent
+from repro.sim.journal import Journal
 from repro.sim.runner import KIND_CRASH, RunnerPolicy
 from repro.sim.sweep import point_key, reprice_sweep, run_sweep
 from repro.workloads.base import WorkloadSpec
@@ -78,14 +79,30 @@ class TestFaultTolerantSweep:
             WL_NAMES, use_cache=False, runner=runner,
         )
 
-    def test_parallel_sweep_bit_identical_to_serial(self):
-        serial = self._run()
-        parallel = self._run(RunnerPolicy(jobs=2))
+    def test_parallel_sweep_bit_identical_to_serial(self, tmp_path):
+        serial = self._run(RunnerPolicy(journal_path=tmp_path / "s.jsonl"))
+        parallel = self._run(
+            RunnerPolicy(jobs=2, journal_path=tmp_path / "p.jsonl")
+        )
         assert parallel.ok
         assert set(parallel.points) == set(serial.points)
         for key, point in serial.points.items():
             assert parallel.points[key].time_s == point.time_s
             assert parallel.points[key].result == point.result
+        # Both journals record the same metric digest for every point.
+        done = [
+            {rec["key"]: rec["metrics"]
+             for rec in Journal(tmp_path / name).records()
+             if rec["event"] == "done"}
+            for name in ("s.jsonl", "p.jsonl")
+        ]
+        assert set(done[0]) == set(done[1])
+        assert len(done[0]) == len(serial.points)
+        for key, metrics in done[0].items():
+            assert metrics, key
+            assert set(metrics) == set(done[1][key]), key
+            for name, value in metrics.items():
+                assert done[1][key][name] == value, (key, name)
 
     def test_injected_crash_fails_only_that_point(self, monkeypatch, tmp_path):
         """Acceptance: a crashed worker yields a completed SweepResult
