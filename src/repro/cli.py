@@ -93,6 +93,23 @@ def _cmd_configs(_args) -> int:
     return 0
 
 
+def _positive(kind=int, *, zero_ok: bool = False):
+    """argparse ``type=``: a *kind* number above zero (or at least zero
+    with *zero_ok*).  A bad value exits 2 with a usage line at parse
+    time, before any batch, drill or server starts."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not (value > 0 or (zero_ok and value == 0)):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>= 0' if zero_ok else '> 0'}, got {text}")
+        return value
+    return parse
+
+
 def _rdc_bytes(rdc_gb: Optional[float]) -> int:
     """``--rdc-gb`` in bytes.  Only an absent flag means the 2 GB
     default: ``--rdc-gb 0`` reaches validation and is refused."""
@@ -439,17 +456,11 @@ def _cmd_report(args) -> int:
 
 def _cmd_lint(args) -> int:
     """Run the determinism/invariant linter (docs/lint.md)."""
-    import json
-    import os
-    from pathlib import Path
-
     from repro.lint import (
-        SCOPE_FILE,
         LintConfigError,
         discover_repo_root,
         run_lint,
         save_baseline,
-        save_scope,
     )
 
     root = Path(args.root) if args.root is not None \
@@ -459,19 +470,6 @@ def _cmd_lint(args) -> int:
         default = root / "lint-baseline.json"
         if default.exists():
             baseline = str(default)
-    cache_dir = args.cache_dir or os.environ.get("REPRO_LINT_CACHE") \
-        or str(root / ".lint-cache")
-    if cache_dir == "none":
-        cache_dir = None
-    explain = None
-    if args.explain is not None:
-        parts = args.explain.rsplit(":", 2)
-        if len(parts) != 3 or not parts[2].isdigit():
-            print("error: --explain expects ID:PATH:LINE "
-                  "(e.g. DET004:src/repro/sim/cache.py:39)",
-                  file=sys.stderr)
-            return 2
-        explain = (parts[0], parts[1], int(parts[2]))
     try:
         result = run_lint(
             args.path,
@@ -480,45 +478,16 @@ def _cmd_lint(args) -> int:
             baseline_path=baseline,
             repo_root=root,
             ver_base=args.ver_base,
-            cache_dir=cache_dir,
-            need_graph=bool(args.graph_out or args.update_scope),
         )
     except LintConfigError as exc:
         print(f"error: invalid lint configuration: {exc}",
               file=sys.stderr)
         return 2
-    if args.graph_out and result.graph is not None:
-        out = Path(args.graph_out)
-        if out.suffix == ".dot":
-            out.write_text(result.graph.to_dot(), encoding="utf-8")
-        else:
-            out.write_text(
-                json.dumps(result.graph.to_json(), indent=2,
-                           sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-        print(f"call graph written to {out} "
-              f"({result.graph.stats()['functions']} function(s))")
-    if args.update_scope:
-        target = root / SCOPE_FILE
-        save_scope(target, result.scope_doc)
-        n = len(result.scope_doc["modules"])
-        print(f"derived scope written to {target} "
-              f"({n} result-affecting module(s))")
-        return 0
     if args.update_baseline:
         target = args.baseline or str(root / "lint-baseline.json")
         n = save_baseline(target, result.findings)
         print(f"baseline written to {target} "
               f"({n} grandfathered finding key(s))")
-        return 0
-    if explain is not None:
-        rendered = result.explain(*explain)
-        if rendered is None:
-            print(f"no finding matches {args.explain}",
-                  file=sys.stderr)
-            return 1
-        print(rendered)
         return 0
     print(result.render(args.format))
     return result.exit_code
@@ -612,9 +581,10 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument("--out", default=None, metavar="PATH",
                          help="Chrome trace path (default: "
                               "<workload>-<system>.trace.json)")
-    trace_p.add_argument("--ring", type=int, default=65_536, metavar="N",
+    trace_p.add_argument("--ring", type=_positive(), default=65_536,
+                         metavar="N",
                          help="tracer ring-buffer capacity (events)")
-    trace_p.add_argument("--sample", type=int, default=1, metavar="N",
+    trace_p.add_argument("--sample", type=_positive(), default=1, metavar="N",
                          help="keep every Nth occurrence of each event "
                               "kind (1 = all)")
     trace_p.add_argument("--metrics-out", default=None, metavar="PATH",
@@ -637,17 +607,17 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=suite.all_abbrs(), default=None,
                          help="subset of the suite (default: all)")
     suite_p.add_argument("--rdc-gb", type=float, default=None)
-    suite_p.add_argument("--jobs", type=int, default=1, metavar="N",
+    suite_p.add_argument("--jobs", type=_positive(), default=1, metavar="N",
                          help="persistent pool workers (1 = serial "
                               "in-process)")
     suite_p.add_argument("--pin", action="store_true",
                          help="pin pool workers round-robin across NUMA "
                               "nodes with per-worker CPU affinity "
                               "(no-op where unsupported)")
-    suite_p.add_argument("--timeout", type=float, default=None,
+    suite_p.add_argument("--timeout", type=_positive(float), default=None,
                          metavar="SECONDS",
                          help="per-point wall-clock budget")
-    suite_p.add_argument("--retries", type=int, default=0,
+    suite_p.add_argument("--retries", type=_positive(zero_ok=True), default=0,
                          help="retries per point (exponential backoff)")
     going = suite_p.add_mutually_exclusive_group()
     going.add_argument("--keep-going", dest="keep_going",
@@ -690,10 +660,10 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=suite.all_abbrs(), default=None,
                          help="suite slice to drill "
                               "(default: Lulesh Euler CoMD MCB)")
-    chaos_p.add_argument("--rounds", type=int, default=3, metavar="N",
+    chaos_p.add_argument("--rounds", type=_positive(), default=3, metavar="N",
                          help="chaos rounds; all but the last are "
                               "SIGKILLed mid-batch (default: 3)")
-    chaos_p.add_argument("--jobs", type=int, default=2, metavar="N",
+    chaos_p.add_argument("--jobs", type=_positive(), default=2, metavar="N",
                          help="worker processes for the chaos rounds "
                               "(default: 2; 1 drills the inline path)")
     chaos_p.add_argument("--pin", action="store_true",
@@ -751,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scan root (default: src/repro)")
     lint_p.add_argument("--root", default=None, metavar="DIR",
                         help="repository root: path display anchor, "
-                             "default baseline/scope location and "
+                             "default baseline location and "
                              "VER001 git anchor (default: "
                              "auto-discovered from the scan root)")
     lint_p.add_argument("--format", choices=("text", "json"),
@@ -775,23 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "origin/main then main, skipping with a "
                              "notice when neither resolves; an "
                              "explicit ref that fails is exit 2)")
-    lint_p.add_argument("--graph-out", default=None, metavar="PATH",
-                        help="dump the cross-module call graph "
-                             "(.dot -> Graphviz, anything else -> "
-                             "JSON) and continue")
-    lint_p.add_argument("--explain", default=None,
-                        metavar="ID:PATH:LINE",
-                        help="print the source->sink call chain of "
-                             "the finding at ID:PATH:LINE and exit "
-                             "(e.g. DET004:src/repro/sim/cache.py:39)")
-    lint_p.add_argument("--update-scope", action="store_true",
-                        help="derive the result-affecting scope and "
-                             "write <root>/lint-scope.json, then "
-                             "exit 0")
-    lint_p.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="call-graph cache directory (default: "
-                             "$REPRO_LINT_CACHE or <root>/.lint-cache;"
-                             " 'none' disables)")
     lint_p.set_defaults(fn=_cmd_lint)
 
     serve_p = sub.add_parser(
@@ -804,10 +757,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--port", type=int, default=8765,
                          help="bind port, 0 for ephemeral "
                               "(default: 8765)")
-    serve_p.add_argument("--jobs", type=int, default=2, metavar="N",
+    serve_p.add_argument("--jobs", type=_positive(), default=2, metavar="N",
                          help="worker-pool width per job; 1 runs "
                               "in-process (default: 2)")
-    serve_p.add_argument("--queue-depth", type=int, default=8,
+    serve_p.add_argument("--queue-depth", type=_positive(), default=8,
                          metavar="N",
                          help="bounded submission queue depth; a full "
                               "queue answers 429 + Retry-After "
@@ -816,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="DIR",
                          help="content-addressed result store + "
                               "per-job journals (default: .repro-serve)")
-    serve_p.add_argument("--store-max-bytes", type=int, default=None,
+    serve_p.add_argument("--store-max-bytes", type=_positive(), default=None,
                          metavar="N",
                          help="bound the store; least-recently-used "
                               "entries (result + journal + spans) are "

@@ -5,53 +5,33 @@ economically cover: bit-identical ``ENGINE_REFERENCE`` /
 ``ENGINE_VECTORIZED`` results, the ``CODE_VERSION``-keyed sim cache,
 and the bit-exact baseline gates of ``docs/regression.md``.  This
 package turns those conventions into machine-checked guarantees — an
-AST-visitor rule framework, a whole-program call graph
-(:mod:`repro.lint.graph` / :mod:`repro.lint.dataflow`), plus
-repo-specific rules:
+AST-visitor rule framework plus one import walk from the simulated
+path's root modules (:mod:`repro.lint.scope`):
 
 ========  ==============================================================
 DET001    no wall-clock reads on the deterministic simulated path
 DET002    no process-global or unseeded randomness under ``src/repro/``
 DET003    no unsorted set/dict-key iteration feeding journal/report output
-DET004    no wall-clock/entropy/env value reaching the result-affecting
-          set through *any* call chain (transitive taint)
-DET005    no unseeded RNG object escaping into simulated-path calls
+DET004    no clock, entropy or environment read in any module the
+          simulated path imports
 COH001    exhaustive matches over the GPU-VI/IMST protocol enums
 OBS001    metric-name string literals resolve against the contract
-CONC001   no blocking call reachable from an async serve route without
-          an ``asyncio.to_thread``/executor hop
-CONC002   no module global written from both pool-worker and
-          parent-side code paths (fork safety)
-CONC003   no lock/open file handle held across a fork point
-VER001    result-affecting diffs must bump ``CODE_VERSION`` (CI-only)
-VER002    committed ``lint-scope.json`` matches the derived
-          result-affecting scope
+VER001    result-affecting diffs must bump ``CODE_VERSION`` (CI-only);
+          the result-affecting scope is derived by the import walk
 ========  ==============================================================
 
 Run it as ``python -m repro lint``; suppress a single finding with a
 ``# lint: disable=<id>`` comment (with a reason) or grandfather batches
-via the committed ``lint-baseline.json``.  Whole-program findings carry
-the offending source→sink call chain — ``python -m repro lint
---explain ID:path:line`` prints it, ``--graph-out`` dumps the graph.
-``docs/lint.md`` documents every rule, its rationale, the call-graph
-precision contract and the ``lint-scope.json`` workflow.  The OBS001
-name resolver is also what ``tools/check_docs.py`` uses for Markdown,
-so Python source and docs agree on one definition of "known metric".
+via the committed ``lint-baseline.json``.  ``docs/lint.md`` documents
+every rule, its rationale and the import walk.  The OBS001 name
+resolver is also what ``tools/check_docs.py`` uses for Markdown, so
+Python source and docs agree on one definition of "known metric".
 """
 
 from repro.lint.baseline import load_baseline, save_baseline
-from repro.lint.dataflow import (
-    DEFAULT_POLICY,
-    ScopePolicy,
-    derive_scope,
-    reach,
-    render_chain,
-    save_scope,
-)
 from repro.lint.engine import (
     ALL_RULE_IDS,
     DEFAULT_RULE_IDS,
-    SCOPE_FILE,
     LintResult,
     discover_repo_root,
     run_lint,
@@ -62,15 +42,13 @@ from repro.lint.findings import (
     SEVERITY_ERROR,
     SEVERITY_WARNING,
 )
-from repro.lint.graph import ProjectGraph, build_graph
-from repro.lint.projectrules import PROJECT_RULES
 from repro.lint.resolver import MetricNameResolver
 from repro.lint.rules import DEFAULT_RULES, ModuleContext, Rule
+from repro.lint.scope import scope_prefixes, walk
 from repro.lint.versioning import CodeVersionRule
 
 __all__ = [
     "ALL_RULE_IDS",
-    "DEFAULT_POLICY",
     "DEFAULT_RULES",
     "DEFAULT_RULE_IDS",
     "CodeVersionRule",
@@ -79,20 +57,13 @@ __all__ = [
     "LintResult",
     "MetricNameResolver",
     "ModuleContext",
-    "PROJECT_RULES",
-    "ProjectGraph",
     "Rule",
-    "SCOPE_FILE",
     "SEVERITY_ERROR",
     "SEVERITY_WARNING",
-    "ScopePolicy",
-    "build_graph",
-    "derive_scope",
     "discover_repo_root",
     "load_baseline",
-    "reach",
-    "render_chain",
     "run_lint",
     "save_baseline",
-    "save_scope",
+    "scope_prefixes",
+    "walk",
 ]

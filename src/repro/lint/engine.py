@@ -1,15 +1,15 @@
 """Lint driver: file collection, rule dispatch, selection, reporting.
 
 :func:`run_lint` is the one entry point the CLI (and tests) call.  It
-walks the scan root for ``*.py`` files, parses each once, runs every
-selected per-module AST rule, builds the whole-program call graph and
-runs the project rules (DET004/DET005/CONC001–003) over it, checks the
-committed ``lint-scope.json`` against the derived result-affecting
-scope (VER002), applies ``# lint: disable`` comments and the committed
-baseline, optionally runs the repo-level VER001 rule, and returns a
-:class:`LintResult` whose :attr:`~LintResult.exit_code` follows the
-repository convention: 0 clean, 1 new findings, 2 bad configuration
-(unknown rule id, malformed baseline, bad explicit git ref).
+walks the scan root for ``*.py`` files and parses each once.  When
+DET004 or VER001 is selected it runs the import walk of
+:mod:`repro.lint.scope` over the parsed modules.  It then runs every
+selected per-module rule, applies ``# lint: disable`` comments and the
+committed baseline, optionally runs the repo-level VER001 rule over the
+walk's result-affecting prefixes, and returns a :class:`LintResult`
+whose :attr:`~LintResult.exit_code` follows the repository convention:
+0 clean, 1 new findings, 2 bad configuration (unknown rule id,
+malformed baseline, bad explicit git ref, empty VER001 scope).
 
 Finding paths are **repo-relative POSIX** (``src/repro/core/foo.py``)
 regardless of the invocation cwd, so baselines and suppressions compare
@@ -26,45 +26,23 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from repro.lint.baseline import apply_baseline, load_baseline
-from repro.lint.dataflow import (
-    DEFAULT_POLICY,
-    derive_scope,
-    diff_scope,
-    load_scope,
-    render_chain,
-    scope_document,
-)
 from repro.lint.findings import (
     Finding,
     LintConfigError,
     apply_suppressions,
     parse_suppressions,
 )
-from repro.lint.graph import build_graph
-from repro.lint.projectrules import (
-    PROJECT_RULES,
-    SCOPE_RULE_ID,
-    scope_drift_findings,
-)
-from repro.lint.rules import DEFAULT_RULES, ModuleContext
-from repro.lint.versioning import RESULT_AFFECTING, CodeVersionRule
-
-#: Default name of the committed derived-scope file (repo root).
-SCOPE_FILE = "lint-scope.json"
+from repro.lint.rules import DEFAULT_RULES, ModuleContext, ReachableInputRule
+from repro.lint.scope import ROOTS, scope_prefixes, walk
+from repro.lint.versioning import CodeVersionRule
 
 _AST_RULE_IDS = tuple(cls.id for cls in DEFAULT_RULES)
-_PROJECT_RULE_IDS = tuple(cls.id for cls in PROJECT_RULES)
 
-#: Every known rule id (AST + whole-program + repo-level).
-ALL_RULE_IDS = tuple(
-    [*_AST_RULE_IDS, *_PROJECT_RULE_IDS, SCOPE_RULE_ID,
-     CodeVersionRule.id]
-)
+#: Every known rule id (per-module + import-walk + repo-level).
+ALL_RULE_IDS = (*_AST_RULE_IDS, ReachableInputRule.id, CodeVersionRule.id)
 #: Rules run when no ``--select`` is given (VER001 is CI-only: it
 #: needs a meaningful base ref to diff against).
-DEFAULT_RULE_IDS = tuple(
-    [*_AST_RULE_IDS, *_PROJECT_RULE_IDS, SCOPE_RULE_ID]
-)
+DEFAULT_RULE_IDS = (*_AST_RULE_IDS, ReachableInputRule.id)
 
 
 class LintResult:
@@ -72,21 +50,11 @@ class LintResult:
 
     def __init__(self, findings: Sequence[Finding],
                  selected: Sequence[str],
-                 notices: Sequence[str] = (),
-                 graph=None, scope=None,
-                 scope_doc: Optional[dict] = None) -> None:
+                 notices: Sequence[str] = ()) -> None:
         self.findings = list(findings)
         self.selected = tuple(selected)
-        #: Non-failing diagnostics (skipped VER001, missing scope file).
+        #: Non-failing diagnostics (a skipped VER001).
         self.notices = list(notices)
-        #: The built :class:`~repro.lint.graph.ProjectGraph` (None when
-        #: no whole-program rule ran) — feeds ``--graph-out``.
-        self.graph = graph
-        #: The :class:`~repro.lint.dataflow.DerivedScope` (when built).
-        self.scope = scope
-        #: The derived ``lint-scope.json`` payload (when built) —
-        #: feeds ``--update-scope``.
-        self.scope_doc = scope_doc
 
     @property
     def new(self) -> list:
@@ -119,15 +87,8 @@ class LintResult:
         }
 
     def render_text(self) -> str:
-        lines = []
-        for finding in self.new:
-            lines.append(finding.render())
-            if finding.chain:
-                lines.append("  call chain (source -> sink):")
-                for chain_line in render_chain(finding.chain).splitlines():
-                    lines.append("    " + chain_line)
-        for notice in self.notices:
-            lines.append(f"notice: {notice}")
+        lines = [finding.render() for finding in self.new]
+        lines.extend(f"notice: {notice}" for notice in self.notices)
         summary = (
             f"{len(self.new)} new finding(s), "
             f"{len(self.baselined)} baselined, "
@@ -142,24 +103,6 @@ class LintResult:
         if fmt == "json":
             return json.dumps(self.to_json(), indent=2, sort_keys=True)
         return self.render_text()
-
-    def explain(self, rule: str, path: str, line: int) -> Optional[str]:
-        """Rendered chain of the finding at ``rule:path:line``.
-
-        *path* may be repo-relative or a suffix of it; returns None
-        when no finding matches.
-        """
-        for finding in self.findings:
-            if finding.rule != rule or finding.line != line:
-                continue
-            if not (finding.path == path
-                    or finding.path.endswith("/" + path)):
-                continue
-            body = finding.render()
-            if finding.chain:
-                body += "\n" + render_chain(finding.chain)
-            return body
-        return None
 
 
 def resolve_selection(select: Optional[Iterable[str]],
@@ -220,24 +163,18 @@ def run_lint(
     baseline_path=None,
     repo_root=None,
     ver_base: Optional[str] = None,
-    cache_dir=None,
-    policy=DEFAULT_POLICY,
-    scope_path=None,
-    need_graph: bool = False,
 ) -> LintResult:
     """Run the selected rules over *scan_root* and return the result.
 
     ``baseline_path`` (when given and existing) grandfathers known
     findings; a missing *explicitly requested* baseline is a
-    configuration error.  ``repo_root`` anchors path display, the
-    committed scope file, and the VER001 git diff (auto-discovered
-    from *scan_root* when omitted).  ``ver_base`` is the VER001 base
-    ref: when given explicitly, a git failure is a configuration error
-    (exit 2); when None, VER001 tries ``origin/main`` then ``main``
-    and **skips with a notice** if neither resolves (no git repo, no
-    such ref) — the local/non-CI case.  ``cache_dir`` enables the
-    on-disk call-graph cache; ``need_graph`` forces the graph build
-    even when no whole-program rule is selected (``--graph-out``).
+    configuration error.  ``repo_root`` anchors path display and the
+    VER001 git diff (auto-discovered from *scan_root* when omitted).
+    ``ver_base`` is the VER001 base ref: when given explicitly, a git
+    failure is a configuration error (exit 2); when None, VER001 tries
+    ``origin/main`` then ``main`` and **skips with a notice** if
+    neither resolves (no git repo, no such ref) — the local/non-CI
+    case.
     """
     scan_root = Path(scan_root).resolve()
     if not scan_root.is_dir():
@@ -248,106 +185,58 @@ def run_lint(
     selected = resolve_selection(select, ignore)
     notices: list = []
 
-    ast_rules = [cls() for cls in DEFAULT_RULES if cls.id in selected]
-    findings: list = []
-    parsed: list = []  # [(rel, tree)] for the graph builder
-    sources: list = []  # [(rel, source)] for the cache key
-    suppressions: dict = {}  # rel -> {line: frozenset(ids)}
+    contexts = []
     for path in python_files(scan_root):
-        source = path.read_text(encoding="utf-8")
         rel = path.relative_to(scan_root).as_posix()
         try:
-            ctx = ModuleContext(rel, source)
+            contexts.append(
+                ModuleContext(rel, path.read_text(encoding="utf-8")))
         except SyntaxError as exc:
             raise LintConfigError(f"cannot parse {path}: {exc}")
-        parsed.append((rel, ctx.tree))
-        sources.append((rel, source))
-        suppressions[rel] = parse_suppressions(source)
-        for rule in ast_rules:
-            findings.extend(rule.check_module(ctx))
 
-    graph = scope = scope_doc = None
-    want_project = [cls for cls in PROJECT_RULES
-                    if cls.id in selected]
-    want_scope = SCOPE_RULE_ID in selected
-    if want_project or want_scope or need_graph:
-        graph = build_graph(
-            parsed, package=scan_root.name,
-            sources=sources, cache_dir=cache_dir,
-        )
-        scope = derive_scope(graph, policy)
-        scope_doc = scope_document(
-            scope, graph, policy,
-            repo_prefix=prefix,
-        )
-        for cls in want_project:
-            findings.extend(cls().check_project(graph, policy, scope))
+    rules = [cls() for cls in DEFAULT_RULES if cls.id in selected]
+    parents: dict = {}
+    if ReachableInputRule.id in selected \
+            or CodeVersionRule.id in selected:
+        parents = walk({ctx.rel_path: ctx.tree for ctx in contexts},
+                       package=scan_root.name)
+    if ReachableInputRule.id in selected:
+        rules.append(ReachableInputRule(parents))
 
-    # Module findings: suppress by scan-relative path, then display
-    # repo-relative (chains included).
-    for finding in findings:
-        disabled = suppressions.get(finding.path)
-        if disabled is not None:
-            apply_suppressions([finding], disabled)
-        finding.path = prefix + finding.path
-        for step in finding.chain:
-            step["path"] = prefix + step["path"]
-
-    # Repo-level findings (already repo-relative paths).
-    if want_scope and scope_doc is not None:
-        scope_file = Path(scope_path) if scope_path is not None \
-            else repo_root / SCOPE_FILE
-        if not scope_file.exists():
-            notices.append(
-                f"{SCOPE_RULE_ID}: no committed {SCOPE_FILE} — run "
-                f"`python -m repro lint --update-scope` to derive and "
-                f"commit the result-affecting scope"
-            )
-        else:
-            try:
-                committed = load_scope(scope_file)
-            except (ValueError, json.JSONDecodeError) as exc:
-                raise LintConfigError(str(exc))
-            rel = scope_file.name
-            try:
-                rel = scope_file.resolve().relative_to(
-                    repo_root).as_posix()
-            except ValueError:
-                pass
-            findings.extend(scope_drift_findings(
-                diff_scope(committed, scope_doc), rel
-            ))
+    # Suppress by scan-relative line, then display repo-relative.
+    findings: list = []
+    for ctx in contexts:
+        found = [f for rule in rules for f in rule.check_module(ctx)]
+        if found:
+            apply_suppressions(found, parse_suppressions(ctx.source))
+        for finding in found:
+            finding.path = prefix + finding.path
+        findings.extend(found)
 
     if CodeVersionRule.id in selected:
         findings.extend(_run_ver001(
-            repo_root, ver_base, scope_path, notices
+            repo_root, ver_base,
+            tuple(prefix + p for p in scope_prefixes(parents)), notices,
         ))
 
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     if baseline_path is not None:
         apply_baseline(findings, load_baseline(baseline_path))
-    return LintResult(findings, selected, notices=notices,
-                      graph=graph, scope=scope, scope_doc=scope_doc)
+    return LintResult(findings, selected, notices=notices)
 
 
 def _run_ver001(repo_root: Path, ver_base: Optional[str],
-                scope_path, notices: list) -> list:
-    """VER001 with committed-scope prefixes and notice-skip.
+                prefixes: tuple, notices: list) -> list:
+    """VER001 over the walk's prefixes, with notice-skip.
 
-    The result-affecting prefixes come from the committed
-    ``lint-scope.json`` when present (the derived scope is the source
-    of truth); the legacy hard-coded list is only the bootstrap
-    fallback.
+    An empty scope means no root module exists under the scan root: a
+    configuration error, never a gate that passes on nothing.
     """
-    prefixes = RESULT_AFFECTING
-    scope_file = Path(scope_path) if scope_path is not None \
-        else repo_root / SCOPE_FILE
-    if scope_file.exists():
-        try:
-            committed = load_scope(scope_file)
-            prefixes = tuple(committed["result_affecting"])
-        except (ValueError, json.JSONDecodeError):
-            pass  # VER002 reports the malformed file
+    if not prefixes:
+        raise LintConfigError(
+            f"{CodeVersionRule.id}: the import walk found no "
+            f"result-affecting module (roots: {', '.join(ROOTS)})"
+        )
     explicit = ver_base is not None
     candidates = [ver_base] if explicit else ["origin/main", "main"]
     last_error = None
@@ -371,7 +260,6 @@ __all__ = [
     "ALL_RULE_IDS",
     "DEFAULT_RULE_IDS",
     "LintResult",
-    "SCOPE_FILE",
     "discover_repo_root",
     "python_files",
     "resolve_selection",

@@ -18,12 +18,12 @@ output) so ``--format json`` can audit every disable in the tree.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 
-#: ``# lint: disable=DET001`` or ``# lint: disable=DET001,CONC002``.
+#: ``# lint: disable=DET001`` or ``# lint: disable=DET001,DET004``.
 _DIRECTIVE_RE = re.compile(
     r"#\s*lint:\s*disable=([A-Z]{3,5}\d{3}(?:\s*,\s*[A-Z]{3,5}\d{3})*)"
 )
@@ -51,10 +51,6 @@ class Finding:
     suppressed: bool = False
     #: True when the committed baseline grandfathers this finding.
     baselined: bool = False
-    #: Source→sink call chain for whole-program findings
-    #: (DET004/DET005/CONC00x): ``[{func, path, line, note}]``, root
-    #: first, sink last.  Empty for single-module findings.
-    chain: list = field(default_factory=list)
 
     @property
     def key(self) -> tuple:
@@ -67,7 +63,7 @@ class Finding:
         return not (self.suppressed or self.baselined)
 
     def to_json(self) -> dict:
-        doc = {
+        return {
             "rule": self.rule,
             "severity": self.severity,
             "path": self.path,
@@ -77,9 +73,6 @@ class Finding:
             "suppressed": self.suppressed,
             "baselined": self.baselined,
         }
-        if self.chain:
-            doc["chain"] = list(self.chain)
-        return doc
 
     def render(self) -> str:
         return (f"{self.path}:{self.line}:{self.col}: "

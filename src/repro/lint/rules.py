@@ -22,6 +22,7 @@ from repro.lint.findings import (
     SEVERITY_WARNING,
     Finding,
 )
+from repro.lint.scope import import_path
 
 
 class ModuleContext:
@@ -151,6 +152,47 @@ class WallClockRule(Rule):
                     f"{name}() reads the wall clock inside the "
                     f"deterministic simulated path; results must not "
                     f"depend on real time",
+                )
+
+
+class ReachableInputRule(Rule):
+    """DET004 — no clock, entropy or environment read in any module the
+    simulated path imports.
+
+    Where DET001 looks at fixed trees, DET004 follows the import walk
+    of :mod:`repro.lint.scope` from the simulated path's root modules,
+    so a helper module outside those trees cannot carry a
+    non-deterministic value into results unseen.  DET001's
+    :attr:`~WallClockRule.ALLOWLIST` is honoured.
+    """
+
+    id = "DET004"
+    severity = SEVERITY_ERROR
+    title = "non-deterministic input in a module the simulated path imports"
+
+    SOURCES = WallClockRule.BANNED | {"os.urandom", "os.getenv",
+                                      "os.environ.get"}
+
+    def __init__(self, parents: dict) -> None:
+        #: Import-walk parents: reached module -> its first importer.
+        self.parents = parents
+
+    def check_module(self, ctx: ModuleContext) -> Iterator[Finding]:
+        if ctx.rel_path not in self.parents \
+                or ctx.rel_path in WallClockRule.ALLOWLIST:
+            return
+        path = import_path(self.parents, ctx.rel_path)
+        aliases = _import_aliases(ctx.tree)
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _resolve_call_name(node.func, aliases)
+            if name in self.SOURCES:
+                yield self.finding(
+                    ctx, node,
+                    f"{name}() in a module the simulated path imports "
+                    f"({path}); a non-deterministic value can flow "
+                    f"into simulation results",
                 )
 
 
@@ -540,6 +582,7 @@ __all__ = [
     "ExhaustivenessRule",
     "MetricNameRule",
     "ModuleContext",
+    "ReachableInputRule",
     "Rule",
     "UnseededRandomRule",
     "UnsortedIterationRule",

@@ -11,16 +11,13 @@ This is a *repo-level*, CI-only rule: it shells out to ``git`` and is
 therefore not part of the default AST rule set — enable it with
 ``python -m repro lint --select VER001 [--ver-base REF]``.
 
-The result-affecting prefixes are no longer hand-maintained: the
-engine passes the ``result_affecting`` list of the committed
-``lint-scope.json`` (derived from the call graph, see
-:mod:`repro.lint.dataflow`); :data:`RESULT_AFFECTING` below is only
-the bootstrap fallback for trees without a committed scope file.
-Without an explicit ``--ver-base`` the engine tries ``origin/main``
-then ``main`` and *skips with a notice* when neither resolves (local
-checkout, no git repo) instead of failing or silently passing; an
-explicitly requested base ref that does not resolve stays a
-configuration error (exit 2).
+The result-affecting prefixes are derived on every run by the import
+walk of :mod:`repro.lint.scope`; there is no committed or hard-coded
+copy to drift.  Without an explicit ``--ver-base`` the engine tries
+``origin/main`` then ``main`` and *skips with a notice* when neither
+resolves (local checkout, no git repo) instead of failing or silently
+passing; an explicitly requested base ref that does not resolve stays
+a configuration error (exit 2).
 """
 
 from __future__ import annotations
@@ -34,17 +31,6 @@ from repro.lint.findings import (
     Finding,
     LintConfigError,
     SEVERITY_ERROR,
-)
-
-#: Bootstrap fallback for trees without a committed lint-scope.json;
-#: the derived scope is the source of truth (and is a superset of
-#: this list — see ``docs/lint.md``).
-RESULT_AFFECTING = (
-    "src/repro/core/",
-    "src/repro/numa/",
-    "src/repro/gpu/",
-    "src/repro/perf/",
-    "src/repro/workloads/",
 )
 
 #: The file carrying the ``CODE_VERSION = N`` declaration.
@@ -73,8 +59,7 @@ class CodeVersionRule:
     severity = SEVERITY_ERROR
     title = "result-affecting change without a CODE_VERSION bump"
 
-    def __init__(self, base_ref: str = "origin/main",
-                 prefixes: tuple = RESULT_AFFECTING) -> None:
+    def __init__(self, base_ref: str, prefixes: tuple) -> None:
         self.base_ref = base_ref
         self.prefixes = tuple(prefixes)
 
@@ -121,7 +106,6 @@ def current_code_version(repo_root: Path) -> Optional[int]:
 
 __all__ = [
     "CodeVersionRule",
-    "RESULT_AFFECTING",
     "VERSION_FILE",
     "current_code_version",
 ]

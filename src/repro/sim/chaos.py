@@ -464,7 +464,7 @@ def active() -> Optional[ChaosEngine]:
     # Per-process memo: after fork each process deliberately rebuilds
     # its own engine from the (identical) environment, so divergence
     # between the parent's and a worker's copy cannot occur.
-    _env_engine = (key, engine)  # lint: disable=CONC002 - per-process memo, rebuilt from env after fork
+    _env_engine = (key, engine)
     return engine
 
 
@@ -662,7 +662,7 @@ def run_drill(
     def child_env(cache_dir: Path, chaos_on: bool) -> dict:
         env = dict(os.environ)
         for var in (PLAN_ENV, STATE_ENV, "REPRO_NO_CACHE",
-                    "REPRO_JOURNAL_FSYNC", "REPRO_POOL_SHM_MIN"):
+                    "REPRO_POOL_SHM_MIN"):
             env.pop(var, None)
         env["REPRO_CACHE_DIR"] = str(cache_dir)
         existing = env.get("PYTHONPATH", "")

@@ -1,8 +1,7 @@
 """Durable on-disk artifacts: one atomic write, one checksum, one quarantine.
 
-The sim cache, the journal and its sidecars, the span spill, the serve
-result store and the lint call-graph cache all write through here.
-Stdlib only, so the lint layer can import it.
+The sim cache, the journal and its sidecars, the span spill and the
+serve result store all write through here.  Stdlib only.
 
 * :func:`atomic_write` writes a unique ``<stem>.<pid>.<uuid8>.tmp``
   and ``os.replace``\\ s it into place: concurrent writers never share a

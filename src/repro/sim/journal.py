@@ -41,8 +41,8 @@ envelope and quarantine are the shared ones of :mod:`repro.sim.durable`:
   digest and quarantines any unreadable or tampered sidecar to
   ``*.corrupt`` (one-shot warning, counted) so resume re-runs the point
   instead of resuming from garbage.
-* **Opt-in fsync.**  ``Journal(..., fsync=True)`` — or
-  ``REPRO_JOURNAL_FSYNC=1`` — fsyncs every append and sidecar store,
+* **Opt-in fsync.**  ``Journal(..., fsync=True)`` (``suite
+  --fsync-journal``) fsyncs every append and sidecar store,
   trading throughput for power-loss durability.  The default (flush
   only) already survives process crashes, which is what the drill
   attacks.
@@ -71,10 +71,6 @@ from repro.sim.durable import SEAL_MAGIC as SIDECAR_MAGIC
 #: Stamped into ``meta`` records; bump on incompatible record changes.
 JOURNAL_SCHEMA_VERSION = 2
 
-#: Set to ``1`` to fsync appends and sidecar stores (power-loss safety).
-FSYNC_ENV = "REPRO_JOURNAL_FSYNC"
-
-
 def _key_digest(key: str) -> str:
     return hashlib.sha256(key.encode()).hexdigest()[:24]
 
@@ -85,17 +81,14 @@ class Journal:
     def __init__(
         self,
         path: Union[str, Path],
-        fsync: Optional[bool] = None,
+        fsync: bool = False,
         registry=None,
     ) -> None:
         self.path = Path(path)
         self.results_dir = self.path.parent / f"{self.path.stem}-results"
         #: Optional MetricsRegistry for the journal.* damage counters.
         self.registry = registry
-        self._fsync = (
-            fsync if fsync is not None
-            else os.environ.get(FSYNC_ENV, "") == "1"
-        )
+        self._fsync = fsync
         self._scan_cache: Optional[tuple[tuple[int, int], RecordScan]] = None
         self._tail_checked = False
         self._torn_counted = False
@@ -116,7 +109,7 @@ class Journal:
         """
         # Journal timestamps are observability metadata; nothing
         # deterministic is derived from them.
-        # lint: disable=DET001
+        # lint: disable=DET001,DET004
         record = {"event": event, "key": key, "ts": time.time(), **fields}
         if event == "meta":
             record.setdefault("schema", JOURNAL_SCHEMA_VERSION)
@@ -317,7 +310,6 @@ class Journal:
 
 __all__ = [
     "CHECKSUM_FIELD",
-    "FSYNC_ENV",
     "JOURNAL_SCHEMA_VERSION",
     "Journal",
     "SIDECAR_MAGIC",

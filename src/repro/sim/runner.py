@@ -340,7 +340,7 @@ def run_tasks(
     journal = (
         Journal(
             policy.journal_path,
-            fsync=True if policy.fsync_journal else None,
+            fsync=policy.fsync_journal,
             registry=registry,
         )
         if policy.journal_path else None

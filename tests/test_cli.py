@@ -163,3 +163,27 @@ class TestExitStatus:
                    "--rdc-gb", "0"])
         assert rc == 2
         assert "RDC size must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["suite", "numa-gpu", "--jobs", "0"],
+        ["suite", "numa-gpu", "--jobs", "two"],
+        ["suite", "numa-gpu", "--retries", "-1"],
+        ["suite", "numa-gpu", "--timeout", "0"],
+        ["chaos", "--jobs", "0"],
+        ["chaos", "--rounds", "0"],
+        ["trace", "Lulesh", "--ring", "0"],
+        ["trace", "Lulesh", "--sample", "0"],
+        ["serve", "--jobs", "0"],
+        ["serve", "--queue-depth", "0"],
+        ["serve", "--store-max-bytes", "0"],
+    ])
+    def test_bad_numeric_option_exits_2_at_parse_time(self, capsys,
+                                                      argv):
+        # Refused by the parser (exit 2, usage line) before any batch,
+        # drill or server starts; parsing alone never runs anything.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: repro {argv[0]}")
+        assert f"argument {argv[-2]}:" in err

@@ -27,7 +27,6 @@ from repro.sim import durable
 from repro.obs.registry import MetricsRegistry
 from repro.sim.journal import (
     CHECKSUM_FIELD,
-    FSYNC_ENV,
     JOURNAL_SCHEMA_VERSION,
     Journal,
     SIDECAR_MAGIC,
@@ -287,7 +286,6 @@ class TestFsync:
         return calls
 
     def test_default_never_fsyncs(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(FSYNC_ENV, raising=False)
         calls = self._count_fsyncs(monkeypatch)
         journal = _journal(tmp_path)
         journal.append("start", "k", attempt=1)
@@ -302,11 +300,14 @@ class TestFsync:
         journal.store_result("k", 1)
         assert len(calls) == 2
 
-    def test_env_opt_in(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(FSYNC_ENV, "1")
+    def test_runner_policy_opt_in(self, tmp_path, monkeypatch):
+        # ``suite --fsync-journal`` reaches the journal only through
+        # RunnerPolicy.fsync_journal.
         calls = self._count_fsyncs(monkeypatch)
-        _journal(tmp_path).append("start", "k", attempt=1)
-        assert len(calls) == 1
+        run_tasks([Task(key="a", fn=_work, args=(1,))],
+                  RunnerPolicy(journal_path=tmp_path / "j.jsonl",
+                               fsync_journal=True))
+        assert calls
 
 
 _STORE_LOOP_CHILD = """
@@ -345,7 +346,6 @@ class TestTwoProcessDrills:
     def _env(self):
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC
-        env.pop("REPRO_JOURNAL_FSYNC", None)
         return env
 
     def test_sigkill_mid_store_leaves_loadable_state(self, tmp_path):

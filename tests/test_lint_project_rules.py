@@ -1,38 +1,31 @@
-"""Whole-program rule tests (DET004/DET005, CONC001-003, VER002).
+"""Import-walk tests: DET004 and the result-affecting scope of VER001.
 
-Each fixture is a throwaway ``<root>/src/repro`` tree exercising one
-rule through the real engine and CLI, including the acceptance-path
-cases: ``time.time()`` reaching the perf model through two intermediate
-helper modules (DET004), and a blocking ``http.client`` call planted
-in a serve route (CONC001) — both with ``--explain`` printing the full
-source→sink chain.
+Each fixture is a throwaway ``<root>/src/repro`` tree run through the
+real engine and CLI, including the acceptance-path case: ``time.time()``
+in the perf model, reached from ``sim/driver.py`` through two helper
+modules, reported with its one-line import path.
 """
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.lint import run_lint
+from repro.lint.scope import scope_prefixes, walk
 
 # --- fixture trees ---------------------------------------------------------
 
-#: time.time() reaches the perf model two helper modules below the
-#: driver: DET001's per-file scope sees the direct call in model.py,
-#: DET004 sees the *chain* from run_workload.
-#: The driver's other scope roots; a tree that has ``sim/driver.py``
-#: must define every root of it, or the lint reports stale config.
-DRIVER_ROOTS = (
-    "def time_of():\n    return 0\n"
-    "def run_time():\n    return 0\n"
-)
-
+#: time.time() in the perf model, two helper modules below the driver:
+#: DET001's per-file scope sees the direct call in model.py, DET004
+#: sees that the simulated path imports it.
 TAINT_TREE = {
     "sim/driver.py": (
         "from repro.core import helper_a\n"
         "def run_workload():\n"
         "    return helper_a.compute()\n"
-        + DRIVER_ROOTS
     ),
     "core/helper_a.py": (
         "from repro.core import helper_b\n"
@@ -51,26 +44,8 @@ TAINT_TREE = {
     ),
 }
 
-#: A serve route whose helper opens a sync http.client connection
-#: (blocking the loop), next to a route correctly hopping through
-#: asyncio.to_thread.
-SERVE_TREE = {
-    "serve/routes.py": (
-        "import asyncio\n"
-        "from repro.serve import upstream\n"
-        "async def job_events(request):\n"
-        "    return upstream.fetch_status()\n"
-        "async def job_result(request):\n"
-        "    return await asyncio.to_thread(upstream.fetch_status)\n"
-    ),
-    "serve/upstream.py": (
-        "import http.client\n"
-        "def fetch_status():\n"
-        "    conn = http.client.HTTPConnection('localhost')\n"
-        "    conn.request('GET', '/status')\n"
-        "    return conn.getresponse().read()\n"
-    ),
-}
+TAINT_PATH = ("sim/driver.py -> core/helper_a.py -> core/helper_b.py "
+              "-> perf/model.py")
 
 
 def write_tree(tmp_path, files):
@@ -89,6 +64,11 @@ def findings_of(result, rule):
     return [f for f in result.findings if f.rule == rule]
 
 
+def walk_of(files):
+    return walk({rel: ast.parse(src) for rel, src in files.items()},
+                "repro")
+
+
 # --- DET004 ----------------------------------------------------------------
 
 class TestDet004:
@@ -97,16 +77,14 @@ class TestDet004:
         result = lint(root, select=["DET004"])
         (finding,) = findings_of(result, "DET004")
         assert finding.path == "src/repro/perf/model.py"
+        assert (finding.line, finding.col) == (3, 11)
         assert "time.time" in finding.message
-        assert "run_workload" in finding.message
-        funcs = [s["func"] for s in finding.chain]
-        assert funcs == ["run_workload", "compute", "scale",
-                         "total_time_s", "total_time_s"]
+        assert TAINT_PATH in finding.message
         assert result.exit_code == 1
 
     def test_direct_call_case_also_caught_by_det001(self, tmp_path):
         # The equivalent direct-call case DET001 already caught stays
-        # caught; DET004 adds the chain view of the same sink.
+        # caught; DET004 adds the import path to the same sink.
         root = write_tree(tmp_path, TAINT_TREE)
         result = lint(root, select=["DET001", "DET004"])
         assert {f.rule for f in result.findings} == {"DET001", "DET004"}
@@ -114,22 +92,20 @@ class TestDet004:
         assert det001.path == det004.path == "src/repro/perf/model.py"
         assert det001.line == det004.line
 
-    def test_explain_prints_full_chain(self, tmp_path, capsys):
+    def test_text_output_names_import_path(self, tmp_path, capsys):
         root = write_tree(tmp_path, TAINT_TREE)
-        sink_line = 3  # time.time() call in perf/model.py
         argv = ["lint", str(root / "src" / "repro"),
-                "--root", str(root), "--select", "DET004",
-                "--explain", f"DET004:src/repro/perf/model.py:{sink_line}"]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        for fn in ("run_workload", "compute", "scale", "total_time_s"):
-            assert fn in out
-        assert "time.time" in out
+                "--root", str(root), "--select", "DET004"]
+        assert main(argv) == 1
+        (line, summary) = capsys.readouterr().out.splitlines()
+        assert line.startswith("src/repro/perf/model.py:3:11: DET004")
+        assert TAINT_PATH in line
+        assert summary.startswith("1 new finding(s)")
 
     def test_det001_allowlist_honored_at_sink(self, tmp_path):
         files = dict(TAINT_TREE)
-        # Move the sink into an allowlisted orchestration module and
-        # call it from the chain: no DET004 finding.
+        # Move the sink into an allowlisted orchestration module the
+        # perf model imports: no DET004 finding.
         files["sim/runner.py"] = (
             "import time\n"
             "def now():\n"
@@ -159,210 +135,51 @@ class TestDet004:
         files = dict(TAINT_TREE)
         files["core/helper_b.py"] = (
             "def scale():\n    return 1.0\n"
-        )  # chain cut: perf/model.py no longer reachable
+        )  # import cut: perf/model.py is no longer reached
         root = write_tree(tmp_path, files)
         assert findings_of(lint(root, select=["DET004"]), "DET004") == []
 
 
-# --- DET005 ----------------------------------------------------------------
+# --- DET005's fixture, now covered by DET002 -------------------------------
 
-class TestDet005:
-    def test_unseeded_rng_escaping_into_scope(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "sim/driver.py": (
-                "import random\n"
-                "from repro.core import model\n"
-                "def run_workload():\n"
-                "    return model.simulate(random.Random())\n"
-                + DRIVER_ROOTS
-            ),
-            "core/model.py": (
-                "def simulate(rng):\n    return rng.random()\n"
-            ),
-        })
-        (finding,) = findings_of(lint(root, select=["DET005"]), "DET005")
-        assert "random.Random" in finding.message
-        assert finding.chain[-1]["path"] == "src/repro/core/model.py"
-
-    def test_seeded_rng_is_clean(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "sim/driver.py": (
-                "import random\n"
-                "from repro.core import model\n"
-                "def run_workload():\n"
-                "    return model.simulate(random.Random(1302))\n"
-                + DRIVER_ROOTS
-            ),
-            "core/model.py": (
-                "def simulate(rng):\n    return rng.random()\n"
-            ),
-        })
-        assert findings_of(lint(root, select=["DET005"]), "DET005") == []
-
-
-# --- CONC001 ---------------------------------------------------------------
-
-class TestConc001:
-    def test_blocking_http_client_in_route(self, tmp_path):
-        root = write_tree(tmp_path, SERVE_TREE)
-        result = lint(root, select=["CONC001"])
-        flagged = findings_of(result, "CONC001")
-        assert flagged, "planted http.client call must be caught"
-        assert all(f.path == "src/repro/serve/upstream.py"
-                   for f in flagged)
-        assert any("http.client.HTTPConnection" in f.message
-                   for f in flagged)
-        (first,) = [f for f in flagged
-                    if "HTTPConnection" in f.message]
-        assert [s["func"] for s in first.chain][0] == "job_events"
-        assert "job_events" in first.message
-
-    def test_to_thread_hop_cuts_the_chain(self, tmp_path):
-        files = dict(SERVE_TREE)
-        # Remove the direct-call route: only the to_thread route stays.
-        files["serve/routes.py"] = (
-            "import asyncio\n"
-            "from repro.serve import upstream\n"
-            "async def job_result(request):\n"
-            "    return await asyncio.to_thread(upstream.fetch_status)\n"
-        )
-        root = write_tree(tmp_path, files)
-        assert findings_of(lint(root, select=["CONC001"]),
-                           "CONC001") == []
-
-    def test_time_sleep_in_route_helper(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "serve/routes.py": (
-                "from repro.serve import util\n"
-                "async def healthz(request):\n"
-                "    return util.backoff()\n"
-            ),
-            "serve/util.py": (
-                "import time\n"
-                "def backoff():\n    time.sleep(1)\n"
-            ),
-        })
-        (finding,) = findings_of(lint(root, select=["CONC001"]),
-                                 "CONC001")
-        assert "time.sleep" in finding.message
-
-    def test_sync_code_outside_serve_not_flagged(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "sim/runner.py": (
-                "import time\n"
-                "def wait():\n    time.sleep(1)\n"
-            ),
-        })
-        assert findings_of(lint(root, select=["CONC001"]),
-                           "CONC001") == []
-
-    def test_explain_prints_route_to_sink_chain(self, tmp_path, capsys):
-        root = write_tree(tmp_path, SERVE_TREE)
-        argv = ["lint", str(root / "src" / "repro"),
-                "--root", str(root), "--select", "CONC001",
-                "--explain",
-                "CONC001:src/repro/serve/upstream.py:3"]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "job_events" in out
-        assert "fetch_status" in out
-        assert "http.client.HTTPConnection" in out
-
-
-# --- CONC002 ---------------------------------------------------------------
-
-CONC002_TREE = {
-    "sim/state.py": (
-        "COUNTS = {}\n"
-        "def record(key):\n"
-        "    COUNTS[key] = COUNTS.get(key, 0) + 1\n"
-        "def reset():\n"
-        "    COUNTS.clear()\n"
+#: The fixture of the retired DET005 rule: an unseeded generator passed
+#: from the driver into the simulated path.
+RNG_ESCAPE_TREE = {
+    "sim/driver.py": (
+        "import random\n"
+        "from repro.core import model\n"
+        "def run_workload():\n"
+        "    return model.simulate(random.Random())\n"
     ),
-    "sim/pool.py": (
-        "from repro.sim import state\n"
-        "def _worker_main(conn):\n"
-        "    state.record('task')\n"
-        "class WorkerPool:\n"
-        "    def shutdown(self):\n"
-        "        state.reset()\n"
+    "core/model.py": (
+        "def simulate(rng):\n    return rng.random()\n"
     ),
 }
 
 
-class TestConc002:
-    def test_global_written_on_both_sides(self, tmp_path):
-        root = write_tree(tmp_path, CONC002_TREE)
-        (finding,) = findings_of(lint(root, select=["CONC002"]),
-                                 "CONC002")
-        assert finding.path == "src/repro/sim/state.py"
-        assert "'COUNTS'" in finding.message
-        notes = [s["note"] for s in finding.chain]
-        assert any("worker-side write" in n for n in notes)
-        assert any("parent-side" in n for n in notes)
+class TestDet005:
+    def test_unseeded_rng_escaping_into_scope(self, tmp_path):
+        # DET002 flags the construction itself, at the very line and
+        # column DET005 reported — which is why DET005 was retired.
+        root = write_tree(tmp_path, RNG_ESCAPE_TREE)
+        (finding,) = findings_of(lint(root), "DET002")
+        assert finding.path == "src/repro/sim/driver.py"
+        assert (finding.line, finding.col) == (4, 26)
+        assert "random.Random" in finding.message
 
-    def test_single_sided_write_is_clean(self, tmp_path):
-        files = dict(CONC002_TREE)
-        files["sim/pool.py"] = (
-            "from repro.sim import state\n"
-            "def _worker_main(conn):\n"
-            "    state.record('task')\n"
-            "class WorkerPool:\n"
-            "    def shutdown(self):\n"
-            "        pass\n"
-        )
+    def test_seeded_rng_is_clean(self, tmp_path):
+        files = dict(RNG_ESCAPE_TREE)
+        files["sim/driver.py"] = files["sim/driver.py"].replace(
+            "random.Random()", "random.Random(1302)")
         root = write_tree(tmp_path, files)
-        assert findings_of(lint(root, select=["CONC002"]),
-                           "CONC002") == []
-
-
-# --- CONC003 ---------------------------------------------------------------
-
-class TestConc003:
-    def test_lock_held_across_spawn(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "sim/pool.py": (
-                "import threading\n"
-                "_POOL_LOCK = threading.Lock()\n"
-                "def _spawn(ctx):\n"
-                "    proc = ctx.Process(target=None)\n"
-                "    proc.start()\n"
-                "    return proc\n"
-                "def grow(ctx):\n"
-                "    with _POOL_LOCK:\n"
-                "        return _spawn(ctx)\n"
-            ),
-        })
-        (finding,) = findings_of(lint(root, select=["CONC003"]),
-                                 "CONC003")
-        assert finding.path == "src/repro/sim/pool.py"
-        assert "lock" in finding.message
-        notes = " ".join(s["note"] for s in finding.chain)
-        assert "holds lock" in notes
-        assert "ctx.Process" in notes
-
-    def test_lock_released_before_spawn_is_clean(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "sim/pool.py": (
-                "import threading\n"
-                "_POOL_LOCK = threading.Lock()\n"
-                "def _spawn(ctx):\n"
-                "    return ctx.Process(target=None)\n"
-                "def grow(ctx):\n"
-                "    with _POOL_LOCK:\n"
-                "        n = 1\n"
-                "    return _spawn(ctx)\n"
-            ),
-        })
-        assert findings_of(lint(root, select=["CONC003"]),
-                           "CONC003") == []
+        assert lint(root).findings == []
 
 
 # --- suppression auditability ---------------------------------------------
 
 class TestSuppressionAudit:
     """# lint: disable=<ID> findings stay visible in --format json with
-    suppressed: true — for chain findings too."""
+    suppressed: true — for import-walk findings too."""
 
     @pytest.mark.parametrize("rule,files,sink", [
         ("DET004",
@@ -373,26 +190,6 @@ class TestSuppressionAudit:
               "    return time.time()  # lint: disable=DET004 - test\n"
           )},
          "src/repro/perf/model.py"),
-        ("CONC001",
-         {**SERVE_TREE,
-          "serve/upstream.py": (
-              "import http.client\n"
-              "def fetch_status():\n"
-              "    conn = http.client.HTTPConnection('h')  # lint: disable=CONC001 - test\n"
-              "    return conn\n"
-          )},
-         "src/repro/serve/upstream.py"),
-        ("CONC002",
-         {**CONC002_TREE,
-          "sim/state.py": (
-              "COUNTS = {}\n"
-              "def record(key):\n"
-              "    COUNTS[key] = 1  # lint: disable=CONC002 - test\n"
-              "def reset():\n"
-              "    # lint: disable=CONC002 - test\n"
-              "    COUNTS.clear()\n"
-          )},
-         "src/repro/sim/state.py"),
     ])
     def test_suppressed_chain_finding_in_json(self, tmp_path, capsys,
                                               rule, files, sink):
@@ -406,71 +203,78 @@ class TestSuppressionAudit:
                    if f["rule"] == rule and f["path"] == sink]
         assert flagged
         assert all(f["suppressed"] is True for f in flagged)
-        assert any("chain" in f for f in flagged)
+        assert all(TAINT_PATH in f["message"] for f in flagged)
 
 
-# --- VER002 (scope drift) --------------------------------------------------
+# --- the import walk -------------------------------------------------------
 
-class TestVer002:
-    def test_update_scope_then_clean_then_drift(self, tmp_path, capsys):
-        root = write_tree(tmp_path, TAINT_TREE)
-        scan = str(root / "src" / "repro")
-        assert main(["lint", scan, "--root", str(root),
-                     "--update-scope"]) == 0
-        capsys.readouterr()
-        scope_file = root / "lint-scope.json"
-        assert scope_file.exists()
-        doc = json.loads(scope_file.read_text())
-        assert "src/repro/core/" in doc["result_affecting"]
-        assert "src/repro/perf/" in doc["result_affecting"]
-        # Committed scope matches the derivation: clean.
-        assert main(["lint", scan, "--root", str(root),
-                     "--select", "VER002"]) == 0
-        capsys.readouterr()
-        # A new result-affecting module appears: VER002 fires until the
-        # scope file is regenerated and committed.
-        extra = root / "src" / "repro" / "memory" / "cache.py"
-        extra.parent.mkdir(parents=True)
-        extra.write_text("def lookup():\n    return 1\n")
-        helper = root / "src" / "repro" / "core" / "helper_b.py"
-        helper.write_text(
-            "from repro.memory import cache\n"
-            "def scale():\n    return cache.lookup()\n"
-        )
-        assert main(["lint", scan, "--root", str(root),
-                     "--select", "VER002"]) == 1
-        out = capsys.readouterr().out
-        assert "VER002" in out
-        assert "memory" in out
+class TestImportWalk:
+    def test_repo_walk_derives_the_eight_prefixes(self):
+        # Pins the result-affecting scope VER001 gates in this
+        # repository: a change to it shows up in review here.
+        from repro.lint.engine import python_files
 
-    def test_missing_scope_file_is_a_notice_not_a_failure(
-            self, tmp_path, capsys):
-        root = write_tree(tmp_path, TAINT_TREE)
-        result = lint(root, select=["VER002"])
-        assert result.exit_code == 0
-        assert any("lint-scope.json" in n for n in result.notices)
-
-    def test_repo_scope_file_matches_derivation(self):
-        # The committed lint-scope.json of *this* repository is in sync
-        # with the graph derivation (the VER002 gate CI relies on).
-        from pathlib import Path
-
-        repo = Path(__file__).resolve().parent.parent
-        result = run_lint(repo / "src" / "repro", repo_root=repo,
-                          select=["VER002"])
-        assert result.exit_code == 0, [
-            f.message for f in result.findings
+        scan = Path(__file__).resolve().parent.parent / "src" / "repro"
+        trees = {p.relative_to(scan).as_posix(): ast.parse(p.read_text())
+                 for p in python_files(scan)}
+        assert scope_prefixes(walk(trees, "repro")) == [
+            "analysis/", "config.py", "core/", "gpu/", "memory/",
+            "numa/", "perf/", "workloads/",
         ]
-        assert result.notices == []
 
-    def test_repo_scope_covers_legacy_ver001_list(self):
-        # Acceptance: the derived scope covers at least the hand-coded
-        # VER001 path list it replaces.
-        from pathlib import Path
+    def test_follows_imports_with_parents(self):
+        parents = walk_of({**TAINT_TREE,
+                           "obs/report.py": "def render():\n    pass\n"})
+        assert parents == {
+            "sim/driver.py": None,
+            "core/helper_a.py": "sim/driver.py",
+            "core/helper_b.py": "core/helper_a.py",
+            "perf/model.py": "core/helper_b.py",
+        }
 
-        from repro.lint.versioning import RESULT_AFFECTING
+    def test_function_level_and_relative_imports(self):
+        parents = walk_of({
+            "sim/driver.py": (
+                "def run_workload():\n"
+                "    from ..core import rdc\n"
+                "    return rdc\n"
+            ),
+            "core/rdc.py": "from . import epoch\nfrom .. import config\n",
+            "core/epoch.py": "import repro.memory.cache\n",
+            "memory/cache.py": "",
+            "config.py": "",
+        })
+        assert parents["core/rdc.py"] == "sim/driver.py"
+        assert parents["core/epoch.py"] == "core/rdc.py"
+        assert parents["config.py"] == "core/rdc.py"
+        assert parents["memory/cache.py"] == "core/epoch.py"
 
-        repo = Path(__file__).resolve().parent.parent
-        doc = json.loads((repo / "lint-scope.json").read_text())
-        for prefix in RESULT_AFFECTING:
-            assert prefix in doc["result_affecting"], prefix
+    def test_from_import_of_a_name_reaches_its_module(self):
+        parents = walk_of({
+            "numa/system.py": "from repro.core.carve import CarveState\n",
+            "core/carve.py": "class CarveState:\n    pass\n",
+            "core/__init__.py": "",
+        })
+        assert parents["core/carve.py"] == "numa/system.py"
+        assert "core/__init__.py" not in parents
+
+    def test_excluded_modules_are_walked_through_not_scoped(self):
+        parents = walk_of({
+            "sim/driver.py": "from repro.sim import cache\n",
+            "sim/cache.py": "from repro.obs import metrics\n",
+            "obs/metrics.py": "from repro.gpu import sm\n",
+            "gpu/sm.py": "",
+        })
+        assert "gpu/sm.py" in parents
+        assert scope_prefixes(parents) == ["gpu/"]
+
+    def test_scope_closes_over_top_level_packages(self):
+        files = {**TAINT_TREE,
+                 "core/untouched.py": "def nothing():\n    return 0\n"}
+        parents = walk_of(files)
+        assert "core/untouched.py" not in parents
+        # The prefix gates the whole package, the unreached sibling too.
+        assert scope_prefixes(parents) == ["core/", "perf/"]
+
+    def test_absent_roots_are_skipped(self):
+        assert walk_of({"core/helper_b.py": "import time\n"}) == {}

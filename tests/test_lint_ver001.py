@@ -1,11 +1,12 @@
 """VER001 — CODE_VERSION bump gate, exercised on throwaway git repos.
 
 Builds a tiny repository with the result-affecting layout
-(``src/repro/core/...`` + ``src/repro/sim/cache.py``), then simulates
+(``src/repro/sim/driver.py`` importing ``src/repro/core/imst.py``, plus
+``src/repro/sim/cache.py``), then simulates
 the PR diff VER001 gates in CI: a core change without a
 ``CODE_VERSION`` bump must produce a finding; the same change plus the
-bump must pass; a bogus base ref must be a configuration error
-(exit 2), never a silent pass.
+bump must pass; a bogus base ref or an empty result-affecting scope
+must be a configuration error (exit 2), never a silent pass.
 """
 
 import shutil
@@ -13,6 +14,7 @@ import subprocess
 
 import pytest
 
+from repro.cli import main
 from repro.lint.engine import run_lint
 from repro.lint.findings import LintConfigError
 from repro.lint.versioning import CodeVersionRule
@@ -22,6 +24,9 @@ pytestmark = pytest.mark.skipif(
 )
 
 BASE_REF = "lint-base"
+
+#: The root module the import walk starts from; it puts core/ in scope.
+DRIVER = "from repro.core import imst\n"
 
 
 def git(repo, *argv):
@@ -40,6 +45,7 @@ def repo(tmp_path):
     core.mkdir(parents=True)
     sim.mkdir(parents=True)
     (core / "imst.py").write_text("X = 1\n")
+    (sim / "driver.py").write_text(DRIVER)
     (sim / "cache.py").write_text("CODE_VERSION = 10\n")
     git(tmp_path, "add", "-A")
     git(tmp_path, "commit", "-qm", "base")
@@ -114,9 +120,11 @@ class TestNoticeSkip:
     def test_no_git_repo_skips_with_notice(self, tmp_path):
         # A bare directory tree, no `git init`: the rule cannot run,
         # but that is a local-environment fact, not a lint failure.
-        pkg = tmp_path / "src" / "repro" / "core"
-        pkg.mkdir(parents=True)
-        (pkg / "imst.py").write_text("X = 1\n")
+        pkg = tmp_path / "src" / "repro"
+        (pkg / "core").mkdir(parents=True)
+        (pkg / "sim").mkdir()
+        (pkg / "core" / "imst.py").write_text("X = 1\n")
+        (pkg / "sim" / "driver.py").write_text(DRIVER)
         result = run_lint(
             tmp_path / "src" / "repro",
             select=["VER001"],
@@ -143,9 +151,10 @@ class TestNoticeSkip:
         # Explicitly requesting a base in a non-repo stays a hard
         # configuration error — CI must never silently skip the gate.
         pkg = tmp_path / "src" / "repro"
-        pkg.mkdir(parents=True)
+        (pkg / "sim").mkdir(parents=True)
         (pkg / "x.py").write_text("X = 1\n")
-        with pytest.raises(LintConfigError):
+        (pkg / "sim" / "driver.py").write_text("from repro import x\n")
+        with pytest.raises(LintConfigError, match="git"):
             run_lint(
                 pkg,
                 select=["VER001"],
@@ -155,29 +164,29 @@ class TestNoticeSkip:
 
 
 class TestScopeDrivenPrefixes:
-    def test_committed_scope_widens_the_gate(self, repo):
-        # With a committed lint-scope.json listing memory/ as
-        # result-affecting, a memory/ change without a bump fires even
-        # though the legacy hard-coded list never covered memory/.
-        import json
-
-        (repo / "lint-scope.json").write_text(json.dumps({
-            "version": 1,
-            "package": "repro",
-            "roots": [], "exclude": [], "modules": {},
-            "result_affecting": ["src/repro/memory/"],
-        }))
+    def test_new_import_widens_the_gate(self, repo):
+        # memory/ is out of scope until the driver imports it; from
+        # then on a memory/ change without a bump fires.
         memory = repo / "src" / "repro" / "memory"
         memory.mkdir()
         (memory / "cache.py").write_text("Z = 1\n")
         git(repo, "add", "-A")
         git(repo, "commit", "-qam", "memory change")
-        result = run_lint(
-            repo / "src" / "repro",
-            select=["VER001"],
-            repo_root=repo,
-            ver_base=BASE_REF,
+        assert lint(repo).exit_code == 0
+        (repo / "src" / "repro" / "sim" / "driver.py").write_text(
+            DRIVER + "from repro.memory import cache\n"
         )
+        git(repo, "commit", "-qam", "driver imports memory")
+        result = lint(repo)
         assert result.exit_code == 1
         (finding,) = result.findings
         assert "src/repro/memory/cache.py" in finding.message
+
+    def test_empty_scope_exits_two(self, repo, capsys):
+        # No root module left: the walk derives nothing, and VER001
+        # refuses to gate an empty scope.
+        (repo / "src" / "repro" / "sim" / "driver.py").unlink()
+        argv = ["lint", str(repo / "src" / "repro"), "--root", str(repo),
+                "--select", "VER001", "--ver-base", BASE_REF]
+        assert main(argv) == 2
+        assert "no result-affecting module" in capsys.readouterr().err
