@@ -58,9 +58,10 @@ class MetricNameResolver:
 
         Tokens with unknown prefixes (``repro.obs.registry``,
         ``numpy.ndarray``) are module paths or similar, not metrics,
-        and are never flagged.
+        and are never flagged; nor are Python file names
+        (``runner.py``), whatever their stem.
         """
-        if not METRIC_TOKEN_RE.match(token):
+        if not METRIC_TOKEN_RE.match(token) or token.endswith(".py"):
             return False
         name = token.partition("{")[0]
         return name.split(".", 1)[0] in self.prefixes

@@ -118,7 +118,7 @@ class WallClockRule(Rule):
     SCOPE = ("core/", "numa/", "gpu/", "perf/", "workloads/", "memory/",
              "sim/", "obs/", "serve/")
     #: Modules whose entire purpose is wall-clock orchestration:
-    #: the runner's timeouts/backoff, the chaos drill's hang injection,
+    #: the runner's timeouts/backoff, the chaos drill's round timing,
     #: the job service's latency metrics + client-facing timestamps
     #: (serve/jobs.py) and client-side polling deadlines
     #: (serve/client.py), and the distributed-trace spill (obs/trace.py),

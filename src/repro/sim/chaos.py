@@ -7,10 +7,9 @@ resumable to **byte-identical** results.  This module is how that
 promise gets attacked instead of assumed:
 
 * a :class:`ChaosPlan` maps a seed to a reproducible schedule of
-  :class:`FaultEvent` s — worker SIGKILL, hang, slowdown, raised
-  exception, shared-memory transport failure, torn journal tail,
-  ENOSPC on journal append, truncated/corrupted sidecar pickles and
-  sim-cache corruption;
+  :class:`FaultEvent` s — worker SIGKILL, raised exception, torn
+  journal tail, corrupted sidecar pickle and sim-cache corruption,
+  one per recovery mechanism the byte-identity promise rests on;
 * a :class:`ChaosEngine` arms the plan across *every process of a
   batch* (parent and forked workers alike) through a single hook,
   :func:`fire`, that the pool, journal and sim-cache call at their
@@ -29,14 +28,13 @@ Arming a plan is environment-driven so subprocesses inherit it:
 ``REPRO_CHAOS_STATE`` at the shared state directory.  In-process code
 (tests) can instead call :func:`install` with a constructed engine.
 
-Nothing in this module runs on the simulated path; the wall-clock and
-sleep calls below are drill orchestration (DET001 allowlists this file
-next to ``sim/runner.py``).
+Nothing in this module runs on the simulated path; the wall-clock
+calls below are drill orchestration (DET001 allowlists this file next
+to ``sim/runner.py``).
 """
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import json
 import os
@@ -66,31 +64,20 @@ STATE_ENV = "REPRO_CHAOS_STATE"
 #: Hook sites.  Each call to :func:`fire` names the site it is at; an
 #: event only triggers at the site its kind belongs to.
 SITE_TASK = "task"                      # worker task entry (pool/inline)
-SITE_SHM_EXPORT = "shm_export"          # shared-memory result handover
 SITE_JOURNAL_APPEND = "journal_append"  # before a journal line is written
 SITE_SIDECAR_STORE = "sidecar_store"    # after a sidecar result landed
 SITE_SIMCACHE_STORE = "simcache_store"  # after a sim-cache entry landed
 
 KIND_WORKER_KILL = "worker_kill"            # SIGKILL the executing process
-KIND_WORKER_HANG = "worker_hang"            # sleep past any sane deadline
-KIND_WORKER_SLOW = "worker_slow"            # sleep briefly (jitter)
 KIND_WORKER_EXCEPTION = "worker_exception"  # raise from the task
-KIND_SHM_FAIL = "shm_fail"                  # break shm export (pipe fallback)
 KIND_TORN_TAIL = "journal_torn_tail"        # half a line, fsync, SIGKILL
-KIND_ENOSPC = "journal_enospc"              # ENOSPC on journal append
-KIND_SIDECAR_TRUNCATE = "sidecar_truncate"  # cut the stored sidecar short
 KIND_SIDECAR_CORRUPT = "sidecar_corrupt"    # flip bytes inside the sidecar
 KIND_SIMCACHE_CORRUPT = "simcache_corrupt"  # flip bytes in the cache entry
 
 KIND_TO_SITE = {
     KIND_WORKER_KILL: SITE_TASK,
-    KIND_WORKER_HANG: SITE_TASK,
-    KIND_WORKER_SLOW: SITE_TASK,
     KIND_WORKER_EXCEPTION: SITE_TASK,
-    KIND_SHM_FAIL: SITE_SHM_EXPORT,
     KIND_TORN_TAIL: SITE_JOURNAL_APPEND,
-    KIND_ENOSPC: SITE_JOURNAL_APPEND,
-    KIND_SIDECAR_TRUNCATE: SITE_SIDECAR_STORE,
     KIND_SIDECAR_CORRUPT: SITE_SIDECAR_STORE,
     KIND_SIMCACHE_CORRUPT: SITE_SIMCACHE_STORE,
 }
@@ -101,10 +88,6 @@ FAULT_KINDS = tuple(KIND_TO_SITE)
 #: acceptance drill of docs/chaos.md: kill a worker mid-batch, tear the
 #: journal tail, corrupt one sidecar.
 REQUIRED_KINDS = (KIND_WORKER_KILL, KIND_TORN_TAIL, KIND_SIDECAR_CORRUPT)
-
-#: Default sleep lengths (seconds) when an event carries no ``param``.
-DEFAULT_HANG_S = 12.0
-DEFAULT_SLOW_S = 0.1
 
 
 class ChaosInjectedError(RuntimeError):
@@ -129,13 +112,9 @@ class FaultEvent:
     kind: str
     match: str = ""
     nth: int = 1
-    param: float = 0.0
 
     def to_payload(self) -> dict:
-        return {
-            "kind": self.kind, "match": self.match,
-            "nth": self.nth, "param": self.param,
-        }
+        return {"kind": self.kind, "match": self.match, "nth": self.nth}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "FaultEvent":
@@ -146,7 +125,6 @@ class FaultEvent:
             kind=kind,
             match=str(payload.get("match", "")),
             nth=int(payload.get("nth", 1)),
-            param=float(payload.get("param", 0.0)),
         )
 
 
@@ -193,14 +171,7 @@ class ChaosPlan:
             match = rng.choice(("", *keys)) if keys else ""
             if kind == KIND_SIMCACHE_CORRUPT:
                 match = ""  # drawn anyway: later events keep their draws
-            nth = rng.randint(1, 4)
-            if kind == KIND_WORKER_HANG:
-                param = round(rng.uniform(10.0, 14.0), 3)
-            elif kind == KIND_WORKER_SLOW:
-                param = round(rng.uniform(0.05, 0.3), 3)
-            else:
-                param = 0.0
-            events.append(FaultEvent(kind, match, nth, param))
+            events.append(FaultEvent(kind, match, rng.randint(1, 4)))
         return cls(seed=int(seed), events=tuple(events))
 
     def to_payload(self) -> dict:
@@ -361,22 +332,6 @@ class ChaosEngine:
             raise ChaosInjectedError(f"injected task exception for {key!r}")
         if kind == KIND_WORKER_KILL:
             os.kill(os.getpid(), signal.SIGKILL)
-        if kind == KIND_WORKER_HANG:
-            time.sleep(event.param or DEFAULT_HANG_S)
-            return
-        if kind == KIND_WORKER_SLOW:
-            time.sleep(event.param or DEFAULT_SLOW_S)
-            return
-        if kind == KIND_SHM_FAIL:
-            raise ChaosInjectedError(
-                f"injected shared-memory transport failure for {key!r}"
-            )
-        if kind == KIND_ENOSPC:
-            raise OSError(
-                errno.ENOSPC,
-                f"injected: no space left on device (journal append, "
-                f"{key!r})",
-            )
         if kind == KIND_TORN_TAIL:
             # The crash the journal's tail repair exists for: half a
             # record reaches the disk (flushed and fsynced, so it is
@@ -388,32 +343,24 @@ class ChaosEngine:
                     f.flush()
                     os.fsync(f.fileno())
             os.kill(os.getpid(), signal.SIGKILL)
-        if kind in (KIND_SIDECAR_TRUNCATE, KIND_SIDECAR_CORRUPT,
-                    KIND_SIMCACHE_CORRUPT):
+        if kind in (KIND_SIDECAR_CORRUPT, KIND_SIMCACHE_CORRUPT):
             if path is not None:
-                _damage_file(
-                    Path(path),
-                    truncate=(kind == KIND_SIDECAR_TRUNCATE),
-                    seed=self.plan.seed,
-                )
+                _damage_file(Path(path), seed=self.plan.seed)
 
 
-def _damage_file(path: Path, truncate: bool, seed: int) -> None:
-    """Deterministically truncate or bit-rot a file at rest."""
+def _damage_file(path: Path, seed: int) -> None:
+    """Deterministically bit-rot a file at rest (same length)."""
     try:
         data = path.read_bytes()
     except OSError:
         return
     if not data:
         return
-    if truncate:
-        damaged = data[: len(data) // 2]
-    else:
-        noise = hashlib.sha256(f"chaos:{seed}".encode()).digest()
-        pos = len(data) // 3
-        damaged = (data[:pos] + noise + data[pos + len(noise):])[: len(data)]
-        if damaged == data:  # pathological collision; force a change
-            damaged = bytes([data[0] ^ 0xFF]) + data[1:]
+    noise = hashlib.sha256(f"chaos:{seed}".encode()).digest()
+    pos = len(data) // 3
+    damaged = (data[:pos] + noise + data[pos + len(noise):])[: len(data)]
+    if damaged == data:  # pathological collision; force a change
+        damaged = bytes([data[0] ^ 0xFF]) + data[1:]
     try:
         path.write_bytes(damaged)
     except OSError:
@@ -661,8 +608,7 @@ def run_drill(
 
     def child_env(cache_dir: Path, chaos_on: bool) -> dict:
         env = dict(os.environ)
-        for var in (PLAN_ENV, STATE_ENV, "REPRO_NO_CACHE",
-                    "REPRO_POOL_SHM_MIN"):
+        for var in (PLAN_ENV, STATE_ENV, "REPRO_NO_CACHE"):
             env.pop(var, None)
         env["REPRO_CACHE_DIR"] = str(cache_dir)
         existing = env.get("PYTHONPATH", "")
@@ -749,13 +695,14 @@ def run_drill(
             kill_after=kill_after,
         )
 
-    # A plan can starve its own required trio: an early ENOSPC (or two)
-    # can abort every scheduled round before enough sidecar stores have
-    # accumulated for a small-nth event to reach its turn.  Keep
-    # running un-killed, resumed chaos rounds — each makes forward
-    # progress on the remaining keys, ticking the fault sites — until
-    # the trio has fired (bounded; the invariant check flags a plan
-    # that still failed to deliver).
+    # A plan can starve its own required trio: a kill or torn tail
+    # early in a round, or the external SIGKILL landing before the
+    # first sidecar store, can end every scheduled round before a
+    # small-nth event has reached its turn.  Keep running un-killed,
+    # resumed chaos rounds — each makes forward progress on the
+    # remaining keys, ticking the fault sites — until the trio has
+    # fired (bounded; the invariant check flags a plan that still
+    # failed to deliver).
     for extra in range(4):
         fired = {
             rec.get("kind") for rec in ChaosEngine.injected(state_dir)
@@ -913,13 +860,12 @@ def _check_invariants(
         )
 
     # Quarantines cannot exceed the faults injected against the artifact.
-    for artifact, directory, kinds in (
-        ("sidecar", chaos_j.results_dir,
-         (KIND_SIDECAR_CORRUPT, KIND_SIDECAR_TRUNCATE)),
-        ("sim-cache", chaos_cache, (KIND_SIMCACHE_CORRUPT,)),
+    for artifact, directory, kind in (
+        ("sidecar", chaos_j.results_dir, KIND_SIDECAR_CORRUPT),
+        ("sim-cache", chaos_cache, KIND_SIMCACHE_CORRUPT),
     ):
         quarantined = len(list(directory.glob("*.corrupt")))
-        faults = sum(1 for rec in report.injected if rec.get("kind") in kinds)
+        faults = sum(1 for rec in report.injected if rec.get("kind") == kind)
         report.quarantined[artifact] = quarantined
         if quarantined > faults:
             report.problems.append(
@@ -932,28 +878,20 @@ __all__ = [
     "ChaosEngine",
     "ChaosInjectedError",
     "ChaosPlan",
-    "DEFAULT_HANG_S",
-    "DEFAULT_SLOW_S",
     "DRILL_WORKLOADS",
     "DrillReport",
     "DrillRound",
     "FAULT_KINDS",
     "FaultEvent",
-    "KIND_ENOSPC",
-    "KIND_SHM_FAIL",
     "KIND_SIDECAR_CORRUPT",
-    "KIND_SIDECAR_TRUNCATE",
     "KIND_SIMCACHE_CORRUPT",
     "KIND_TORN_TAIL",
     "KIND_TO_SITE",
     "KIND_WORKER_EXCEPTION",
-    "KIND_WORKER_HANG",
     "KIND_WORKER_KILL",
-    "KIND_WORKER_SLOW",
     "PLAN_ENV",
     "REQUIRED_KINDS",
     "SITE_JOURNAL_APPEND",
-    "SITE_SHM_EXPORT",
     "SITE_SIDECAR_STORE",
     "SITE_SIMCACHE_STORE",
     "SITE_TASK",

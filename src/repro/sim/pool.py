@@ -8,9 +8,8 @@ module provides the execution fabric underneath the runner instead:
   batch and amortize import/config cost across every task they run;
 * **pipe-based task/result transport** — the parent sends
   ``(key, fn, args)`` down a duplex pipe and receives the pickled result
-  back over the same pipe; large results are optionally handed over via
-  POSIX shared memory (:data:`SHM_MIN_ENV`) so multi-megabyte payloads
-  never serialize through the 64 KiB pipe buffer chunk by chunk;
+  back over the same pipe (results of the paper's points pickle to
+  7–20 KiB, so the pipe is the only transport);
 * **crash containment with respawn** — a worker that segfaults, gets
   OOM-killed, or exceeds its deadline only loses its *own* task; the
   pool respawns a replacement in its slot and the batch continues
@@ -43,13 +42,8 @@ from typing import Any, Callable, Optional, Sequence
 
 # Fault injection for drilling the harness itself is the seeded
 # ChaosPlan engine of :mod:`repro.sim.chaos` (docs/chaos.md).  The pool
-# fires its hook at two fault sites: task entry (worker loop) and
-# shared-memory export.
-from repro.sim.chaos import (
-    SITE_SHM_EXPORT as _SITE_SHM_EXPORT,
-    SITE_TASK as _SITE_TASK,
-    fire as _chaos_fire,
-)
+# fires its hook at one fault site: task entry (worker loop).
+from repro.sim.chaos import SITE_TASK as _SITE_TASK, fire as _chaos_fire
 
 
 # ---------------------------------------------------------------------------
@@ -179,91 +173,18 @@ def _apply_affinity(cpus: Optional[Sequence[int]]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Result transport (pipe, escalating to shared memory for large payloads)
+# Wire protocol
 # ---------------------------------------------------------------------------
-
-#: Minimum pickled-result size (bytes) before the worker hands the
-#: payload over via POSIX shared memory instead of the pipe.  Set the
-#: env var to a smaller number to exercise the path, or to a negative
-#: number to disable shared-memory transport entirely.
-SHM_MIN_ENV = "REPRO_POOL_SHM_MIN"
-DEFAULT_SHM_MIN = 1 << 20
 
 #: Wire-protocol tags (parent -> worker): ``(MSG_RUN, key, fn, args,
 #: span)`` with ``span`` a trace-context wire dict or None, or
 #: ``(MSG_STOP,)``.
 MSG_RUN = "run"
 MSG_STOP = "stop"
-#: Wire-protocol tags (worker -> parent).
-OK_INLINE = "ok"
-OK_SHM = "ok_shm"
+#: Wire-protocol tags (worker -> parent): ``(OK, payload)`` with the
+#: pickled result, or ``(ERR, type, message, traceback)``.
+OK = "ok"
 ERR = "error"
-
-
-def shm_min_bytes() -> int:
-    try:
-        return int(os.environ.get(SHM_MIN_ENV, DEFAULT_SHM_MIN))
-    except ValueError:
-        return DEFAULT_SHM_MIN
-
-
-def _untrack_shm(name: str) -> None:
-    """Detach a segment from this process's resource tracker.
-
-    The worker creates the segment but the *parent* unlinks it; without
-    unregistering, the worker's resource tracker would try to clean it
-    up again at exit and log spurious warnings.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister("/" + name, "shared_memory")
-    except Exception:
-        pass
-
-
-def _export_payload(payload: bytes, shm_min: int, key: str = "") -> tuple:
-    """Worker side: wrap a pickled result for the pipe, or hand it over
-    via shared memory when it exceeds *shm_min* (fall back to the pipe
-    on any shared-memory failure)."""
-    if 0 <= shm_min <= len(payload):
-        try:
-            # Chaos hook inside the try: an injected shm failure takes
-            # the same fallback road a real one would.
-            _chaos_fire(_SITE_SHM_EXPORT, key)
-            from multiprocessing import shared_memory
-
-            shm = shared_memory.SharedMemory(
-                create=True, size=max(1, len(payload))
-            )
-            shm.buf[:len(payload)] = payload
-            name = shm.name
-            shm.close()
-            _untrack_shm(name)
-            return (OK_SHM, name, len(payload))
-        except Exception:
-            pass
-    return (OK_INLINE, payload)
-
-
-def result_payload(message: tuple) -> bytes:
-    """Parent side: recover the pickled result bytes from an ``ok``
-    message, attaching/copying/unlinking the shared segment when the
-    worker used shared-memory transport."""
-    if message[0] == OK_INLINE:
-        return message[1]
-    _, name, size = message
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=name)
-    try:
-        return bytes(shm.buf[:size])
-    finally:
-        shm.close()
-        try:
-            shm.unlink()
-        except OSError:
-            pass
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +192,7 @@ def result_payload(message: tuple) -> bytes:
 # ---------------------------------------------------------------------------
 
 def _worker_main(
-    conn, affinity: Optional[tuple[int, ...]], shm_min: int,
+    conn, affinity: Optional[tuple[int, ...]],
     trace_spec: Optional[dict] = None,
 ) -> None:
     """Long-lived worker loop: pin, then serve tasks until ``stop``/EOF.
@@ -309,8 +230,7 @@ def _worker_main(
         try:
             _chaos_fire(_SITE_TASK, key)
             result = fn(*args)
-            payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
-            reply = _export_payload(payload, shm_min, key)
+            reply = (OK, pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
         except BaseException as exc:  # report SystemExit and friends too
             reply = (
                 ERR, type(exc).__name__, str(exc), traceback.format_exc()
@@ -394,14 +314,12 @@ class WorkerPool:
         jobs: int,
         pin: bool = False,
         ctx=None,
-        shm_min: Optional[int] = None,
         nodes: Optional[Sequence[Sequence[int]]] = None,
         trace_dir=None,
     ) -> None:
         if jobs <= 0:
             raise ValueError("pool size must be positive")
         self._ctx = ctx if ctx is not None else _mp_context()
-        self._shm_min = shm_min if shm_min is not None else shm_min_bytes()
         #: Spans directory passed to every worker (None = tracing off).
         self._trace_dir = str(trace_dir) if trace_dir is not None else None
         node_plan = plan_nodes(jobs, pin, nodes)
@@ -425,7 +343,7 @@ class WorkerPool:
                           "node": worker.node}
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, worker.affinity, self._shm_min, trace_spec),
+            args=(child_conn, worker.affinity, trace_spec),
             daemon=True,
         )
         process.start()
@@ -510,10 +428,13 @@ class WorkerPool:
             if not worker.conn_dead:
                 # A final reply can land just before the worker dies
                 # (e.g. its send succeeded, then it crashed); prefer it.
+                # A dead pipe also polls ready (EOF), so the death count
+                # is reset only once a reply was actually received.
                 try:
                     if worker.conn.poll(0):
+                        message = worker.conn.recv()
                         worker.consecutive_deaths = 0
-                        out.append(("result", worker, worker.conn.recv()))
+                        out.append(("result", worker, message))
                         delivered.add(worker.index)
                         continue
                 except (EOFError, OSError):
@@ -580,20 +501,15 @@ class WorkerPool:
 
 
 __all__ = [
-    "DEFAULT_SHM_MIN",
     "ERR",
     "MSG_RUN",
     "MSG_STOP",
-    "OK_INLINE",
-    "OK_SHM",
+    "OK",
     "PoolWorker",
-    "SHM_MIN_ENV",
     "WorkerPool",
     "kill_process",
     "numa_nodes",
     "parse_cpulist",
     "plan_affinity",
     "plan_nodes",
-    "result_payload",
-    "shm_min_bytes",
 ]

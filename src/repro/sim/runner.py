@@ -10,7 +10,8 @@ module runs a batch of independent tasks with:
 * **wall-clock timeouts** — a stuck worker is killed and reported as a
   ``timeout`` failure instead of wedging the whole sweep;
 * **bounded retries** — transient failures are retried with exponential
-  backoff plus deterministic jitter;
+  backoff plus deterministic jitter (:func:`backoff_s`; the schedule
+  and the crash-loop breaker are module constants, not policy);
 * **journaling + resume** — every state transition is appended to a
   JSONL journal (:mod:`repro.sim.journal`); a re-run with
   ``resume=True`` skips points already completed and re-runs only the
@@ -28,13 +29,12 @@ policy, a failed point raises :class:`BatchFailed`.
 
 Isolated execution runs on the **persistent worker pool** of
 :mod:`repro.sim.pool`: ``jobs`` long-lived subprocesses amortize
-import/config cost across tasks, results come back over each worker's
-pipe (escalating to shared memory for large payloads), and a worker
-that dies or overruns its deadline only loses its own task — the pool
-respawns a replacement in its slot, so a dying worker can never take
-unrelated tasks down with it.  With ``pin=True`` the pool additionally
-places workers round-robin across NUMA nodes with per-worker CPU
-pinning (see ``docs/runner.md``).
+import/config cost across tasks, results come back pickled over each
+worker's pipe, and a worker that dies or overruns its deadline only
+loses its own task — the pool respawns a replacement in its slot, so a
+dying worker can never take unrelated tasks down with it.  With
+``pin=True`` the pool additionally places workers round-robin across
+NUMA nodes with per-worker CPU pinning (see ``docs/runner.md``).
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from repro.obs.trace import (
 )
 from repro.sim import chaos
 from repro.sim.journal import Journal
-from repro.sim.pool import ERR, WorkerPool, result_payload
+from repro.sim.pool import ERR, WorkerPool
 
 #: Failure kinds carried by :class:`FailureReport`.
 KIND_EXCEPTION = "exception"  # the task raised
@@ -73,6 +73,19 @@ JOURNAL_DIR_ENV = "REPRO_JOURNAL_DIR"
 #: Upper bound on one event-wait while workers run; deadlines and
 #: backoff wake-ups shorten it, results interrupt it immediately.
 _MAX_WAIT_S = 0.5
+
+#: First retry delay (seconds); doubles per retry up to
+#: :data:`BACKOFF_MAX_S`.
+BACKOFF_BASE_S = 0.5
+BACKOFF_MAX_S = 30.0
+#: Fractional deterministic jitter added to each backoff delay.
+BACKOFF_JITTER = 0.1
+#: Crash-loop breaker: a worker slot that dies this many times
+#: *consecutively* (no completed task in between) fails the batch with
+#: a ``crash_loop`` FailureReport instead of respawning forever —
+#: regardless of ``keep_going``, because a slot that can never complete
+#: anything would otherwise burn retries on every remaining point.
+MAX_SLOT_CRASHES = 5
 
 
 def default_journal_dir() -> Path:
@@ -90,6 +103,13 @@ def _stable_unit(text: str) -> float:
     return int.from_bytes(digest[:8], "big") / 2**64
 
 
+def backoff_s(key: str, attempt: int) -> float:
+    """Delay before retry *attempt* (attempt 1 = first retry)."""
+    base = min(BACKOFF_MAX_S, BACKOFF_BASE_S * (2 ** (attempt - 1)))
+    # Jitter seed 0: a replayed batch retries on the same schedule.
+    return base * (1.0 + BACKOFF_JITTER * _stable_unit(f"0:{key}:{attempt}"))
+
+
 @dataclass(frozen=True)
 class RunnerPolicy:
     """Execution policy for a batch of tasks.
@@ -103,15 +123,9 @@ class RunnerPolicy:
     jobs: int = 1
     #: Per-attempt wall-clock budget in seconds (None = unbounded).
     timeout_s: Optional[float] = None
-    #: Retries after the first failed attempt (0 = one attempt only).
+    #: Retries after the first failed attempt (0 = one attempt only),
+    #: each after :func:`backoff_s`.
     retries: int = 0
-    #: First retry delay; doubles per retry up to :attr:`backoff_max_s`.
-    backoff_base_s: float = 0.5
-    backoff_max_s: float = 30.0
-    #: Fractional deterministic jitter added to each backoff delay.
-    backoff_jitter: float = 0.1
-    #: Seed for the backoff jitter (kept deterministic for replay).
-    seed: int = 0
     #: True: a failed point is recorded and the batch continues.
     #: False (fail-fast): the first final failure cancels the rest.
     keep_going: bool = True
@@ -122,13 +136,6 @@ class RunnerPolicy:
     #: Pin pool workers round-robin across NUMA nodes with per-worker
     #: CPU affinity (isolated path only; no-op where unsupported).
     pin: bool = False
-    #: Crash-loop breaker: a worker slot that dies this many times
-    #: *consecutively* (no completed task in between) fails the batch
-    #: with a ``crash_loop`` FailureReport instead of respawning
-    #: forever — regardless of ``keep_going``, because a slot that can
-    #: never complete anything would otherwise burn retries on every
-    #: remaining point.
-    max_slot_crashes: int = 5
     #: Fsync journal appends and sidecar stores (power-loss durability;
     #: see ``docs/runner.md``).  Default off: flush-only already
     #: survives process crashes.
@@ -141,29 +148,13 @@ class RunnerPolicy:
             raise ValueError("runner timeout must be positive")
         if self.retries < 0:
             raise ValueError("runner retries cannot be negative")
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ValueError("backoff delays cannot be negative")
-        if self.backoff_jitter < 0:
-            raise ValueError("backoff jitter cannot be negative")
         if self.resume and self.journal_path is None:
             raise ValueError("resume requires a journal path")
-        if self.max_slot_crashes <= 0:
-            raise ValueError("max_slot_crashes must be positive")
 
     @property
     def isolated(self) -> bool:
         """Whether tasks must run in worker subprocesses."""
         return self.jobs > 1 or self.timeout_s is not None
-
-    def backoff_s(self, key: str, attempt: int) -> float:
-        """Delay before retry *attempt* (attempt 1 = first retry)."""
-        base = min(
-            self.backoff_max_s, self.backoff_base_s * (2 ** (attempt - 1))
-        )
-        jitter = self.backoff_jitter * _stable_unit(
-            f"{self.seed}:{key}:{attempt}"
-        )
-        return base * (1.0 + jitter)
 
 
 @dataclass
@@ -515,7 +506,7 @@ def _run_inline(
                 result = task.fn(*task.args)
             except Exception as exc:
                 if attempt <= policy.retries:
-                    delay = policy.backoff_s(task.key, attempt)
+                    delay = backoff_s(task.key, attempt)
                     if journal is not None:
                         journal.append(
                             "retry", task.key, attempt=attempt,
@@ -606,7 +597,7 @@ def _run_isolated(
                        message: str, tb: str) -> None:
         nonlocal stop
         if entry.attempt <= policy.retries:
-            delay = policy.backoff_s(entry.task.key, entry.attempt)
+            delay = backoff_s(entry.task.key, entry.attempt)
             if journal is not None:
                 journal.append(
                     "retry", entry.task.key, attempt=entry.attempt,
@@ -722,7 +713,7 @@ def _run_isolated(
                         )
                         continue
                     try:
-                        result = pickle.loads(result_payload(message))
+                        result = pickle.loads(message[1])
                     except Exception as exc:
                         end_span(entry, "error")
                         finish_failure(
@@ -746,10 +737,9 @@ def _run_isolated(
                             f"killed by signal {-code}" if code is not None
                             and code < 0 else f"exit code {code}"
                         )
-                        if worker.consecutive_deaths >= \
-                                policy.max_slot_crashes:
+                        if worker.consecutive_deaths >= MAX_SLOT_CRASHES:
                             # Crash-loop breaker: this slot has died
-                            # max_slot_crashes times without completing
+                            # MAX_SLOT_CRASHES times without completing
                             # anything.  Respawning again would burn the
                             # whole batch through the same shredder, so
                             # fail it now with the diagnosis — even
@@ -786,24 +776,25 @@ def _run_isolated(
                         pool.reap(worker)
 
             # Deadline enforcement: kill overrunning workers, replace
-            # them if there is more work to run.
+            # them if there is more work to run — the overrun's own
+            # retry included, so it is queued before the decision.
             if policy.timeout_s is not None:
                 now = time.monotonic()
                 for index, entry in list(inflight.items()):
                     if entry.deadline is None or now < entry.deadline:
                         continue
                     del inflight[index]
-                    worker = pool.workers[index]
-                    if pending or inflight:
-                        pool.restart_worker(worker)
-                    else:
-                        pool.kill_worker(worker)
                     end_span(entry, "timeout")
                     finish_failure(
                         entry, KIND_TIMEOUT, "WorkerTimeout",
                         f"worker exceeded {policy.timeout_s:g}s "
                         f"wall-clock budget", "",
                     )
+                    worker = pool.workers[index]
+                    if (pending or inflight) and not stop:
+                        pool.restart_worker(worker)
+                    else:
+                        pool.kill_worker(worker)
     finally:
         pool.shutdown(force=stop)
         telem.pool_state(0, len(pending))

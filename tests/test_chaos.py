@@ -8,7 +8,6 @@ unit-tested in-process through :func:`repro.sim.chaos.install`.
 
 from __future__ import annotations
 
-import errno
 import os
 import subprocess
 import sys
@@ -21,16 +20,14 @@ from repro.obs.registry import MetricsRegistry
 from repro.sim import chaos
 from repro.sim.chaos import (
     DRILL_WORKLOADS,
-    KIND_ENOSPC,
-    KIND_SHM_FAIL,
+    FAULT_KINDS,
     KIND_SIDECAR_CORRUPT,
-    KIND_SIDECAR_TRUNCATE,
     KIND_SIMCACHE_CORRUPT,
     KIND_TO_SITE,
     KIND_WORKER_EXCEPTION,
-    KIND_WORKER_SLOW,
     PLAN_ENV,
     REQUIRED_KINDS,
+    SITE_JOURNAL_APPEND,
     SITE_SIDECAR_STORE,
     SITE_SIMCACHE_STORE,
     SITE_TASK,
@@ -103,8 +100,24 @@ class TestPlan:
         assert events and all(e.match == "" for e in events)
 
     def test_every_kind_has_a_site(self):
-        for kind, site in KIND_TO_SITE.items():
-            assert isinstance(kind, str) and isinstance(site, str)
+        # One kind per recovery mechanism the byte-identity drill needs.
+        assert KIND_TO_SITE == {
+            "worker_kill": SITE_TASK,
+            "worker_exception": SITE_TASK,
+            "journal_torn_tail": SITE_JOURNAL_APPEND,
+            "sidecar_corrupt": SITE_SIDECAR_STORE,
+            "simcache_corrupt": SITE_SIMCACHE_STORE,
+        }
+        assert FAULT_KINDS == tuple(KIND_TO_SITE)
+
+    def test_ci_seed_schedules_every_kind(self):
+        # The CI chaos job's seed: one drill exercises all five kinds.
+        keys = [f"numa-gpu/{w}" for w in DRILL_WORKLOADS]
+        kinds = [e.kind for e in ChaosPlan.generate(1302, keys=keys).events]
+        assert sorted(kinds) == sorted([
+            "worker_kill", "journal_torn_tail", "sidecar_corrupt",
+            "simcache_corrupt", "worker_exception", "worker_exception",
+        ])
 
 
 class TestEngineSemantics:
@@ -174,34 +187,7 @@ class TestEngineSemantics:
 
 
 class TestFaultKinds:
-    def test_slow_returns_after_sleeping(self, tmp_path):
-        eng = _engine(
-            tmp_path, FaultEvent(KIND_WORKER_SLOW, "", nth=1, param=0.01)
-        )
-        eng.fire(SITE_TASK, "k")  # must not raise
-        (rec,) = ChaosEngine.injected(eng.state_dir)
-        assert rec["kind"] == KIND_WORKER_SLOW
-
-    def test_enospc_surfaces_through_journal_append(self, tmp_path):
-        chaos.install(_engine(tmp_path, FaultEvent(KIND_ENOSPC, "", nth=1)))
-        journal = Journal(tmp_path / "j.jsonl")
-        with pytest.raises(OSError) as exc_info:
-            journal.append("start", "numa-gpu/Lulesh", attempt=1)
-        assert exc_info.value.errno == errno.ENOSPC
-        # The append never happened: injection precedes the write.
-        assert journal.records() == []
-
-    def test_shm_fail_falls_back_to_pipe(self, tmp_path):
-        from repro.sim.pool import OK_INLINE, _export_payload
-
-        chaos.install(_engine(tmp_path, FaultEvent(KIND_SHM_FAIL, "", nth=1)))
-        payload = b"x" * 64
-        message = _export_payload(payload, shm_min=0, key="k")
-        assert message == (OK_INLINE, payload)  # fell back, data intact
-
-    @pytest.mark.parametrize(
-        "kind", [KIND_SIDECAR_CORRUPT, KIND_SIDECAR_TRUNCATE]
-    )
+    @pytest.mark.parametrize("kind", [KIND_SIDECAR_CORRUPT])
     def test_sidecar_damage_is_quarantined_on_load(self, tmp_path, kind,
                                                    monkeypatch):
         from repro.sim import durable
@@ -233,15 +219,22 @@ class TestFaultKinds:
         assert len(entry.read_bytes()) == len(original)
 
     def test_damage_file_truncate_and_corrupt(self, tmp_path):
+        # Damage never truncates: the rot is in place, keeps the length,
+        # and is the same for the same seed.
         target = tmp_path / "f"
         data = bytes(range(256))
         target.write_bytes(data)
-        _damage_file(target, truncate=True, seed=0)
-        assert target.read_bytes() == data[:128]
-        target.write_bytes(data)
-        _damage_file(target, truncate=False, seed=0)
+        _damage_file(target, seed=0)
         rotten = target.read_bytes()
         assert rotten != data and len(rotten) == len(data)
+        assert rotten[: len(data) // 3] == data[: len(data) // 3]
+        target.write_bytes(data)
+        _damage_file(target, seed=0)
+        assert target.read_bytes() == rotten
+        empty = tmp_path / "empty"
+        empty.write_bytes(b"")
+        _damage_file(empty, seed=0)
+        assert empty.read_bytes() == b""
 
 
 class TestHookPlumbing:

@@ -59,7 +59,8 @@ class TestMetricTokens:
 
     def test_module_paths_ignored(self, checker, tmp_path):
         md = tmp_path / "a.md"
-        md.write_text("see `repro.obs.registry` and `numpy.ndarray`\n")
+        md.write_text("see `repro.obs.registry`, `numpy.ndarray` and "
+                      "`runner.py`\n")
         assert checker.check_metric_tokens(md, tmp_path) == []
 
 

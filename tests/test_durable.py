@@ -66,6 +66,14 @@ class TestSeal:
             with pytest.raises(ValueError):
                 unseal(bytes(damaged))
 
+    def test_rejects_every_proper_prefix(self):
+        # A truncated sidecar or cache entry: every cut point, down to
+        # the empty file, is refused rather than half-decoded.
+        blob = seal(pickle.dumps({"v": list(range(20))}))
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError):
+                unseal(blob[:cut])
+
     def test_rejects_a_bare_pickle(self):
         with pytest.raises(ValueError, match="magic"):
             unseal(pickle.dumps({"v": 1}, protocol=pickle.HIGHEST_PROTOCOL))

@@ -6,6 +6,7 @@ import json
 import os
 
 from repro.obs.metrics import default_registry
+from repro.sim import runner
 from repro.sim.runner import RunnerPolicy, Task, run_tasks
 
 from .conftest import make_kernel, make_trace, small_config
@@ -49,7 +50,8 @@ class TestRegistryWiring:
         assert registry.get("runner.attempts").total() == 3
         assert registry.get("runner.retries").total() == 0
 
-    def test_retries_and_failures_counted(self, tmp_path):
+    def test_retries_and_failures_counted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner, "BACKOFF_BASE_S", 0.0)
         registry = default_registry()
         tasks = [
             Task(key="flaky", fn=_flaky, args=(str(tmp_path), 1)),
@@ -57,7 +59,7 @@ class TestRegistryWiring:
         ]
         batch = run_tasks(
             tasks,
-            RunnerPolicy(retries=1, backoff_base_s=0.0),
+            RunnerPolicy(retries=1),
             registry=registry,
         )
         assert batch.results["flaky"] == 101

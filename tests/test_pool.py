@@ -1,5 +1,5 @@
 """Tests for the persistent worker pool (sim/pool.py) and its runner
-integration: NUMA planning, shared-memory transport, worker reuse,
+integration: NUMA planning, pipe transport, worker reuse,
 crash containment, metric gauges, and bit-identical pooled execution.
 
 Worker functions must be top-level so they survive pickling into
@@ -17,18 +17,11 @@ import pytest
 from repro.obs.metrics import default_registry
 from repro.sim.journal import Journal
 from repro.sim.pool import (
-    DEFAULT_SHM_MIN,
     ERR,
-    OK_INLINE,
-    OK_SHM,
-    SHM_MIN_ENV,
     WorkerPool,
-    _export_payload,
     numa_nodes,
     parse_cpulist,
     plan_affinity,
-    result_payload,
-    shm_min_bytes,
 )
 from repro.sim.chaos import (
     KIND_WORKER_EXCEPTION,
@@ -126,31 +119,12 @@ class TestPlanAffinity:
 # ---------------------------------------------------------------------------
 
 class TestShmTransport:
-    def test_small_payload_stays_inline(self):
-        msg = _export_payload(b"tiny", shm_min=1024)
-        assert msg[0] == OK_INLINE
-        assert result_payload(msg) == b"tiny"
+    """The shared-memory transport is gone: every result, whatever its
+    size, comes back pickled over the worker's pipe."""
 
-    def test_large_payload_round_trips_via_shm(self):
-        payload = os.urandom(4096)
-        msg = _export_payload(payload, shm_min=1)
-        assert msg[0] == OK_SHM
-        assert result_payload(msg) == payload
-
-    def test_negative_threshold_disables_shm(self):
-        msg = _export_payload(b"x" * 4096, shm_min=-1)
-        assert msg[0] == OK_INLINE
-
-    def test_threshold_env(self, monkeypatch):
-        monkeypatch.delenv(SHM_MIN_ENV, raising=False)
-        assert shm_min_bytes() == DEFAULT_SHM_MIN
-        monkeypatch.setenv(SHM_MIN_ENV, "123")
-        assert shm_min_bytes() == 123
-        monkeypatch.setenv(SHM_MIN_ENV, "not-a-number")
-        assert shm_min_bytes() == DEFAULT_SHM_MIN
-
-    def test_end_to_end_shm_results(self, monkeypatch):
-        monkeypatch.setenv(SHM_MIN_ENV, "1")  # every result goes via shm
+    def test_end_to_end_shm_results(self):
+        # 2 MB is ~100x a real RunResult and far above the 64 KiB pipe
+        # buffer: the pickled reply must still arrive whole.
         batch = run_tasks(
             [Task(key="big", fn=_big, args=(2_000_000,))],
             RunnerPolicy(jobs=2),
@@ -158,8 +132,7 @@ class TestShmTransport:
         assert batch.ok
         assert batch.results["big"] == b"\xab" * 2_000_000
 
-    def test_end_to_end_shm_disabled(self, monkeypatch):
-        monkeypatch.setenv(SHM_MIN_ENV, "-1")
+    def test_end_to_end_shm_disabled(self):
         batch = run_tasks(_tasks(_ok, ["a", "b"]), RunnerPolicy(jobs=2))
         assert batch.ok
         assert batch.results == {"a": 2, "b": 2}

@@ -18,16 +18,25 @@ from repro.sim.chaos import (
     KIND_WORKER_KILL,
     FaultEvent,
 )
+from repro.sim import runner
 from repro.sim.journal import Journal
+from repro.sim.pool import WorkerPool
 from repro.sim.runner import (
     KIND_CRASH,
     KIND_EXCEPTION,
     KIND_TIMEOUT,
     RunnerPolicy,
     Task,
+    backoff_s,
     run_tasks,
 )
 from tests.conftest import arm_chaos
+
+
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    """Retry after ~10 ms instead of the production half second."""
+    monkeypatch.setattr(runner, "BACKOFF_BASE_S", 0.01)
 
 
 def _ok(x):
@@ -53,6 +62,16 @@ def _flaky(marker_dir, x):
         with open(sentinel, "w"):
             pass
         raise RuntimeError("first attempt always fails")
+    return x + 100
+
+
+def _slow_once(marker_dir, x):
+    """Sleep past any test deadline on the first call only."""
+    sentinel = os.path.join(marker_dir, "slept")
+    if not os.path.exists(sentinel):
+        with open(sentinel, "w"):
+            pass
+        time.sleep(60)
     return x + 100
 
 
@@ -87,11 +106,13 @@ class TestPolicy:
             with pytest.raises(ValueError):
                 bad.validate()
 
-    def test_backoff_grows_and_is_deterministic(self):
-        p = RunnerPolicy(backoff_base_s=0.5, backoff_max_s=4.0)
-        d1, d2, d3 = (p.backoff_s("k", a) for a in (1, 2, 3))
-        assert d1 < d2 < d3
-        assert p.backoff_s("k", 2) == d2  # same inputs, same jitter
+    def test_backoff_grows_and_is_deterministic(self, monkeypatch):
+        monkeypatch.setattr(runner, "BACKOFF_MAX_S", 4.0)
+        d1, d2, d3, d4 = (backoff_s("k", a) for a in (1, 2, 3, 4))
+        assert d1 < d2 < d3 < d4
+        assert 0.5 <= d1 <= 0.5 * (1 + runner.BACKOFF_JITTER)
+        assert 4.0 <= d4 <= 4.0 * (1 + runner.BACKOFF_JITTER)  # capped
+        assert backoff_s("k", 2) == d2  # same inputs, same jitter
 
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ValueError):
@@ -151,15 +172,46 @@ class TestIsolated:
         assert f.exception_type == "WorkerCrash"
         assert "signal" in f.message or "exit code" in f.message
 
-    def test_retry_then_succeed(self, tmp_path):
+    def test_retry_then_succeed(self, tmp_path, fast_backoff):
         tasks = [Task(key="flaky", fn=_flaky, args=(str(tmp_path), 1))]
-        policy = RunnerPolicy(jobs=2, retries=2, backoff_base_s=0.01)
+        policy = RunnerPolicy(jobs=2, retries=2)
         batch = run_tasks(tasks, policy)
         assert batch.ok
         assert batch.results["flaky"] == 101
 
-    def test_exhausted_retries_report_attempts(self):
-        policy = RunnerPolicy(jobs=2, retries=2, backoff_base_s=0.01)
+    def test_timeout_then_retry_succeeds(self, tmp_path, monkeypatch,
+                                         fast_backoff):
+        # The overrunning slot is killed and restarted in place (its
+        # own retry is queued work), and attempt 2 delivers.
+        restarted = []
+        real_restart = WorkerPool.restart_worker
+
+        def spy(pool, worker):
+            restarted.append(worker.index)
+            real_restart(pool, worker)
+
+        monkeypatch.setattr(WorkerPool, "restart_worker", spy)
+        journal = tmp_path / "j.jsonl"
+        tasks = [Task(key="slow", fn=_slow_once, args=(str(tmp_path), 1)),
+                 Task(key="other", fn=_ok, args=(1,))]
+        start = time.monotonic()
+        batch = run_tasks(tasks, RunnerPolicy(
+            jobs=2, timeout_s=1.0, retries=1, journal_path=journal,
+        ))
+        assert time.monotonic() - start < 30  # did not wait the full sleep
+        assert batch.ok
+        inline = run_tasks([Task(key="slow", fn=_slow_once,
+                                 args=(str(tmp_path), 1)),
+                            Task(key="other", fn=_ok, args=(1,))])
+        assert batch.results == inline.results == {"slow": 101, "other": 2}
+        assert restarted == [0]
+        slow = [r for r in _journal_events(journal) if r["key"] == "slow"]
+        assert [r["event"] for r in slow] == ["start", "retry", "start",
+                                              "done"]
+        assert slow[1]["kind"] == KIND_TIMEOUT
+
+    def test_exhausted_retries_report_attempts(self, fast_backoff):
+        policy = RunnerPolicy(jobs=2, retries=2)
         batch = run_tasks(_tasks(_boom, ["b"]), policy)
         assert batch.failures["b"].attempts == 3
 
@@ -175,10 +227,11 @@ class TestFaultInjection:
         assert batch.failures["victim"].kind == KIND_CRASH
         assert batch.results["bystander"] == 2
 
-    def test_injected_flaky_succeeds_on_retry(self, monkeypatch, tmp_path):
+    def test_injected_flaky_succeeds_on_retry(self, monkeypatch, tmp_path,
+                                              fast_backoff):
         arm_chaos(monkeypatch, tmp_path,
                   FaultEvent(KIND_WORKER_EXCEPTION, "f1"))
-        policy = RunnerPolicy(jobs=2, retries=1, backoff_base_s=0.01)
+        policy = RunnerPolicy(jobs=2, retries=1)
         batch = run_tasks(_tasks(_ok, ["f1"]), policy)
         assert batch.ok
         assert batch.results["f1"] == 2
@@ -226,20 +279,19 @@ class TestJournalResume:
 
 
 class TestCrashLoopBreaker:
-    def test_breaker_fails_the_batch(self, monkeypatch, tmp_path):
+    def test_breaker_fails_the_batch(self, monkeypatch, tmp_path,
+                                     fast_backoff):
         # Every attempt crashes its worker; with generous retries the
         # batch would previously grind through respawn after respawn.
-        # The breaker opens after max_slot_crashes consecutive deaths of
+        # The breaker opens after MAX_SLOT_CRASHES consecutive deaths of
         # one slot and fails the batch with a diagnostic, keep_going or
         # not.  Three deaths over two slots give one slot two in a row.
         from repro.sim.runner import KIND_CRASH_LOOP
 
+        monkeypatch.setattr(runner, "MAX_SLOT_CRASHES", 2)
         arm_chaos(monkeypatch, tmp_path,
                   *[FaultEvent(KIND_WORKER_KILL)] * 3)
-        policy = RunnerPolicy(
-            jobs=2, retries=10, backoff_base_s=0.01,
-            max_slot_crashes=2, keep_going=True,
-        )
+        policy = RunnerPolicy(jobs=2, retries=10, keep_going=True)
         batch = run_tasks(_tasks(_ok, ["a", "b", "c", "d"]), policy)
         assert not batch.ok
         loop_failures = [
@@ -251,23 +303,19 @@ class TestCrashLoopBreaker:
         assert "died 2 times in a row" in report.message
         assert "breaker opened" in report.message
 
-    def test_intermittent_crashes_do_not_trip(self, monkeypatch, tmp_path):
+    def test_intermittent_crashes_do_not_trip(self, monkeypatch, tmp_path,
+                                              fast_backoff):
         # One crashing key among healthy ones: its two attempts (retries
         # exhausted) can produce at most two consecutive deaths on any
         # slot, under a breaker of three — so the batch must finish
         # through the ordinary retry/crash path, never the breaker.
         from repro.sim.runner import KIND_CRASH_LOOP
 
+        monkeypatch.setattr(runner, "MAX_SLOT_CRASHES", 3)
         arm_chaos(monkeypatch, tmp_path,
                   *[FaultEvent(KIND_WORKER_KILL, "victim")] * 2)
-        policy = RunnerPolicy(
-            jobs=2, retries=1, backoff_base_s=0.01, max_slot_crashes=3,
-        )
+        policy = RunnerPolicy(jobs=2, retries=1)
         batch = run_tasks(_tasks(_ok, ["a", "b", "victim", "c"]), policy)
         kinds = {f.kind for f in batch.failures.values()}
         assert KIND_CRASH_LOOP not in kinds
         assert batch.results["a"] == 2
-
-    def test_policy_rejects_nonpositive_breaker(self):
-        with pytest.raises(ValueError):
-            RunnerPolicy(max_slot_crashes=0).validate()
