@@ -136,9 +136,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    """Two modes: assemble a distributed trace from a traced batch's
-    artifacts (--job/--journal, docs/tracing.md), or run one workload
-    under full observation and export its kernel trace."""
+    """Two modes: assemble a batch timeline from a runner journal
+    (--job/--journal, docs/tracing.md), or run one workload under full
+    observation and export its kernel trace."""
     if args.job or args.batch_journal:
         return _cmd_trace_assemble(args)
     if not args.workload:
@@ -169,7 +169,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_trace_assemble(args) -> int:
-    """Merge journal + span spills into one Perfetto timeline."""
+    """Assemble every batch of a runner journal into one Perfetto
+    timeline."""
     if args.batch_journal:
         journal = Path(args.batch_journal)
     else:
@@ -194,10 +195,8 @@ def _cmd_trace_assemble(args) -> int:
     out = args.out or f"{journal.stem}.trace.json"
     write_trace(out, doc)
     meta = doc["otherData"]
-    print(f"{meta['spans']} span(s) assembled from {journal} "
-          f"(trace {', '.join(meta['trace_ids']) or '<none>'}, "
-          f"{meta['unfinished_spans']} unfinished, "
-          f"{meta['damaged_span_records']} damaged)")
+    print(f"{meta['attempts']} attempt(s) in {meta['batches']} batch(es) "
+          f"assembled from {journal} ({meta['unfinished']} unfinished)")
     print(f"Perfetto trace written to {out} — open at "
           f"https://ui.perfetto.dev")
     return 0
@@ -241,11 +240,6 @@ def _cmd_suite(args) -> int:
         fsync_journal=args.fsync_journal,
     )
     registry = default_registry() if args.metrics_out else None
-    trace_ctx = None
-    if args.trace:
-        from repro.obs.trace import TraceContext, spans_dir_for
-
-        trace_ctx = TraceContext.mint()
     run = E.run_suite(
         args.system,
         workloads=args.workloads,
@@ -253,7 +247,6 @@ def _cmd_suite(args) -> int:
         use_cache=not args.no_cache,
         runner=policy,
         registry=registry,
-        trace=trace_ctx,
     )
     rows = []
     for abbr in (args.workloads or suite.all_abbrs()):
@@ -268,10 +261,6 @@ def _cmd_suite(args) -> int:
         ["workload", "time", "status"],
         rows, title=f"{args.system} suite (journal: {journal})",
     ))
-    if trace_ctx is not None:
-        print(f"trace {trace_ctx.trace_id}: spans spilled to "
-              f"{spans_dir_for(journal)}; assemble with "
-              f"`python -m repro trace --journal {journal}`")
     if registry is not None:
         from repro.obs.summary import summarize_result
 
@@ -320,7 +309,6 @@ def _cmd_chaos(args) -> int:
         rounds=args.rounds,
         jobs=args.jobs,
         pin=args.pin,
-        trace=not args.no_trace,
     )
     print(report.render())
     if report.ok and not explicit_dir:
@@ -556,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_p = sub.add_parser(
         "trace",
-        help="assemble a batch's distributed trace (--job/--journal), "
+        help="assemble a batch timeline from its journal (--job/--journal), "
              "or run one workload with tracing on; either way the "
              "output is a Perfetto-loadable Chrome trace",
     )
@@ -571,9 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: .repro-serve)")
     trace_p.add_argument("--journal", dest="batch_journal", default=None,
                          metavar="PATH",
-                         help="assemble the timeline of a suite batch "
-                              "from its journal (spans are found next "
-                              "to it)")
+                         help="assemble the timeline of every batch "
+                              "a runner journal records")
     trace_p.add_argument("--system", default=E.CARVE_HWC,
                          choices=sorted(E.experiment_configs()))
     trace_p.add_argument("--rdc-gb", type=float, default=None,
@@ -635,11 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
     suite_p.add_argument("--resume", action="store_true",
                          help="skip points the journal records as done")
     suite_p.add_argument("--no-cache", action="store_true")
-    suite_p.add_argument("--trace", action="store_true",
-                         help="mint a distributed-trace context and "
-                              "spill spans next to the journal "
-                              "(docs/tracing.md); results are "
-                              "byte-identical either way")
     suite_p.add_argument("--metrics-out", default=None, metavar="PATH",
                          help="write runner counters + per-workload metric "
                               "summaries as JSON")
@@ -668,9 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: 2; 1 drills the inline path)")
     chaos_p.add_argument("--pin", action="store_true",
                          help="NUMA-pin the chaos rounds' pool workers")
-    chaos_p.add_argument("--no-trace", action="store_true",
-                         help="run the chaos rounds without span tracing "
-                              "(disables the flight recorder)")
     chaos_p.add_argument("--dir", default=None, metavar="DIR",
                          help="drill workspace (kept afterwards; default: "
                               "a tmp dir, removed when the drill passes)")
@@ -772,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--store-max-bytes", type=_positive(), default=None,
                          metavar="N",
                          help="bound the store; least-recently-used "
-                              "entries (result + journal + spans) are "
+                              "entries (result + journal + sidecars) are "
                               "evicted past N bytes (default: unbounded)")
     serve_p.add_argument("--pin", action="store_true",
                          help="NUMA-pin the simulator pool workers")

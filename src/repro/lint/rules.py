@@ -121,11 +121,9 @@ class WallClockRule(Rule):
     #: the runner's timeouts/backoff, the chaos drill's round timing,
     #: the job service's latency metrics + client-facing timestamps
     #: (serve/jobs.py) and client-side polling deadlines
-    #: (serve/client.py), and the distributed-trace spill (obs/trace.py),
-    #: whose span records are timestamped observability metadata — none
-    #: of which feed simulation results.
+    #: (serve/client.py) — none of which feed simulation results.
     ALLOWLIST = ("sim/runner.py", "sim/chaos.py", "serve/jobs.py",
-                 "serve/client.py", "obs/trace.py")
+                 "serve/client.py")
 
     BANNED = frozenset({
         "time.time", "time.time_ns",

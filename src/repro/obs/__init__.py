@@ -12,11 +12,10 @@ instead of end-of-run aggregates.  It has one home per kind of data:
 * :class:`~repro.obs.tracer.Tracer` — a ring-buffered, sampled stream of
   discrete events (:mod:`repro.obs.events`): epoch flushes, page
   migrations/replications, link-fault epochs.
-* :class:`~repro.obs.trace.SpanSpill` — the crash-safe span files a
-  traced batch leaves next to its journal (``docs/tracing.md``).
 * :mod:`repro.obs.export` — the one ``trace_event`` writer: an observed
-  run on modelled time or a traced batch on wall time, both loadable
-  in Perfetto; see ``docs/observability.md``.
+  run on modelled time, or every batch of a runner journal on wall
+  time (each journalled attempt one slice; ``docs/tracing.md``), both
+  loadable in Perfetto; see ``docs/observability.md``.
 * The :class:`~repro.obs.observe.Observability` facade — the one object
   the simulator holds.  All hooks fire on rare paths (per kernel, per
   migration), so an observed run is bit-identical to an unobserved one
@@ -64,7 +63,6 @@ from repro.obs.registry import (
     MetricsRegistry,
 )
 from repro.obs.summary import summarize_result
-from repro.obs.trace import SpanSpill, TraceContext
 from repro.obs.tracer import Tracer
 
 __all__ = [
@@ -79,8 +77,6 @@ __all__ = [
     "MetricsRegistry",
     "Observability",
     "SPECS",
-    "SpanSpill",
-    "TraceContext",
     "TraceEvent",
     "Tracer",
     "default_registry",

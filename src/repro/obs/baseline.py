@@ -93,14 +93,11 @@ def git_sha() -> Optional[str]:
 
 def environment_fingerprint(
     config=None, engine: Optional[str] = None,
-    trace_id: Optional[str] = None,
 ) -> dict:
     """What produced a record: code version, config, engine, revision.
 
     ``config`` (a :class:`repro.config.SystemConfig`) contributes its
-    stable hash; ``engine`` names the execution engine used; ``trace_id``
-    links the record to its distributed trace (docs/tracing.md), so a
-    dashboard row can point at the timeline that produced it.  All are
+    stable hash; ``engine`` names the execution engine used.  Both are
     optional so batch-level fingerprints (runner journals) can omit
     them.
     """
@@ -116,8 +113,6 @@ def environment_fingerprint(
         fp["config_hash"] = config_hash(config)
     if engine is not None:
         fp["engine"] = engine
-    if trace_id is not None:
-        fp["trace_id"] = trace_id
     return fp
 
 

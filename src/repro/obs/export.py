@@ -13,14 +13,15 @@ wrapper, and written by :func:`write_trace`:
   timestamps come from :class:`repro.perf.model.PerformanceModel`:
   kernel *k*'s slice starts where kernel *k-1*'s ended and lasts the
   modelled kernel time — the quantity the paper's figures are drawn in.
-* :func:`assemble_trace` — one traced batch on **wall** time, read back
-  from its artifacts long after the processes are gone: the journal's
-  transitions (instants on the runner row), the span spills (the
-  runner's attempt spans, one track per worker slot; each worker's
-  ``task`` spans on a row labeled with slot and NUMA node), and
-  optionally the serve job's event log (a ``serve`` row).  Spans whose
-  end edge never reached the disk — crash victims — run to the end of
-  the timeline flagged ``unfinished``: the flight-recorder view.
+* :func:`assemble_trace` — every batch of one journal on **wall**
+  time, read back long after the processes are gone.  Each attempt
+  (a ``start`` paired with the record that ends it, see
+  :func:`journal_attempts`) is one slice on the row of the pool slot
+  that ran it, labeled with slot and NUMA node, or on the runner row
+  for the inline path; every journal record is also an instant on the
+  runner row, and the serve job's event log, if given, is a ``serve``
+  row.  An attempt that never ended — a crash victim of a killed
+  batch — runs to the end of the timeline flagged ``unfinished``.
 
 Files are replaced atomically (:func:`repro.sim.durable.atomic_write`):
 an interrupted write leaves the previous file, never truncated JSON.
@@ -32,14 +33,13 @@ import json
 from pathlib import Path
 from typing import Optional
 
-from repro.obs.trace import read_spans_dir, spans_dir_for
 from repro.sim.durable import atomic_write
 
 _US = 1e6  # seconds -> microseconds (trace_event timestamps are µs)
 
 #: pid of the synthetic "serve" process row (job lifecycle instants).
 PID_SERVE = 1
-#: pid of the runner process row (attempt spans + journal instants).
+#: pid of the runner process row (inline attempts + journal instants).
 PID_RUNNER = 2
 #: Worker slot N renders as process row ``PID_WORKER_BASE + N``.
 PID_WORKER_BASE = 10
@@ -166,120 +166,90 @@ def build_chrome_trace(result, config, obs) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# One traced batch, wall time
+# Every batch of one journal, wall time
 # ---------------------------------------------------------------------------
+
+#: The status each attempt-ending journal event gives its attempt;
+#: ``retry`` and ``failed`` give their failure ``kind`` instead.
+_END_STATUS = {"done": "ok", "cancelled": "cancelled", "retry": None,
+               "failed": None}
+
+#: Status of an attempt whose ``start`` no record of its batch closed.
+UNFINISHED = "unfinished"
+
 
 def _us(ts: float, t0: float) -> int:
     """Seconds-since-epoch to integer µs relative to the trace start."""
     return max(0, int(round((ts - t0) * _US)))
 
 
-def _pair_spans(records: list[dict]) -> tuple[list[dict], list[dict]]:
-    """Match begin/end edges; returns ``(closed, open)`` span dicts.
+def journal_attempts(records: list[dict]) -> list[dict]:
+    """Every attempt in *records*, in the order they started.
 
-    A closed span carries ``ts_begin``/``ts_end``/``status``; an open
-    one (end edge never written — the process died first) only
-    ``ts_begin``.  Pairing is by span id; duplicate begins (a retried
-    dispatch) keep the earliest begin and latest end.
+    A ``meta`` record opens a batch.  Within a batch each ``start`` is
+    paired with the next ``done`` (status ``ok``), ``retry`` or
+    ``failed`` (status: the failure ``kind``) or ``cancelled`` record of
+    its key.  A ``start`` that nothing in its batch closed keeps
+    ``ts_end`` None and status :data:`UNFINISHED`: its process was
+    killed.  A resumed batch starts its keys afresh, so it never closes
+    an earlier batch's attempt.
     """
-    begins: dict[str, dict] = {}
-    closed: list[dict] = []
+    attempts: list[dict] = []
+    open_by_key: dict[str, dict] = {}
     for record in records:
-        span_id = record.get("span", "")
-        if record.get("ph") == "B":
-            if span_id not in begins:
-                begins[span_id] = record
-        elif record.get("ph") == "E":
-            begin = begins.pop(span_id, None)
-            if begin is None:
-                continue  # end without a begin: skip rather than guess
-            closed.append({
-                "begin": begin,
-                "ts_begin": begin.get("ts", 0.0),
-                "ts_end": record.get("ts", begin.get("ts", 0.0)),
-                "status": record.get("status", "ok"),
-            })
-    open_spans = [
-        {"begin": begin, "ts_begin": begin.get("ts", 0.0)}
-        for begin in begins.values()
-    ]
-    return closed, open_spans
-
-
-def open_spans(records: list[dict]) -> list[dict]:
-    """Begin records whose end edge never hit the disk.
-
-    On a healthy run this is empty; after a worker SIGKILL it is the
-    victim's final timeline — what the chaos flight recorder reports.
-    """
-    _, unfinished = _pair_spans(records)
-    return sorted(
-        (span["begin"] for span in unfinished),
-        key=lambda r: (r.get("ts", 0.0), r.get("span", "")),
-    )
-
-
-def _row_for(record: dict) -> tuple[int, int]:
-    """``(pid, tid)`` placement of one span record."""
-    name = record.get("name", "")
-    slot = record.get("slot", -1)
-    if name == "attempt":
-        # Runner-side spans: one runner process, one track per slot so
-        # concurrent attempts never overlap on a row.
-        return PID_RUNNER, slot + 2 if isinstance(slot, int) else 1
-    if isinstance(slot, int) and slot >= 0:
-        return PID_WORKER_BASE + slot, 1
-    return PID_RUNNER, 1
-
-
-def _span_label(record: dict) -> str:
-    name = record.get("name", "")
-    key = record.get("key", "")
-    if name == "attempt":
-        return f"attempt {key} #{record.get('attempt', '?')}"
-    if key and name == "task":
-        return f"task {key}"
-    return name or "span"
+        event = record.get("event")
+        key = record.get("key", "")
+        if event == "meta":
+            open_by_key = {}
+        elif event == "start":
+            # Journals written before starts carried slot and node
+            # read as the inline path's -1.
+            attempt = {
+                "key": key,
+                "attempt": record.get("attempt", 0),
+                "slot": record.get("slot", -1),
+                "node": record.get("node", -1),
+                "ts_begin": record.get("ts", 0.0),
+                "ts_end": None,
+                "status": UNFINISHED,
+            }
+            attempts.append(attempt)
+            open_by_key[key] = attempt
+        elif event in _END_STATUS:
+            attempt = open_by_key.pop(key, None)
+            if attempt is None:
+                continue
+            attempt["ts_end"] = record.get("ts", attempt["ts_begin"])
+            attempt["status"] = (
+                _END_STATUS[event] or record.get("kind", "exception")
+            )
+    return attempts
 
 
 def assemble_trace(
     journal_path,
     *,
     title: Optional[str] = None,
-    trace_id: Optional[str] = None,
     serve_events: Optional[list[dict]] = None,
 ) -> dict:
-    """The Perfetto document for a traced batch.
+    """The Perfetto document for every batch of a journal.
 
-    *journal_path* names the batch journal; the spans directory is
-    found next to it.  A journal reused across batches (chaos rounds,
-    ``--resume``) holds one trace per batch: *trace_id* keeps one of
-    them, and by default every trace is assembled — a crash victim of
-    an earlier round stays visible.  ``otherData["trace_ids"]`` lists
-    the traces shown.  *serve_events* adds the job-service lifecycle
-    row.
+    A journal reused across batches (chaos rounds, ``--resume``, every
+    execution of one serve config) is assembled whole, so a crash
+    victim of an earlier batch stays visible.  *serve_events* adds the
+    job-service lifecycle row.
     """
     # Lazy: keeps the journal (and its chaos hooks) out of the CLI's
     # start-up imports; only an assembly needs it.
     from repro.sim.journal import Journal
 
     journal_path = Path(journal_path)
-    journal_records: list[dict] = []
+    records: list[dict] = []
     if journal_path.exists():
-        journal_records = Journal(journal_path).records()
-    span_records, damaged = read_spans_dir(spans_dir_for(journal_path))
-    if trace_id:
-        span_records = [
-            r for r in span_records if r.get("trace") == trace_id
-        ]
-    trace_ids = list(dict.fromkeys(
-        r["trace"]
-        for r in sorted(span_records, key=lambda r: r.get("ts", 0.0))
-        if r.get("trace")
-    ))
+        records = Journal(journal_path).records()
+    attempts = journal_attempts(records)
 
-    timestamps = [r["ts"] for r in span_records if "ts" in r]
-    timestamps += [r["ts"] for r in journal_records if "ts" in r]
+    timestamps = [r["ts"] for r in records if "ts" in r]
     if serve_events:
         timestamps += [e["ts"] for e in serve_events if "ts" in e]
     t0 = min(timestamps) if timestamps else 0.0
@@ -288,46 +258,37 @@ def assemble_trace(
     events: list[dict] = []
     names: dict[int, str] = {}
 
-    closed, unfinished = _pair_spans(span_records)
-    for span in closed + unfinished:
-        begin = span["begin"]
-        pid, tid = _row_for(begin)
-        if pid >= PID_WORKER_BASE:
-            slot = pid - PID_WORKER_BASE
-            node = begin.get("node", -1)
+    for attempt in attempts:
+        slot, node = attempt["slot"], attempt["node"]
+        if slot >= 0:
+            pid = PID_WORKER_BASE + slot
             label = f"worker {slot:02d}"
-            if isinstance(node, int) and node >= 0:
+            if node >= 0:
                 label += f" (node {node})"
             names.setdefault(pid, label)
-        elif pid == PID_RUNNER:
+        else:
+            pid = PID_RUNNER
             names.setdefault(pid, "runner")
-        finished = "ts_end" in span
-        ts_end = span["ts_end"] if finished else t_max
-        args = {
-            "trace_id": begin.get("trace", ""),
-            "span_id": begin.get("span", ""),
-            "parent_id": begin.get("parent", ""),
-            "key": begin.get("key", ""),
-            "status": span.get("status", "unfinished"),
-        }
-        if "attempt" in begin:
-            args["attempt"] = begin["attempt"]
-        if not finished:
-            args["unfinished"] = True
+        finished = attempt["ts_end"] is not None
+        ts_end = attempt["ts_end"] if finished else t_max
         events.append({
-            "name": _span_label(begin),
-            "cat": "span" if finished else "span,unfinished",
+            "name": f"attempt {attempt['key']} #{attempt['attempt']}",
+            "cat": "attempt" if finished else "attempt,unfinished",
             "ph": "X",
             "pid": pid,
-            "tid": tid,
-            "ts": _us(span["ts_begin"], t0),
-            "dur": max(1, _us(ts_end, t0) - _us(span["ts_begin"], t0)),
-            "args": args,
+            "tid": 1,
+            "ts": _us(attempt["ts_begin"], t0),
+            "dur": max(1, _us(ts_end, t0) - _us(attempt["ts_begin"], t0)),
+            "args": {
+                "key": attempt["key"],
+                "attempt": attempt["attempt"],
+                "status": attempt["status"],
+            },
         })
 
-    for record in journal_records:
+    for record in records:
         event = record.get("event", "")
-        if event in ("span", "meta") or "ts" not in record:
+        if event == "meta" or "ts" not in record:
             continue
         events.append({
             "name": f"{event} {record.get('key', '')}".strip(),
@@ -362,12 +323,12 @@ def assemble_trace(
     events.sort(key=lambda e: (e["ts"], e["pid"], e["tid"], e["name"]))
     return _document(names, events, {
         "title": title or journal_path.stem,
-        "trace_id": trace_id or "",
-        "trace_ids": trace_ids,
         "journal": journal_path.name,
-        "spans": len(span_records),
-        "unfinished_spans": len(unfinished),
-        "damaged_span_records": damaged,
+        "batches": sum(1 for r in records if r.get("event") == "meta"),
+        "attempts": len(attempts),
+        "unfinished": sum(
+            1 for a in attempts if a["status"] == UNFINISHED
+        ),
     })
 
 
@@ -412,9 +373,10 @@ __all__ = [
     "PID_RUNNER",
     "PID_SERVE",
     "PID_WORKER_BASE",
+    "UNFINISHED",
     "assemble_trace",
     "build_chrome_trace",
-    "open_spans",
+    "journal_attempts",
     "write_metrics_json",
     "write_trace",
 ]

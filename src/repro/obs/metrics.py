@@ -177,24 +177,12 @@ SPECS: tuple = (
                "or key mismatch) quarantined to *.corrupt; the config "
                "re-runs on next submission.", "repro infra"),
     MetricSpec("serve.store_evicted", KIND_COUNTER, "results", (),
-               "CAS results (and their journals/sidecars/spans) evicted "
+               "CAS results (and their journals and sidecars) evicted "
                "by the --store-max-bytes LRU sweep.", "repro infra"),
     # -- tracer self-accounting ------------------------------------------
     MetricSpec("trace.dropped", KIND_COUNTER, "events", (),
                "Events evicted from the tracer ring buffer (capacity "
                "overflow).", "repro infra"),
-    # -- distributed tracing (docs/tracing.md) ---------------------------
-    MetricSpec("trace.spans", KIND_COUNTER, "records", (),
-               "Span records (begin/end edges each count once) written "
-               "to the crash-safe spill files of a traced batch.",
-               "repro infra"),
-    MetricSpec("trace.spill_bytes", KIND_COUNTER, "bytes", (),
-               "Bytes appended to span spill files by a traced batch "
-               "(runner + all worker spills).", "repro infra"),
-    MetricSpec("trace.dropped_spans", KIND_COUNTER, "records", (),
-               "Span records lost to spill write failures (full disk, "
-               "permissions) — tracing degrades, the run itself never "
-               "fails.", "repro infra"),
     # -- obs self-accounting ---------------------------------------------
     MetricSpec("obs.digest_errors", KIND_COUNTER, "failures", (),
                "Result digest computations that raised and were skipped "

@@ -136,18 +136,6 @@ def _digest_cells(metrics: Optional[dict]) -> list[str]:
     return [_fmt(metrics.get(col, "-")) for col in _DIGEST_COLUMNS]
 
 
-def _trace_cell(meta: dict) -> str:
-    """The provenance trace cell: the batch's trace id, linked to the
-    assembled timeline (``repro trace --journal`` writes it next to the
-    report; the serve dashboard serves it at the sibling ``trace``
-    route)."""
-    trace_id = meta.get("trace_id")
-    if not trace_id:
-        return "-"
-    stem = Path(str(meta.get("journal", "journal"))).stem
-    return f"[{trace_id}]({stem}.trace.json)"
-
-
 def provenance_section(metas: list[dict]) -> str:
     lines = ["## Provenance", ""]
     if not metas:
@@ -155,11 +143,11 @@ def provenance_section(metas: list[dict]) -> str:
         return "\n".join(lines)
     rows = [
         [m.get("journal", "-"), m.get("code_version", "-"),
-         m.get("git_sha") or "-", m.get("python", "-"), _trace_cell(m)]
+         m.get("git_sha") or "-", m.get("python", "-")]
         for m in metas
     ]
     lines.append(_md_table(
-        ["journal", "code version", "git sha", "python", "trace"], rows
+        ["journal", "code version", "git sha", "python"], rows
     ))
     return "\n".join(lines)
 

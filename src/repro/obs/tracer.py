@@ -1,7 +1,7 @@
 """Ring-buffered event tracer with sampling controls.
 
 The tracer is the *event* half of the observability layer (counters live
-in :mod:`repro.obs.registry`, spans in :mod:`repro.obs.trace`).  Design
+in :mod:`repro.obs.registry`, batch attempts in the runner journal).  Design
 constraints, in order:
 
 1. **Off means free.**  Tracing defaults off; every call site guards with

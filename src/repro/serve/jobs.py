@@ -37,7 +37,6 @@ from typing import Optional
 
 from repro.obs.baseline import environment_fingerprint
 from repro.obs.summary import summarize_result
-from repro.obs.trace import TraceContext
 from repro.serve.store import ResultStore, cas_key
 from repro.sim.cache import CODE_VERSION
 from repro.sim.experiments import GB, config_for, experiment_configs, run_suite
@@ -189,9 +188,6 @@ class Job:
     failures: dict = field(default_factory=dict)
     cancelled_workloads: list = field(default_factory=list)
     error: Optional[str] = None
-    #: The job's distributed-trace root (docs/tracing.md); None for
-    #: cache hits, which never execute.
-    trace: Optional[TraceContext] = None
     #: Lifecycle + per-point events, in emission order, each carrying a
     #: monotonically increasing ``seq`` — the long-poll stream's source.
     events: list = field(default_factory=list)
@@ -199,10 +195,6 @@ class Job:
     @property
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
-
-    @property
-    def trace_id(self) -> Optional[str]:
-        return self.trace.trace_id if self.trace is not None else None
 
     def status_payload(self) -> dict:
         payload = {
@@ -214,7 +206,6 @@ class Job:
             "submitted_at": self.submitted_at,
             "started_at": self.started_at,
             "finished_at": self.finished_at,
-            "trace_id": self.trace_id,
             "events": len(self.events),
         }
         if self.failures:
@@ -227,16 +218,15 @@ class Job:
 
 
 def execute_request(request: JobRequest, journal_path, pool_jobs: int,
-                    registry=None, *, trace: Optional[TraceContext] = None,
-                    on_event=None, pin: bool = False) -> tuple:
+                    registry=None, *, on_event=None,
+                    pin: bool = False) -> tuple:
     """Run one request on the worker fabric (blocking).
 
     Returns ``(payload, suite_run)``: the JSON-safe result payload and
     the raw :class:`~repro.sim.experiments.SuiteRun` (whose ``ok`` flag
     decides done vs failed and whether the payload enters the CAS).
-    *trace* roots the batch's distributed trace (docs/tracing.md) and
-    *on_event* receives per-point completion events — both purely
-    observational; *pin* NUMA-pins the pool workers.
+    *on_event* receives per-point completion events (purely
+    observational); *pin* NUMA-pins the pool workers.
     """
     t0 = time.monotonic()  # service latency only — never a sim input
     policy = RunnerPolicy(
@@ -254,7 +244,6 @@ def execute_request(request: JobRequest, journal_path, pool_jobs: int,
         use_cache=request.use_cache,
         runner=policy,
         registry=registry,
-        trace=trace,
         on_event=on_event,
     )
     elapsed = time.monotonic() - t0
@@ -262,10 +251,7 @@ def execute_request(request: JobRequest, journal_path, pool_jobs: int,
         "system": request.system,
         "workloads": list(request.workloads),
         "rdc_gb": request.rdc_gb,
-        "fingerprint": environment_fingerprint(
-            config=run.config,
-            trace_id=trace.trace_id if trace is not None else None,
-        ),
+        "fingerprint": environment_fingerprint(config=run.config),
         "ok": run.ok,
         "elapsed_s": elapsed,
         "results": {
@@ -383,9 +369,6 @@ class JobService:
             return job, DISP_CACHED
 
         job = self._new_job(key, request, dedup=DISP_NEW)
-        # New executions get a trace root; its id threads through the
-        # runner into every worker span and the journal meta record.
-        job.trace = TraceContext.mint()
         try:
             self._queue.put_nowait(job)
         except asyncio.QueueFull:
@@ -397,7 +380,7 @@ class JobService:
             ) from None
         self._active[key] = job
         self._set_queue_gauge()
-        self._emit(job, "job.queued", trace_id=job.trace_id)
+        self._emit(job, "job.queued")
         return job, DISP_NEW
 
     def get(self, job_id: str) -> Optional[Job]:
@@ -445,7 +428,7 @@ class JobService:
             payload, run = await asyncio.to_thread(
                 execute_request, job.request, journal_path,
                 self.pool_jobs, self.registry,
-                trace=job.trace, on_event=forward, pin=self.pool_pin,
+                on_event=forward, pin=self.pool_pin,
             )
         except Exception as exc:  # config/runner blew up, not a point
             job.error = f"{type(exc).__name__}: {exc}"

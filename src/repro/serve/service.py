@@ -159,7 +159,6 @@ class ServeApp:
         return 200, {}, {
             "id": job.id,
             "state": job.state,
-            "trace_id": job.trace_id,
             "next": next_seq,
             "events": events,
         }
@@ -181,7 +180,6 @@ class ServeApp:
         doc = assemble_trace(
             journal,
             title=f"repro serve · {job.id} · {job.request.system}",
-            trace_id=job.trace_id,
             serve_events=job.events,
         )
         return 200, {}, doc

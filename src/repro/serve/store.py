@@ -24,8 +24,9 @@ On disk the store uses the shared durable-artifact primitives of
 
 The store can be **bounded** (``max_bytes``): when the total footprint
 exceeds the bound, whole entries — result envelope plus journal plus
-span spills — are evicted least-recently-*used* first (``load`` touches
-the result file's mtime), at startup and after every write.  Evictions
+its sidecar results — are evicted least-recently-*used* first
+(``load`` touches the result file's mtime), at startup and after every
+write.  Evictions
 count on ``serve.store_evicted``; the CAS re-runs an evicted config on
 its next submission, so eviction costs time, never correctness.
 
@@ -34,8 +35,10 @@ Layout under the store root::
     store/
       results/<key>.json       checksummed result envelopes (the CAS)
       results/<key>.corrupt    quarantined damage (kept for forensics)
-      journals/<key>.jsonl     execution journal per job (report source)
-      journals/<key>-spans/    span spills of the job's trace
+      journals/<key>.jsonl     execution journal per config: every
+                               execution's attempts (report and
+                               timeline source)
+      journals/<key>-results/  the journal's sealed sidecar results
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ import shutil
 from pathlib import Path
 from typing import Optional
 
-from repro.obs.trace import spans_dir_for
 from repro.sim import durable
 
 ENVELOPE_KIND = "repro.serve_result"
@@ -171,11 +173,10 @@ class ResultStore:
 
     def _entry_paths(self, key: str) -> list[Path]:
         """Everything one CAS entry owns on disk."""
-        return [
-            self.result_path(key),
-            self.journal_path(key),
-            spans_dir_for(self.journal_path(key)),
-        ]
+        journal = self.journal_path(key)
+        # The sidecar directory rule of repro.sim.journal.Journal.
+        sidecars = journal.parent / f"{journal.stem}-results"
+        return [self.result_path(key), journal, sidecars]
 
     def _entry_bytes(self, key: str) -> int:
         total = 0

@@ -21,7 +21,9 @@ promise gets attacked instead of assumed:
   SIGKILLing the whole batch mid-flight between ``--resume`` rounds —
   and asserts the end-state invariants: results byte-identical to the
   reference, every key terminal in the journal, no orphan tmp files,
-  and an injection record consistent with the plan.
+  and an injection record consistent with the plan.  Its flight
+  recorder then reads the chaos journal back: each pool slot's last
+  attempts that crashed, timed out or never ended.
 
 Arming a plan is environment-driven so subprocesses inherit it:
 ``REPRO_CHAOS_PLAN`` points at a saved plan JSON and
@@ -157,7 +159,10 @@ class ChaosPlan:
         *extra_events* further events drawn from the remaining kinds,
         optionally scoped to one of *keys*.  ``simcache_corrupt`` events
         are never scoped: their site fires with a workload name, not a
-        task key, so a scoped one would never match.
+        task key, so a scoped one would never match.  A scoped event
+        fires at the key's first matching call (``nth`` 1): a key's
+        task site fires once per attempt, so a later turn would need
+        that many attempts of one key.
         """
         rng = random.Random(int(seed))
         events = [
@@ -171,7 +176,10 @@ class ChaosPlan:
             match = rng.choice(("", *keys)) if keys else ""
             if kind == KIND_SIMCACHE_CORRUPT:
                 match = ""  # drawn anyway: later events keep their draws
-            events.append(FaultEvent(kind, match, rng.randint(1, 4)))
+            nth = rng.randint(1, 4)
+            if match:
+                nth = 1  # drawn anyway, as above
+            events.append(FaultEvent(kind, match, nth))
         return cls(seed=int(seed), events=tuple(events))
 
     def to_payload(self) -> dict:
@@ -468,8 +476,9 @@ class DrillReport:
     #: Files quarantined per artifact ("sidecar", "sim-cache").
     quarantined: dict = field(default_factory=dict)
     scan: dict = field(default_factory=dict)
-    #: Flight-recorder digest: span-spill totals plus, per victim slot,
-    #: the final spans whose end edge never reached the disk.
+    #: Flight-recorder digest: the attempts in the chaos journal plus,
+    #: per victim slot, its last attempts that crashed, timed out or
+    #: never ended (see :func:`_flight_record`).
     flight: dict = field(default_factory=dict)
     #: Invariant violations; empty means the fabric survived the plan.
     problems: list = field(default_factory=list)
@@ -509,18 +518,18 @@ class DrillReport:
         )
         if self.flight:
             lines.append(
-                f"flight recorder: {self.flight.get('spans', 0)} span(s) "
-                f"spilled, {self.flight.get('damaged', 0)} damaged, "
-                f"{len(self.flight.get('victims', ()))} victim slot(s)"
+                f"flight recorder: {self.flight['attempts']} attempt(s) "
+                f"journalled, {len(self.flight['victims'])} victim slot(s)"
             )
-            for victim in self.flight.get("victims", ()):
+            for victim in self.flight["victims"]:
+                slot = victim["slot"]
+                where = f"slot {slot:02d}" if slot >= 0 else "runner"
                 tail = " -> ".join(
-                    f"{s['name']}[{s['key']}]" if s.get("key") else s["name"]
-                    for s in victim.get("spans", ())
-                ) or "<no spans>"
+                    f"{a['key']}#{a['attempt']} {a['status']}"
+                    for a in victim["attempts"]
+                )
                 lines.append(
-                    f"  victim slot {victim.get('slot', -1):02d} "
-                    f"(node {victim.get('node', -1)}): {tail}"
+                    f"  victim {where} (node {victim['node']}): {tail}"
                 )
         if self.ok:
             lines.append(
@@ -532,6 +541,10 @@ class DrillReport:
             for problem in self.problems:
                 lines.append(f"  - {problem}")
         return "\n".join(lines)
+
+
+#: Victim attempts the flight recorder keeps per slot.
+FLIGHT_TAIL = 5
 
 
 def _kill_tree(proc: subprocess.Popen) -> None:
@@ -562,7 +575,6 @@ def run_drill(
     round_timeout_s: float = 300.0,
     kill_window: tuple[float, float] = (0.75, 2.5),
     python: str = sys.executable,
-    trace: bool = True,
 ) -> DrillReport:
     """Run the crash drill; see the module docstring for the shape.
 
@@ -573,10 +585,12 @@ def run_drill(
     disarmed, which must converge.  Each batch runs as a real
     ``python -m repro suite`` subprocess; nothing is mocked.
 
-    With *trace* (the default) the chaos rounds run ``--trace``, and
-    the report carries a **flight recorder**: the span spill survives
-    SIGKILL, so each victim's final spans — the ones whose end edge
-    never reached the disk — name what it was doing when it died.
+    The report carries a **flight recorder** read from the chaos
+    journal: the parent flushes each attempt's ``start`` as it hands
+    the attempt to a slot and outlives a killed worker to record the
+    crash, so each victim's last attempts — crashed, timed out, or
+    never ended because the round was killed — name what it was doing
+    when it died.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
@@ -635,8 +649,6 @@ def run_drill(
             cmd.append("--resume")
         if pin_run:
             cmd.append("--pin")
-        if trace and journal == chaos_journal:
-            cmd.append("--trace")
         return cmd
 
     def run_round(label: str, cmd: list[str], env: dict,
@@ -731,54 +743,42 @@ def run_drill(
 
     _check_invariants(report, plan, state_dir, keys,
                       ref_journal, chaos_journal, chaos_cache)
-    if trace:
-        _flight_record(report, chaos_journal)
+    _flight_record(report, chaos_journal)
     return report
 
 
 def _flight_record(report: DrillReport, chaos_journal: Path) -> None:
-    """Reconstruct each victim's final timeline from the span spill.
+    """Each victim slot's last attempts, read from the chaos journal.
 
-    A SIGKILLed worker leaves ``B`` (begin) span records with no ``E``
-    edge — flushed before the fault site fired, so they survive the
-    kill.  Grouped by slot, the tail of those open spans is what each
-    victim was doing when it died.  Interior damage in the spill (a
-    record that decodes but fails its checksum) is an invariant
-    violation: kills may tear the *tail*, never the middle.
+    An attempt that ended ``crash`` or ``timeout``, or whose ``start``
+    no record of its batch closed (the round was SIGKILLed), is a
+    victim's.  Grouped by slot (-1: the inline runner), the last
+    :data:`FLIGHT_TAIL` of them, newest last, are what each victim was
+    doing when it died.  Damaged journal lines are
+    :func:`_check_invariants`' concern.
     """
     # Lazy, like every repro import here: sim.journal imports this
     # module at start-up, so it stays stdlib-only at module level.
-    from repro.obs.export import open_spans
-    from repro.obs.trace import read_spans_dir, spans_dir_for
+    from repro.obs.export import UNFINISHED, journal_attempts
+    from repro.sim.journal import Journal
 
-    records, damaged = read_spans_dir(spans_dir_for(chaos_journal))
+    attempts = journal_attempts(Journal(chaos_journal).records())
     by_slot: dict[int, list[dict]] = {}
-    for rec in open_spans(records):
-        slot = rec.get("slot", -1)
-        if isinstance(slot, int) and slot >= 0:
-            by_slot.setdefault(slot, []).append(rec)
+    for attempt in attempts:
+        if attempt["status"] in ("crash", "timeout", UNFINISHED):
+            by_slot.setdefault(attempt["slot"], []).append(attempt)
     victims = []
     for slot in sorted(by_slot):
-        last = by_slot[slot][-5:]
+        last = by_slot[slot][-FLIGHT_TAIL:]
         victims.append({
             "slot": slot,
-            "node": last[-1].get("node", -1),
-            "spans": [
-                {"name": r.get("name", ""), "key": r.get("key", ""),
-                 "ts": r.get("ts", 0.0)}
-                for r in last
+            "node": last[-1]["node"],
+            "attempts": [
+                {k: a[k] for k in ("key", "attempt", "status")}
+                for a in last
             ],
         })
-    report.flight = {
-        "spans": len(records),
-        "damaged": damaged,
-        "victims": victims,
-    }
-    if damaged:
-        report.problems.append(
-            f"{damaged} damaged span record(s) in the spill — a crash "
-            "may tear the tail, never the interior"
-        )
+    report.flight = {"attempts": len(attempts), "victims": victims}
 
 
 def _check_invariants(

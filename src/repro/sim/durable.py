@@ -1,7 +1,7 @@
 """Durable on-disk artifacts: one atomic write, one checksum, one quarantine.
 
-The sim cache, the journal and its sidecars, the span spill and the
-serve result store all write through here.  Stdlib only.
+The sim cache, the journal and its sidecars and the serve result
+store all write through here.  Stdlib only.
 
 * :func:`atomic_write` writes a unique ``<stem>.<pid>.<uuid8>.tmp``
   and ``os.replace``\\ s it into place: concurrent writers never share a

@@ -141,7 +141,6 @@ def run_suites(
     use_cache: bool = True,
     runner: Optional[RunnerPolicy] = None,
     registry=None,
-    trace=None,
     on_event=None,
 ) -> dict[str, SuiteRun]:
     """Run several configurations across the workload list as one batch.
@@ -153,9 +152,8 @@ def run_suites(
 
     Without *runner* a failed point raises
     :class:`~repro.sim.runner.BatchFailed`; with one, failed workloads
-    land in :attr:`SuiteRun.failures`.  *registry*, *trace* and
-    *on_event* thread straight through to
-    :func:`repro.sim.runner.run_tasks` (see docs/tracing.md).
+    land in :attr:`SuiteRun.failures`.  *registry* and *on_event*
+    thread straight through to :func:`repro.sim.runner.run_tasks`.
     """
     names = workloads if workloads is not None else suite.all_abbrs()
     for abbr in names:
@@ -167,8 +165,7 @@ def run_suites(
         for abbr in names
         for sid, run in suites.items()
     ]
-    batch = run_tasks(tasks, runner, registry=registry, trace=trace,
-                      on_event=on_event)
+    batch = run_tasks(tasks, runner, registry=registry, on_event=on_event)
     for sid, run in suites.items():
         for abbr in names:
             key = f"{sid}/{abbr}"
@@ -189,18 +186,17 @@ def run_suite(
     use_cache: bool = True,
     runner: Optional[RunnerPolicy] = None,
     registry=None,
-    trace=None,
     on_event=None,
 ) -> SuiteRun:
     """Run one named configuration across the workload list.
 
-    The one-system case of :func:`run_suites` (same policy, failure and
-    tracing semantics); point keys are ``<config_name>/<workload>``.
+    The one-system case of :func:`run_suites` (same policy and failure
+    semantics); point keys are ``<config_name>/<workload>``.
     """
     run = SuiteRun(config_name, config_for(config_name, base, rdc_bytes))
     return run_suites(
         {config_name: run}, workloads, use_cache, runner,
-        registry=registry, trace=trace, on_event=on_event,
+        registry=registry, on_event=on_event,
     )[config_name]
 
 

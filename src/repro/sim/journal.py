@@ -1,21 +1,34 @@
 """Crash-consistent append-only JSONL execution journal (schema v2).
 
 The runner (:mod:`repro.sim.runner`) records one JSON object per line as
-points start, retry, fail, or complete.  A journal makes an interrupted
-sweep resumable: ``--resume`` replays the journal, skips every point
-whose latest terminal event is ``done`` (reloading its pickled result
-from the sidecar results directory), and re-runs everything else.
+points start, retry, fail, complete or are cancelled.  A journal makes
+an interrupted sweep resumable: ``--resume`` replays the journal, skips
+every point whose latest terminal event is ``done`` (reloading its
+pickled result from the sidecar results directory), and re-runs
+everything else.  It is also the only record of a batch's attempts:
+batch timelines and the chaos flight recorder are assembled from it
+(:func:`repro.obs.export.assemble_trace`, ``docs/tracing.md``).
 
 Record schema (all events carry ``event``, ``key``, ``ts`` and — since
 schema v2 — a ``sum`` integrity checksum):
 
-``meta``    {fingerprint, schema} — batch environment (simulator
-            CODE_VERSION, git sha, python); ``key`` is empty
-``start``   {attempt}
-``retry``   {attempt, kind, exception_type, message, backoff_s}
-``failed``  {kind, exception_type, message, traceback, config_hash,
-             attempts, elapsed_s}
-``done``    {attempt, elapsed_s, config_hash, metrics?}
+``meta``      {fingerprint, schema} — opens a batch: its environment
+              (simulator CODE_VERSION, git sha, python); ``key`` is
+              empty
+``start``     {attempt, slot, node} — the pool slot the attempt was
+              dispatched to and that slot's NUMA node (-1 unpinned);
+              both -1 on the inline path, and readers treat a missing
+              field as -1
+``retry``     {attempt, kind, exception_type, message, backoff_s}
+``failed``    {kind, exception_type, message, traceback, config_hash,
+               attempts, elapsed_s}
+``done``      {attempt, elapsed_s, config_hash, metrics?}
+``cancelled`` {attempt} — fail-fast stopped the batch while this
+              attempt was in flight
+
+Within a batch every ``start`` is closed by exactly one ``retry``,
+``failed``, ``done`` or ``cancelled`` record of its key, unless the
+batch was killed first.
 
 The ``meta`` fingerprint is what lets ``python -m repro report`` and the
 baseline/regression tooling (``docs/regression.md``) attribute every

@@ -150,8 +150,9 @@ def plan_nodes(
     """The NUMA node each worker slot lands on (-1 when unpinned).
 
     Mirrors the round-robin placement of :func:`plan_affinity` — worker
-    *i* on node ``i % n_nodes`` — so trace tracks and drill reports can
-    label slots with the node they actually ran on.
+    *i* on node ``i % n_nodes`` — so journal ``start`` records, and the
+    timelines and drill reports built from them, can label slots with
+    the node they actually ran on.
     """
     if jobs <= 0:
         raise ValueError("jobs must be positive")
@@ -176,9 +177,8 @@ def _apply_affinity(cpus: Optional[Sequence[int]]) -> None:
 # Wire protocol
 # ---------------------------------------------------------------------------
 
-#: Wire-protocol tags (parent -> worker): ``(MSG_RUN, key, fn, args,
-#: span)`` with ``span`` a trace-context wire dict or None, or
-#: ``(MSG_STOP,)``.
+#: Wire-protocol tags (parent -> worker): ``(MSG_RUN, key, fn, args)``
+#: or ``(MSG_STOP,)``.
 MSG_RUN = "run"
 MSG_STOP = "stop"
 #: Wire-protocol tags (worker -> parent): ``(OK, payload)`` with the
@@ -191,20 +191,9 @@ ERR = "error"
 # Worker process
 # ---------------------------------------------------------------------------
 
-def _worker_main(
-    conn, affinity: Optional[tuple[int, ...]],
-    trace_spec: Optional[dict] = None,
-) -> None:
-    """Long-lived worker loop: pin, then serve tasks until ``stop``/EOF.
-
-    With *trace_spec* (``{"dir", "slot", "node"}``) each dispatched task
-    that carries a trace context gets a ``task`` span in this worker's
-    crash-safe spill file — the begin edge is flushed *before* the task
-    (and before the chaos fault site), so a SIGKILL mid-kernel still
-    leaves the victim's span on disk for the flight recorder.
-    """
+def _worker_main(conn, affinity: Optional[tuple[int, ...]]) -> None:
+    """Long-lived worker loop: pin, then serve tasks until ``stop``/EOF."""
     _apply_affinity(affinity)
-    spill = None
     while True:
         try:
             message = conn.recv()
@@ -212,21 +201,7 @@ def _worker_main(
             break  # parent gone
         if message[0] != MSG_RUN:
             break
-        _, key, fn, args, wire = message
-        ctx = None
-        if wire is not None and trace_spec is not None:
-            # Imported lazily: untraced pools never touch the obs layer.
-            from repro.obs.trace import SpanSpill, TraceContext, \
-                worker_spill_name
-
-            if spill is None:
-                spill = SpanSpill(
-                    Path(trace_spec["dir"])
-                    / worker_spill_name(trace_spec["slot"]),
-                    slot=trace_spec["slot"], node=trace_spec["node"],
-                )
-            ctx = TraceContext.from_wire(wire).child("task")
-            spill.span_begin(ctx, "task", key=key)
+        _, key, fn, args = message
         try:
             _chaos_fire(_SITE_TASK, key)
             result = fn(*args)
@@ -235,15 +210,10 @@ def _worker_main(
             reply = (
                 ERR, type(exc).__name__, str(exc), traceback.format_exc()
             )
-        if ctx is not None:
-            status = "error" if reply[0] == ERR else "ok"
-            spill.span_end(ctx, "task", key=key, status=status)
         try:
             conn.send(reply)
         except Exception:
             break  # parent gone or pipe broken; exit code tells the story
-    if spill is not None:
-        spill.close()
     conn.close()
 
 
@@ -276,8 +246,9 @@ class PoolWorker:
 
     index: int
     affinity: Optional[tuple[int, ...]]
-    #: NUMA node this slot was planned onto (-1 when unpinned) — used
-    #: to label the slot's track in assembled traces.
+    #: NUMA node this slot was planned onto (-1 when unpinned) — the
+    #: runner writes it into each ``start`` journal record, which
+    #: labels the slot's row in assembled timelines.
     node: int = -1
     process: Any = None
     conn: Any = None
@@ -315,13 +286,10 @@ class WorkerPool:
         pin: bool = False,
         ctx=None,
         nodes: Optional[Sequence[Sequence[int]]] = None,
-        trace_dir=None,
     ) -> None:
         if jobs <= 0:
             raise ValueError("pool size must be positive")
         self._ctx = ctx if ctx is not None else _mp_context()
-        #: Spans directory passed to every worker (None = tracing off).
-        self._trace_dir = str(trace_dir) if trace_dir is not None else None
         node_plan = plan_nodes(jobs, pin, nodes)
         self.workers = [
             PoolWorker(index=i, affinity=plan, node=node_plan[i])
@@ -337,13 +305,9 @@ class WorkerPool:
 
     def _spawn(self, worker: PoolWorker) -> None:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        trace_spec = None
-        if self._trace_dir is not None:
-            trace_spec = {"dir": self._trace_dir, "slot": worker.index,
-                          "node": worker.node}
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, worker.affinity, trace_spec),
+            args=(child_conn, worker.affinity),
             daemon=True,
         )
         process.start()
@@ -355,17 +319,11 @@ class WorkerPool:
     # -- dispatch -------------------------------------------------------
 
     def dispatch(self, worker: PoolWorker, key: str,
-                 fn: Callable[..., Any], args: tuple,
-                 span: Optional[dict] = None) -> bool:
+                 fn: Callable[..., Any], args: tuple) -> bool:
         """Send one task to *worker*; False when the pipe is broken
-        (caller respawns and retries on another/fresh worker).
-
-        *span* is an optional trace-context wire dict
-        (:meth:`repro.obs.trace.TraceContext.to_wire`); when present the
-        worker opens a ``task`` span under it in its spill file.
-        """
+        (caller respawns and retries on another/fresh worker)."""
         try:
-            worker.conn.send((MSG_RUN, key, fn, args, span))
+            worker.conn.send((MSG_RUN, key, fn, args))
         except (OSError, ValueError):
             return False
         worker.tasks_started += 1

@@ -51,12 +51,6 @@ from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.obs.metrics import spec_for
 from repro.obs.summary import summarize_result
-from repro.obs.trace import (
-    RUNNER_SPILL,
-    SpanSpill,
-    TraceContext,
-    spans_dir_for,
-)
 from repro.sim import chaos
 from repro.sim.journal import Journal
 from repro.sim.pool import ERR, WorkerPool
@@ -291,7 +285,6 @@ def run_tasks(
     tasks: Sequence[Task],
     policy: Optional[RunnerPolicy] = None,
     registry=None,
-    trace: Optional[TraceContext] = None,
     on_event: Optional[Callable[[dict], None]] = None,
 ) -> BatchResult:
     """Execute *tasks* in submission order under *policy*.
@@ -305,16 +298,12 @@ def run_tasks(
     counters plus the pool gauges.  It is observational only — task
     scheduling, retries, and results are unaffected.
 
-    *trace* (a :class:`repro.obs.TraceContext`) attaches distributed
-    tracing (docs/tracing.md): every attempt gets a span in the
-    journal-adjacent spans directory, the context is propagated over
-    the pool wire protocol so workers spill their own ``task`` spans,
-    and the journal ``meta`` record carries the trace id.  Requires a
-    journal (the spans directory lives next to it); silently off
-    otherwise.  *on_event* receives one dict per point completion
-    (``point.done`` / ``point.failed``) — the serve event stream's
-    feed.  Both are observational: results stay byte-identical with
-    tracing on or off.
+    *on_event* receives one dict per point completion (``point.done``
+    / ``point.failed``) — the serve event stream's feed; it is
+    observational too.  The journal records every attempt once
+    (``start`` with its pool slot and NUMA node, then ``done``,
+    ``retry``, ``failed`` or ``cancelled``), and the batch timeline is
+    assembled from it (docs/tracing.md).
     """
     fail_fast = policy is None
     if fail_fast:
@@ -336,12 +325,6 @@ def run_tasks(
         )
         if policy.journal_path else None
     )
-    spans_dir = None
-    spill = None
-    if trace is not None and journal is not None:
-        spans_dir = spans_dir_for(journal.path)
-        spill = SpanSpill(spans_dir / RUNNER_SPILL)
-        spill_base = _spill_totals(spans_dir)
     if journal is not None:
         # Tmp sidecars orphaned by a SIGKILL mid-store (unique names,
         # so they can pile up across crashed batches) are swept here,
@@ -353,9 +336,7 @@ def run_tasks(
         # validate the provenance of every journalled digest.
         from repro.obs.baseline import environment_fingerprint
 
-        journal.append("meta", "", fingerprint=environment_fingerprint(
-            trace_id=trace.trace_id if trace is not None else None,
-        ))
+        journal.append("meta", "", fingerprint=environment_fingerprint())
     batch = BatchResult()
     todo: list[Task] = []
     if policy.resume and journal is not None:
@@ -371,17 +352,10 @@ def run_tasks(
     else:
         todo = list(tasks)
 
-    try:
-        if policy.isolated:
-            _run_isolated(todo, policy, journal, batch, telem,
-                          trace=trace, spill=spill, spans_dir=spans_dir)
-        else:
-            _run_inline(todo, policy, journal, batch, telem,
-                        trace=trace, spill=spill)
-    finally:
-        if spill is not None:
-            spill.close()
-            _account_spill(registry, spans_dir, spill_base, spill.dropped)
+    if policy.isolated:
+        _run_isolated(todo, policy, journal, batch, telem)
+    else:
+        _run_inline(todo, policy, journal, batch, telem)
     # Pooled attempts land in completion order, which varies run to run;
     # re-key into submission order so a batch's outcome is byte-identical
     # regardless of jobs/pin/scheduling.
@@ -398,42 +372,6 @@ def run_tasks(
     if fail_fast and batch.failures:
         raise BatchFailed(next(iter(batch.failures.values())))
     return batch
-
-
-def _spill_totals(spans_dir: Path) -> dict[str, tuple[int, int]]:
-    """Per-file ``(records, bytes)`` snapshot of a spans directory.
-
-    Taken before and after a traced batch so the ``trace.spans`` /
-    ``trace.spill_bytes`` counters reflect this batch only, even when
-    the journal (and its spans directory) is reused across batches.
-    """
-    totals: dict[str, tuple[int, int]] = {}
-    if not spans_dir.is_dir():
-        return totals
-    for path in sorted(spans_dir.glob("*.jsonl")):
-        try:
-            data = path.read_bytes()
-        except OSError:
-            continue
-        totals[path.name] = (data.count(b"\n"), len(data))
-    return totals
-
-
-def _account_spill(registry, spans_dir, base: dict, dropped: int) -> None:
-    """Credit this batch's span records/bytes to the trace counters."""
-    if registry is None or spans_dir is None:
-        return
-    spans = bytes_written = 0
-    for name, (records, size) in _spill_totals(spans_dir).items():
-        prev_records, prev_size = base.get(name, (0, 0))
-        spans += max(0, records - prev_records)
-        bytes_written += max(0, size - prev_size)
-    if spans:
-        registry.register(spec_for("trace.spans")).inc(spans)
-    if bytes_written:
-        registry.register(spec_for("trace.spill_bytes")).inc(bytes_written)
-    if dropped:
-        registry.register(spec_for("trace.dropped_spans")).inc(dropped)
 
 
 def _record_success(
@@ -485,8 +423,6 @@ def _run_inline(
     journal: Optional[Journal],
     batch: BatchResult,
     telem: _Telemetry,
-    trace: Optional[TraceContext] = None,
-    spill: Optional[SpanSpill] = None,
 ) -> None:
     """In-process execution in submission order (the default path)."""
     for i, task in enumerate(todo):
@@ -494,12 +430,9 @@ def _run_inline(
         started = time.perf_counter()
         while True:
             if journal is not None:
-                journal.append("start", task.key, attempt=attempt)
-            ctx = None
-            if trace is not None and spill is not None:
-                ctx = trace.child(f"attempt:{task.key}#{attempt}")
-                spill.span_begin(ctx, "attempt", key=task.key,
-                                 attempt=attempt, slot=-1)
+                # The inline path has no pool slot: -1 for both.
+                journal.append("start", task.key, attempt=attempt,
+                               slot=-1, node=-1)
             telem.attempt()
             try:
                 chaos.fire(chaos.SITE_TASK, task.key)
@@ -514,9 +447,6 @@ def _run_inline(
                             exception_type=type(exc).__name__,
                             message=str(exc), backoff_s=delay,
                         )
-                    if ctx is not None:
-                        spill.span_end(ctx, "attempt", key=task.key,
-                                       attempt=attempt, status="retry")
                     telem.retry()
                     if delay > 0:
                         time.sleep(delay)
@@ -529,9 +459,6 @@ def _run_inline(
                     config_hash=task.config_hash, attempts=attempt,
                     elapsed_s=time.perf_counter() - started,
                 )
-                if ctx is not None:
-                    spill.span_end(ctx, "attempt", key=task.key,
-                                   attempt=attempt, status="error")
                 _record_failure(batch, journal, task, report, telem)
                 telem.failure(KIND_EXCEPTION)
                 if not policy.keep_going:
@@ -539,9 +466,6 @@ def _run_inline(
                     return
                 break
             else:
-                if ctx is not None:
-                    spill.span_end(ctx, "attempt", key=task.key,
-                                   attempt=attempt, status="ok")
                 _record_success(
                     batch, journal, task, result, attempt,
                     time.perf_counter() - started, telem,
@@ -563,8 +487,6 @@ class _Running:
     started: float
     deadline: Optional[float]
     first_started: float
-    #: This attempt's trace context (None when tracing is off).
-    ctx: Optional[TraceContext] = None
 
 
 def _run_isolated(
@@ -573,25 +495,16 @@ def _run_isolated(
     journal: Optional[Journal],
     batch: BatchResult,
     telem: _Telemetry,
-    trace: Optional[TraceContext] = None,
-    spill: Optional[SpanSpill] = None,
-    spans_dir: Optional[Path] = None,
 ) -> None:
     """Crash-isolated execution on the persistent worker pool."""
     if not todo:
         return
-    pool = WorkerPool(min(policy.jobs, len(todo)), pin=policy.pin,
-                      trace_dir=spans_dir)
+    pool = WorkerPool(min(policy.jobs, len(todo)), pin=policy.pin)
     #: (task, attempt, eligible_at, first_started) awaiting a worker slot.
     pending: deque = deque((t, 1, 0.0, None) for t in todo)
     #: worker index -> the attempt it is currently executing.
     inflight: dict[int, _Running] = {}
     stop = False
-
-    def end_span(entry: _Running, status: str) -> None:
-        if spill is not None and entry.ctx is not None:
-            spill.span_end(entry.ctx, "attempt", key=entry.task.key,
-                           attempt=entry.attempt, status=status)
 
     def finish_failure(entry: _Running, kind: str, exc_type: str,
                        message: str, tb: str) -> None:
@@ -627,8 +540,12 @@ def _run_isolated(
             if stop:
                 # Fail-fast: cancel in-flight and queued work alike; the
                 # finally-block force-shutdown kills the busy workers.
+                # Each in-flight attempt's start is closed in the
+                # journal, so the timeline does not show it unfinished.
                 for e in inflight.values():
-                    end_span(e, "cancelled")
+                    if journal is not None:
+                        journal.append("cancelled", e.task.key,
+                                       attempt=e.attempt)
                 batch.cancelled.extend(
                     e.task.key for e in inflight.values()
                 )
@@ -655,20 +572,12 @@ def _run_isolated(
                 if picked is None:
                     break  # everything queued is still backing off
                 task, attempt, _eligible, first = picked
-                ctx = None
-                span_wire = None
-                if trace is not None and spill is not None:
-                    ctx = trace.child(f"attempt:{task.key}#{attempt}")
-                    span_wire = ctx.to_wire()
-                if not pool.dispatch(worker, task.key, task.fn, task.args,
-                                     span=span_wire):
+                if not pool.dispatch(worker, task.key, task.fn, task.args):
                     # The slot died between batches; one respawn, then
                     # requeue rather than risk a hot loop.
                     pool.respawn(worker)
-                    if not pool.dispatch(
-                        worker, task.key, task.fn, task.args,
-                        span=span_wire,
-                    ):
+                    if not pool.dispatch(worker, task.key, task.fn,
+                                         task.args):
                         pending.append((task, attempt, _eligible, first))
                         continue
                 started = time.monotonic()
@@ -677,14 +586,10 @@ def _run_isolated(
                     deadline=(started + policy.timeout_s
                               if policy.timeout_s is not None else None),
                     first_started=first if first is not None else started,
-                    ctx=ctx,
                 )
                 if journal is not None:
-                    journal.append("start", task.key, attempt=attempt)
-                if ctx is not None:
-                    spill.span_begin(ctx, "attempt", key=task.key,
-                                     attempt=attempt, slot=worker.index,
-                                     node=worker.node)
+                    journal.append("start", task.key, attempt=attempt,
+                                   slot=worker.index, node=worker.node)
                 telem.attempt()
                 telem.pool_task(worker.index)
             telem.pool_state(pool.alive_count(), len(pending))
@@ -707,7 +612,6 @@ def _run_isolated(
                     message = data
                     if message[0] == ERR:
                         _, exc_type, msg, tb = message
-                        end_span(entry, "error")
                         finish_failure(
                             entry, KIND_EXCEPTION, exc_type, msg, tb
                         )
@@ -715,14 +619,12 @@ def _run_isolated(
                     try:
                         result = pickle.loads(message[1])
                     except Exception as exc:
-                        end_span(entry, "error")
                         finish_failure(
                             entry, KIND_EXCEPTION, type(exc).__name__,
                             f"result transport failed: {exc}",
                             traceback.format_exc(),
                         )
                     else:
-                        end_span(entry, "ok")
                         _record_success(
                             batch, journal, entry.task, result,
                             entry.attempt,
@@ -731,7 +633,6 @@ def _run_isolated(
                         )
                 else:  # died: segfault, OOM kill, os._exit — crash case
                     if entry is not None:
-                        end_span(entry, "crash")
                         code = data
                         detail = (
                             f"killed by signal {-code}" if code is not None
@@ -784,7 +685,6 @@ def _run_isolated(
                     if entry.deadline is None or now < entry.deadline:
                         continue
                     del inflight[index]
-                    end_span(entry, "timeout")
                     finish_failure(
                         entry, KIND_TIMEOUT, "WorkerTimeout",
                         f"worker exceeded {policy.timeout_s:g}s "

@@ -99,6 +99,23 @@ class TestPlan:
         ]
         assert events and all(e.match == "" for e in events)
 
+    def test_key_scoped_events_fire_at_the_first_match(self):
+        # A key's task site fires once per attempt, so a scoped event
+        # with nth > 1 would need that many attempts of one key.
+        keys = [f"numa-gpu/{w}" for w in DRILL_WORKLOADS]
+        scoped = [
+            e for seed in range(200)
+            for e in ChaosPlan.generate(seed, keys=keys).events
+            if e.match
+        ]
+        assert scoped and all(e.nth == 1 for e in scoped)
+        # nth is still drawn, so every seed keeps its kinds and order.
+        kinds = [e.kind for e in ChaosPlan.generate(1302, keys=keys).events]
+        assert kinds == [
+            "worker_kill", "journal_torn_tail", "sidecar_corrupt",
+            "simcache_corrupt", "worker_exception", "worker_exception",
+        ]
+
     def test_every_kind_has_a_site(self):
         # One kind per recovery mechanism the byte-identity drill needs.
         assert KIND_TO_SITE == {

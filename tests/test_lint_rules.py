@@ -7,8 +7,10 @@ coverage.  Fixtures are plain source strings handed to
 so no files need to exist on disk.
 """
 
+from pathlib import Path
 from types import SimpleNamespace
 
+import repro
 from repro.lint.findings import apply_suppressions, parse_suppressions
 from repro.lint.resolver import MetricNameResolver
 from repro.lint.rules import (
@@ -60,6 +62,14 @@ class TestWallClock:
     def test_silent_on_allowlisted_runner(self):
         src = "import time\nT0 = time.monotonic()\n"
         assert new_findings(WallClockRule(), "sim/runner.py", src) == []
+
+    def test_allowlist_names_only_existing_files(self):
+        # A stale entry would silently exempt whatever file later
+        # reuses the name.
+        package = Path(repro.__file__).parent
+        missing = [rel for rel in WallClockRule.ALLOWLIST
+                   if not (package / rel).is_file()]
+        assert missing == []
 
     def test_silent_on_non_clock_time_use(self):
         src = "import time\ntime.sleep(0)\n"

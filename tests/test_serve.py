@@ -35,7 +35,7 @@ def _fake_execute(started=None, release=None, ok=True):
     """A stand-in for execute_request, optionally gated on events."""
 
     def fake(request, journal_path, pool_jobs, registry=None,
-             trace=None, on_event=None, pin=False):
+             on_event=None, pin=False):
         if started is not None:
             started.set()
         if release is not None:
@@ -411,20 +411,20 @@ class TestStoreGC:
         assert registry.get("serve.store_evicted").total() == 1
 
     def test_eviction_removes_the_whole_entry(self, tmp_path):
-        from repro.obs.trace import spans_dir_for
+        from repro.sim.journal import Journal
 
         key = "a" * 32
         store = self._filled(tmp_path, [key])
-        journal = store.journal_path(key)
-        journal.write_text('{"event": "meta"}\n')
-        spans = spans_dir_for(journal)
-        spans.mkdir()
-        (spans / "worker-00.jsonl").write_text("{}\n")
+        journal = Journal(store.journal_path(key))
+        journal.append("meta", "", fingerprint={})
+        journal.store_result("numa-gpu/Lulesh", {"time_s": 1.0})
+        assert journal.results_dir.is_dir()
         store.max_bytes = 1  # smaller than anything
         protected = "b" * 32
         store.save(protected, {"n": 1})
         assert store.keys() == [protected]
-        assert not journal.exists() and not spans.exists()
+        assert not journal.path.exists()
+        assert not journal.results_dir.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +446,6 @@ class TestEventStreamAndTrace:
             kinds = [e["kind"] for e in first["events"]]
             assert kinds == ["job.queued", "job.running"]
             assert first["next"] == first["events"][-1]["seq"]
-            assert first["trace_id"]  # minted at submission
-            assert first["events"][0]["trace_id"] == first["trace_id"]
             release.set()
             # the long poll parks until the terminal event arrives
             more = c.events(job["id"], since=first["next"], wait=10)
@@ -600,26 +598,25 @@ class TestIntegration:
     def test_trace_endpoint_round_trip(self, tmp_path):
         from repro.obs.export import PID_WORKER_BASE
 
-        # pool_jobs=2: the isolated pool path, so worker task spans
-        # (not just runner attempt spans) appear in the timeline
+        # pool_jobs=2: the isolated pool path, so the attempt lands on
+        # a worker row rather than the runner row
         with ThreadedServer(tmp_path, pool_jobs=2) as srv:
             c = ServeClient(port=srv.port)
             r = c.submit("numa-gpu", workloads=[WORKLOAD],
                          use_cache=False)
             final = c.wait(r["id"], timeout=300)
             assert final["state"] == "done"
-            assert final["trace_id"] and final["events"] >= 3
+            assert final["events"] >= 3
             doc = c.trace(r["id"])
             assert doc.status == 200
             body = doc.body
-            assert body["otherData"]["trace_id"] == final["trace_id"]
-            assert body["otherData"]["unfinished_spans"] == 0
-            slices = [e for e in body["traceEvents"] if e["ph"] == "X"]
-            assert slices and all(
-                e["args"]["trace_id"] == final["trace_id"] for e in slices
-            )
-            # the worker's task span landed on a labeled worker row
-            assert any(e["pid"] >= PID_WORKER_BASE for e in slices)
+            assert body["otherData"]["attempts"] == 1
+            assert body["otherData"]["unfinished"] == 0
+            (attempt,) = [e for e in body["traceEvents"] if e["ph"] == "X"]
+            assert attempt["args"]["key"] == f"numa-gpu/{WORKLOAD}"
+            assert attempt["args"]["status"] == "ok"
+            # the attempt landed on its labeled worker row
+            assert attempt["pid"] >= PID_WORKER_BASE
             # the serve lifecycle rides along as its own row
             serve_row = [e for e in body["traceEvents"]
                          if e.get("cat") == "serve"]
