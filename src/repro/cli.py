@@ -110,45 +110,48 @@ def _positive(kind=int, *, zero_ok: bool = False):
     return parse
 
 
-def _rdc_bytes(rdc_gb: Optional[float]) -> int:
-    """``--rdc-gb`` in bytes.  Only an absent flag means the 2 GB
-    default: ``--rdc-gb 0`` reaches validation and is refused."""
-    return 2 * 2**30 if rdc_gb is None else int(rdc_gb * 2**30)
+def _gb_bytes(text: str) -> int:
+    """argparse ``type=`` for ``--rdc-gb``: a size in GB, returned in
+    bytes.  Only the number is checked here; a zero or negative size
+    reaches config validation and is refused there (exit 2)."""
+    try:
+        return int(float(text) * 2**30)
+    except (ValueError, OverflowError):
+        raise argparse.ArgumentTypeError(
+            f"invalid size in GB: {text!r}") from None
 
 
-def _resolve_config(name: str, rdc_gb: Optional[float]):
-    return E.config_for(name, rdc_bytes=_rdc_bytes(rdc_gb))
+def _write_metrics(path: str, source, **extra) -> None:
+    """The one ``--metrics-out`` writer: *source* (an Observability or
+    a bare registry) plus *extra* top-level fields."""
+    write_metrics_json(path, source, extra=extra)
+    print(f"metrics written to {path}")
 
 
 def _cmd_run(args) -> int:
-    cfg = _resolve_config(args.system, args.rdc_gb)
+    cfg = E.config_for(args.system, rdc_bytes=args.rdc_bytes)
     obs = Observability() if args.metrics_out else None
     result = run_workload(args.workload, cfg, label=args.system,
                           use_cache=not args.no_cache, obs=obs)
     print(render(analyze(result, cfg)))
     if obs is not None:
-        write_metrics_json(
-            args.metrics_out, obs,
-            extra={"workload": args.workload, "system": args.system},
-        )
-        print(f"\nmetrics written to {args.metrics_out}")
+        _write_metrics(args.metrics_out, obs,
+                       workload=args.workload, system=args.system)
     return 0
 
 
 def _cmd_trace(args) -> int:
     """Two modes: assemble a batch timeline from a runner journal
-    (--job/--journal, docs/tracing.md), or run one workload under full
+    (--journal, docs/tracing.md), or run one workload under full
     observation and export its kernel trace."""
-    if args.job or args.batch_journal:
-        return _cmd_trace_assemble(args)
+    if args.batch_journal:
+        return _assemble_journal(Path(args.batch_journal), args.out)
     if not args.workload:
-        print("repro trace: a workload (or --job/--journal) is required",
+        print("repro trace: a workload (or --journal) is required",
               file=sys.stderr)
         return 2
-    cfg = _resolve_config(args.system, args.rdc_gb)
-    obs = Observability(
-        trace=True, ring=args.ring, sample_every=args.sample
-    )
+    cfg = E.config_for(args.system, rdc_bytes=args.rdc_bytes)
+    obs = Observability(trace=True)
     # Tracing requires an actual execution: a disk-cached result would
     # produce an empty trace, so the cache is always bypassed here.
     result = run_workload(args.workload, cfg, label=args.system,
@@ -160,39 +163,19 @@ def _cmd_trace(args) -> int:
           + (f", {dropped} dropped (ring full)" if dropped else ""))
     print(f"Chrome trace written to {out} — open at https://ui.perfetto.dev")
     if args.metrics_out:
-        write_metrics_json(
-            args.metrics_out, obs,
-            extra={"workload": args.workload, "system": args.system},
-        )
-        print(f"metrics written to {args.metrics_out}")
+        _write_metrics(args.metrics_out, obs,
+                       workload=args.workload, system=args.system)
     return 0
 
 
-def _cmd_trace_assemble(args) -> int:
+def _assemble_journal(journal: Path, out: Optional[str]) -> int:
     """Assemble every batch of a runner journal into one Perfetto
     timeline."""
-    if args.batch_journal:
-        journal = Path(args.batch_journal)
-    else:
-        # A job id is job-NNNN-<key prefix>; its journal lives in the
-        # serve store under the full CAS key.
-        prefix = args.job.rsplit("-", 1)[-1] if args.job.startswith("job-") \
-            else args.job
-        matches = sorted(
-            Path(args.store).glob(f"journals/{prefix}*.jsonl")
-        )
-        if len(matches) != 1:
-            found = ", ".join(p.stem for p in matches) or "none"
-            print(f"repro trace: {len(matches)} journal(s) match job "
-                  f"{args.job!r} under {args.store} (found: {found})",
-                  file=sys.stderr)
-            return 1
-        journal = matches[0]
     if not journal.exists():
         print(f"repro trace: no journal at {journal}", file=sys.stderr)
         return 1
-    doc = assemble_trace(journal, title=args.job or journal.stem)
-    out = args.out or f"{journal.stem}.trace.json"
+    doc = assemble_trace(journal, title=journal.stem)
+    out = out or f"{journal.stem}.trace.json"
     write_trace(out, doc)
     meta = doc["otherData"]
     print(f"{meta['attempts']} attempt(s) in {meta['batches']} batch(es) "
@@ -204,7 +187,7 @@ def _cmd_trace_assemble(args) -> int:
 
 def _cmd_compare(args) -> int:
     runs = E.run_suites(
-        {name: E.SuiteRun(name, _resolve_config(name, args.rdc_gb))
+        {name: E.SuiteRun(name, E.config_for(name, rdc_bytes=args.rdc_bytes))
          for name in _HEADLINE},
         workloads=[args.workload], use_cache=not args.no_cache,
     )
@@ -243,7 +226,7 @@ def _cmd_suite(args) -> int:
     run = E.run_suite(
         args.system,
         workloads=args.workloads,
-        rdc_bytes=_rdc_bytes(args.rdc_gb),
+        rdc_bytes=args.rdc_bytes,
         use_cache=not args.no_cache,
         runner=policy,
         registry=registry,
@@ -264,17 +247,11 @@ def _cmd_suite(args) -> int:
     if registry is not None:
         from repro.obs.summary import summarize_result
 
-        write_metrics_json(
-            args.metrics_out, registry,
-            extra={
-                "system": args.system,
-                "workloads": {
-                    abbr: summarize_result(r)
-                    for abbr, r in run.results.items()
-                },
-            },
+        _write_metrics(
+            args.metrics_out, registry, system=args.system,
+            workloads={abbr: summarize_result(r)
+                       for abbr, r in run.results.items()},
         )
-        print(f"metrics written to {args.metrics_out}")
     if not run.ok:
         print(f"\n{len(run.failures)} failed, {len(run.cancelled)} "
               f"cancelled point(s):", file=sys.stderr)
@@ -343,11 +320,7 @@ def _cmd_sharing(args) -> int:
 
 def _cmd_baseline(args) -> int:
     """Record, compare, or list the committed baseline store."""
-    from repro.obs.baseline import (
-        BaselineStore,
-        collect_run_record,
-        store_points,
-    )
+    from repro.obs.baseline import BaselineStore, collect_run_record
     from repro.obs.regress import compare_records, summarize_reports
 
     store = BaselineStore(args.dir)
@@ -375,11 +348,12 @@ def _cmd_baseline(args) -> int:
         ))
         return 0
 
-    points = store_points(store, args.systems, args.workloads)
+    # Systems-major, so the output stays grouped by system.
+    points = [(s, w) for s in args.systems for w in args.workloads]
 
     if args.action == "record":
         for system, workload in points:
-            cfg = _resolve_config(system, args.rdc_gb)
+            cfg = E.config_for(system, rdc_bytes=args.rdc_bytes)
             record = collect_run_record(
                 workload, system, cfg, engine=args.engine
             )
@@ -398,7 +372,7 @@ def _cmd_baseline(args) -> int:
         if baseline is None:
             missing.append(f"{system}/{workload}")
             continue
-        cfg = _resolve_config(system, args.rdc_gb)
+        cfg = E.config_for(system, rdc_bytes=args.rdc_bytes)
         current = collect_run_record(
             workload, system, cfg, engine=args.engine
         )
@@ -444,39 +418,15 @@ def _cmd_report(args) -> int:
 
 def _cmd_lint(args) -> int:
     """Run the determinism/invariant linter (docs/lint.md)."""
-    from repro.lint import (
-        LintConfigError,
-        discover_repo_root,
-        run_lint,
-        save_baseline,
-    )
+    from repro.lint import LintConfigError, run_lint
 
-    root = Path(args.root) if args.root is not None \
-        else discover_repo_root(Path(args.path))
-    baseline = args.baseline
-    if baseline is None and not args.update_baseline:
-        default = root / "lint-baseline.json"
-        if default.exists():
-            baseline = str(default)
     try:
-        result = run_lint(
-            args.path,
-            select=args.select,
-            ignore=args.ignore,
-            baseline_path=baseline,
-            repo_root=root,
-            ver_base=args.ver_base,
-        )
+        result = run_lint(args.path, select=args.select,
+                          repo_root=args.root, ver_base=args.ver_base)
     except LintConfigError as exc:
         print(f"error: invalid lint configuration: {exc}",
               file=sys.stderr)
         return 2
-    if args.update_baseline:
-        target = args.baseline or str(root / "lint-baseline.json")
-        n = save_baseline(target, result.findings)
-        print(f"baseline written to {target} "
-              f"({n} grandfathered finding key(s))")
-        return 0
     print(result.render(args.format))
     return result.exit_code
 
@@ -509,10 +459,10 @@ def _cmd_cache(args) -> int:
         n = simcache.clear()
         print(f"removed {n} cached run(s)")
     else:
-        d = simcache.cache_dir()
-        entries = list(d.glob("*.pkl")) if d.exists() else []
+        entries = simcache.entries()
         total = sum(p.stat().st_size for p in entries)
-        print(f"{len(entries)} cached run(s), {total / 2**20:.1f} MiB in {d}")
+        print(f"{len(entries)} cached run(s), {total / 2**20:.1f} MiB "
+              f"in {simcache.cache_dir()}")
     return 0
 
 
@@ -522,6 +472,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="CARVE multi-GPU NUMA simulator (MICRO 2018 reproduction)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    configs = sorted(E.experiment_configs())
+    abbrs = suite.all_abbrs()
+
+    # The options several subcommands share, each defined once.  A
+    # subcommand picks its own default with set_defaults.
+    shared = {
+        "--system": dict(choices=configs,
+                         help="experiment configuration "
+                              "(default: %(default)s)"),
+        "--rdc-gb": dict(dest="rdc_bytes", type=_gb_bytes, default="2",
+                         metavar="GB",
+                         help="RDC size per GPU in GB (CARVE systems; "
+                              "default: 2)"),
+        "--workloads": dict(nargs="+", choices=abbrs,
+                            help="workload subset (default: all for "
+                                 "suite, Lulesh Euler CoMD MCB for "
+                                 "chaos, Lulesh Euler for baseline)"),
+        "--no-cache": dict(action="store_true",
+                           help="bypass the simulation result cache"),
+        "--metrics-out": dict(metavar="PATH",
+                              help="write the metric registry "
+                                   "(docs/metrics.md) as JSON"),
+        "--jobs": dict(type=_positive(), metavar="N",
+                       help="pool worker processes; 1 runs in-process "
+                            "(default: %(default)s)"),
+        "--pin": dict(action="store_true",
+                      help="pin pool workers round-robin across NUMA "
+                           "nodes (no-op where unsupported)"),
+    }
+
+    def options(*flags: str) -> argparse.ArgumentParser:
+        # A fresh parent per subcommand: argparse gives every child the
+        # parent's own action objects, so one child's set_defaults
+        # would otherwise change its siblings' defaults too.
+        parent = argparse.ArgumentParser(add_help=False)
+        for flag in flags:
+            parent.add_argument(flag, **shared[flag])
+        return parent
 
     sub.add_parser("list", help="list the workload suite").set_defaults(
         fn=_cmd_list
@@ -530,89 +518,53 @@ def build_parser() -> argparse.ArgumentParser:
         fn=_cmd_configs
     )
 
-    run_p = sub.add_parser("run", help="simulate one workload")
-    run_p.add_argument("workload", choices=suite.all_abbrs())
-    run_p.add_argument("--system", default=E.CARVE_HWC,
-                       choices=sorted(E.experiment_configs()))
-    run_p.add_argument("--rdc-gb", type=float, default=None,
-                       help="RDC size per GPU in GB (CARVE systems)")
-    run_p.add_argument("--no-cache", action="store_true")
-    run_p.add_argument("--metrics-out", default=None, metavar="PATH",
-                       help="write the metric registry (docs/metrics.md) "
-                            "as JSON")
-    run_p.set_defaults(fn=_cmd_run)
+    run_p = sub.add_parser(
+        "run", help="simulate one workload",
+        parents=[options("--system", "--rdc-gb", "--no-cache",
+                         "--metrics-out")],
+    )
+    run_p.add_argument("workload", choices=abbrs)
+    run_p.set_defaults(fn=_cmd_run, system=E.CARVE_HWC)
 
     trace_p = sub.add_parser(
         "trace",
-        help="assemble a batch timeline from its journal (--job/--journal), "
+        help="assemble a batch timeline from its journal (--journal), "
              "or run one workload with tracing on; either way the "
              "output is a Perfetto-loadable Chrome trace",
+        parents=[options("--system", "--rdc-gb", "--metrics-out")],
     )
     trace_p.add_argument("workload", nargs="?", default=None,
-                         choices=suite.all_abbrs())
-    trace_p.add_argument("--job", default=None, metavar="ID",
-                         help="assemble the timeline of one serve job "
-                              "(by job id or CAS key prefix) from "
-                              "--store")
-    trace_p.add_argument("--store", default=".repro-serve", metavar="DIR",
-                         help="serve store to resolve --job against "
-                              "(default: .repro-serve)")
+                         choices=abbrs)
     trace_p.add_argument("--journal", dest="batch_journal", default=None,
                          metavar="PATH",
                          help="assemble the timeline of every batch "
                               "a runner journal records")
-    trace_p.add_argument("--system", default=E.CARVE_HWC,
-                         choices=sorted(E.experiment_configs()))
-    trace_p.add_argument("--rdc-gb", type=float, default=None,
-                         help="RDC size per GPU in GB (CARVE systems)")
     trace_p.add_argument("--out", default=None, metavar="PATH",
                          help="Chrome trace path (default: "
                               "<workload>-<system>.trace.json)")
-    trace_p.add_argument("--ring", type=_positive(), default=65_536,
-                         metavar="N",
-                         help="tracer ring-buffer capacity (events)")
-    trace_p.add_argument("--sample", type=_positive(), default=1, metavar="N",
-                         help="keep every Nth occurrence of each event "
-                              "kind (1 = all)")
-    trace_p.add_argument("--metrics-out", default=None, metavar="PATH",
-                         help="also write the metric registry "
-                              "(docs/metrics.md) as JSON")
-    trace_p.set_defaults(fn=_cmd_trace)
+    trace_p.set_defaults(fn=_cmd_trace, system=E.CARVE_HWC)
 
-    cmp_p = sub.add_parser("compare", help="compare the headline systems")
-    cmp_p.add_argument("workload", choices=suite.all_abbrs())
-    cmp_p.add_argument("--rdc-gb", type=float, default=None)
-    cmp_p.add_argument("--no-cache", action="store_true")
+    cmp_p = sub.add_parser("compare", help="compare the headline systems",
+                           parents=[options("--rdc-gb", "--no-cache")])
+    cmp_p.add_argument("workload", choices=abbrs)
     cmp_p.set_defaults(fn=_cmd_compare)
 
     suite_p = sub.add_parser(
         "suite",
         help="run one config across workloads (fault-tolerant batch)",
+        parents=[options("--workloads", "--rdc-gb", "--jobs", "--pin",
+                         "--no-cache", "--metrics-out")],
     )
-    suite_p.add_argument("system", choices=sorted(E.experiment_configs()))
-    suite_p.add_argument("--workloads", nargs="+",
-                         choices=suite.all_abbrs(), default=None,
-                         help="subset of the suite (default: all)")
-    suite_p.add_argument("--rdc-gb", type=float, default=None)
-    suite_p.add_argument("--jobs", type=_positive(), default=1, metavar="N",
-                         help="persistent pool workers (1 = serial "
-                              "in-process)")
-    suite_p.add_argument("--pin", action="store_true",
-                         help="pin pool workers round-robin across NUMA "
-                              "nodes with per-worker CPU affinity "
-                              "(no-op where unsupported)")
+    suite_p.add_argument("system", choices=configs)
     suite_p.add_argument("--timeout", type=_positive(float), default=None,
                          metavar="SECONDS",
                          help="per-point wall-clock budget")
     suite_p.add_argument("--retries", type=_positive(zero_ok=True), default=0,
                          help="retries per point (exponential backoff)")
-    going = suite_p.add_mutually_exclusive_group()
-    going.add_argument("--keep-going", dest="keep_going",
-                       action="store_true", default=True,
-                       help="record failures and continue (default)")
-    going.add_argument("--fail-fast", dest="keep_going",
-                       action="store_false",
-                       help="abort the batch on the first final failure")
+    suite_p.add_argument("--fail-fast", dest="keep_going",
+                         action="store_false",
+                         help="abort the batch on the first final failure "
+                              "(default: record it and continue)")
     suite_p.add_argument("--journal", default=None, metavar="PATH",
                          help="JSONL execution journal (default: "
                               ".repro-journal/suite-<system>.jsonl)")
@@ -620,43 +572,30 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fsync every journal append and sidecar "
                               "store (power-loss durability; slower)")
     suite_p.add_argument("--resume", action="store_true",
-                         help="skip points the journal records as done")
-    suite_p.add_argument("--no-cache", action="store_true")
-    suite_p.add_argument("--metrics-out", default=None, metavar="PATH",
-                         help="write runner counters + per-workload metric "
-                              "summaries as JSON")
-    suite_p.set_defaults(fn=_cmd_suite)
+                         help="skip points the journal records as done "
+                              "under the same configuration")
+    suite_p.set_defaults(fn=_cmd_suite, jobs=1)
 
     chaos_p = sub.add_parser(
         "chaos",
         help="seeded crash drill: sweep under a fault plan, kill and "
              "resume repeatedly, assert byte-identical convergence "
              "(docs/chaos.md)",
+        parents=[options("--system", "--workloads", "--jobs", "--pin")],
     )
     chaos_p.add_argument("--seed", type=int, default=0,
                          help="chaos plan seed (same seed = same fault "
                               "schedule)")
-    chaos_p.add_argument("--system", default=E.NUMA_GPU,
-                         choices=sorted(E.experiment_configs()))
-    chaos_p.add_argument("--workloads", nargs="+",
-                         choices=suite.all_abbrs(), default=None,
-                         help="suite slice to drill "
-                              "(default: Lulesh Euler CoMD MCB)")
     chaos_p.add_argument("--rounds", type=_positive(), default=3, metavar="N",
                          help="chaos rounds; all but the last are "
                               "SIGKILLed mid-batch (default: 3)")
-    chaos_p.add_argument("--jobs", type=_positive(), default=2, metavar="N",
-                         help="worker processes for the chaos rounds "
-                              "(default: 2; 1 drills the inline path)")
-    chaos_p.add_argument("--pin", action="store_true",
-                         help="NUMA-pin the chaos rounds' pool workers")
     chaos_p.add_argument("--dir", default=None, metavar="DIR",
                          help="drill workspace (kept afterwards; default: "
                               "a tmp dir, removed when the drill passes)")
-    chaos_p.set_defaults(fn=_cmd_chaos)
+    chaos_p.set_defaults(fn=_cmd_chaos, system=E.NUMA_GPU, jobs=2)
 
     sh_p = sub.add_parser("sharing", help="page/line sharing analysis")
-    sh_p.add_argument("workload", choices=suite.all_abbrs())
+    sh_p.add_argument("workload", choices=abbrs)
     sh_p.set_defaults(fn=_cmd_sharing)
 
     cache_p = sub.add_parser("cache", help="inspect/clear the result cache")
@@ -667,29 +606,23 @@ def build_parser() -> argparse.ArgumentParser:
         "baseline",
         help="record/compare/list the committed run-record baseline "
              "store (docs/regression.md)",
+        parents=[options("--workloads", "--rdc-gb")],
     )
     base_p.add_argument("action", choices=("record", "compare", "list"))
     base_p.add_argument("--dir", default="baselines", metavar="DIR",
                         help="baseline store root (default: baselines/)")
-    base_p.add_argument("--systems", nargs="+",
-                        choices=sorted(E.experiment_configs()),
+    base_p.add_argument("--systems", nargs="+", choices=configs,
                         default=list(DEFAULT_BASELINE_SYSTEMS),
                         help="systems to record/compare "
                              "(default: carve-hwc numa-gpu)")
-    base_p.add_argument("--workloads", nargs="+",
-                        choices=suite.all_abbrs(),
-                        default=list(DEFAULT_BASELINE_WORKLOADS),
-                        help="workloads to record/compare "
-                             "(default: Lulesh Euler)")
     base_p.add_argument("--engine", default=ENGINE_VECTORIZED,
                         choices=(ENGINE_VECTORIZED, ENGINE_REFERENCE),
                         help="execution engine; deterministic counters "
                              "must be bit-exact across engines")
-    base_p.add_argument("--rdc-gb", type=float, default=None,
-                        help="RDC size per GPU in GB (CARVE systems)")
     base_p.add_argument("--report", default=None, metavar="PATH",
                         help="write the comparison as markdown (compare)")
-    base_p.set_defaults(fn=_cmd_baseline)
+    base_p.set_defaults(fn=_cmd_baseline,
+                        workloads=list(DEFAULT_BASELINE_WORKLOADS))
 
     lint_p = sub.add_parser(
         "lint",
@@ -699,26 +632,16 @@ def build_parser() -> argparse.ArgumentParser:
     lint_p.add_argument("path", nargs="?", default="src/repro",
                         help="scan root (default: src/repro)")
     lint_p.add_argument("--root", default=None, metavar="DIR",
-                        help="repository root: path display anchor, "
-                             "default baseline location and "
+                        help="repository root: path display anchor and "
                              "VER001 git anchor (default: "
                              "auto-discovered from the scan root)")
     lint_p.add_argument("--format", choices=("text", "json"),
                         default="text",
                         help="output format (default: text)")
-    lint_p.add_argument("--baseline", default=None, metavar="PATH",
-                        help="grandfathered-findings store (default: "
-                             "<root>/lint-baseline.json when present)")
-    lint_p.add_argument("--update-baseline", action="store_true",
-                        help="record current findings as the baseline "
-                             "and exit 0")
     lint_p.add_argument("--select", nargs="+", default=None,
                         metavar="ID",
                         help="run only these rule ids (VER001 is "
                              "CI-only and must be selected explicitly)")
-    lint_p.add_argument("--ignore", nargs="+", default=None,
-                        metavar="ID",
-                        help="skip these rule ids")
     lint_p.add_argument("--ver-base", default=None, metavar="REF",
                         help="merge-base ref for VER001 (default: try "
                              "origin/main then main, skipping with a "
@@ -730,15 +653,13 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the async job service: HTTP submit/status/result/"
              "report over the worker-pool fabric (docs/serve.md)",
+        parents=[options("--jobs", "--pin")],
     )
     serve_p.add_argument("--host", default="127.0.0.1",
                          help="bind address (default: 127.0.0.1)")
     serve_p.add_argument("--port", type=int, default=8765,
                          help="bind port, 0 for ephemeral "
                               "(default: 8765)")
-    serve_p.add_argument("--jobs", type=_positive(), default=2, metavar="N",
-                         help="worker-pool width per job; 1 runs "
-                              "in-process (default: 2)")
     serve_p.add_argument("--queue-depth", type=_positive(), default=8,
                          metavar="N",
                          help="bounded submission queue depth; a full "
@@ -753,9 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bound the store; least-recently-used "
                               "entries (result + journal + sidecars) are "
                               "evicted past N bytes (default: unbounded)")
-    serve_p.add_argument("--pin", action="store_true",
-                         help="NUMA-pin the simulator pool workers")
-    serve_p.set_defaults(fn=_cmd_serve)
+    serve_p.set_defaults(fn=_cmd_serve, jobs=2)
 
     report_p = sub.add_parser(
         "report",

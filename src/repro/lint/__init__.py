@@ -20,15 +20,13 @@ VER001    result-affecting diffs must bump ``CODE_VERSION`` (CI-only);
           the result-affecting scope is derived by the import walk
 ========  ==============================================================
 
-Run it as ``python -m repro lint``; suppress a single finding with a
-``# lint: disable=<id>`` comment (with a reason) or grandfather batches
-via the committed ``lint-baseline.json``.  ``docs/lint.md`` documents
-every rule, its rationale and the import walk.  The OBS001 name
-resolver is also what ``tools/check_docs.py`` uses for Markdown, so
-Python source and docs agree on one definition of "known metric".
+Run it as ``python -m repro lint``; the one way to suppress a finding
+is a ``# lint: disable=<id>`` comment with a reason.  ``docs/lint.md``
+documents every rule, its rationale and the import walk.  The OBS001
+name resolver is also what ``tools/check_docs.py`` uses for Markdown,
+so Python source and docs agree on one definition of "known metric".
 """
 
-from repro.lint.baseline import load_baseline, save_baseline
 from repro.lint.engine import (
     ALL_RULE_IDS,
     DEFAULT_RULE_IDS,
@@ -61,9 +59,7 @@ __all__ = [
     "SEVERITY_ERROR",
     "SEVERITY_WARNING",
     "discover_repo_root",
-    "load_baseline",
     "run_lint",
-    "save_baseline",
     "scope_prefixes",
     "walk",
 ]

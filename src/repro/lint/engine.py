@@ -4,16 +4,17 @@
 walks the scan root for ``*.py`` files and parses each once.  When
 DET004 or VER001 is selected it runs the import walk of
 :mod:`repro.lint.scope` over the parsed modules.  It then runs every
-selected per-module rule, applies ``# lint: disable`` comments and the
-committed baseline, optionally runs the repo-level VER001 rule over the
-walk's result-affecting prefixes, and returns a :class:`LintResult`
-whose :attr:`~LintResult.exit_code` follows the repository convention:
-0 clean, 1 new findings, 2 bad configuration (unknown rule id,
-malformed baseline, bad explicit git ref, empty VER001 scope).
+selected per-module rule, applies ``# lint: disable`` comments (the
+only way to suppress a finding), optionally runs the repo-level VER001
+rule over the walk's result-affecting prefixes, and returns a
+:class:`LintResult` whose :attr:`~LintResult.exit_code` follows the
+repository convention: 0 clean, 1 new findings, 2 bad configuration
+(unknown rule id, unparseable file, bad explicit git ref, empty VER001
+scope).
 
 Finding paths are **repo-relative POSIX** (``src/repro/core/foo.py``)
-regardless of the invocation cwd, so baselines and suppressions compare
-equal whether lint runs from the repo root, ``src/``, or CI.  The repo
+regardless of the invocation cwd, so reports and CI annotations read
+the same whether lint runs from the repo root, ``src/``, or CI.  The repo
 root is auto-discovered by walking up from the scan root to the first
 directory holding ``pyproject.toml`` or ``.git`` (falling back to the
 parent of a ``src/`` layout), so no flag is needed for the common case.
@@ -25,7 +26,6 @@ import json
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from repro.lint.baseline import apply_baseline, load_baseline
 from repro.lint.findings import (
     Finding,
     LintConfigError,
@@ -58,15 +58,11 @@ class LintResult:
 
     @property
     def new(self) -> list:
-        return [f for f in self.findings if f.is_new]
+        return [f for f in self.findings if not f.suppressed]
 
     @property
     def suppressed(self) -> list:
         return [f for f in self.findings if f.suppressed]
-
-    @property
-    def baselined(self) -> list:
-        return [f for f in self.findings if f.baselined]
 
     @property
     def exit_code(self) -> int:
@@ -74,7 +70,7 @@ class LintResult:
 
     def to_json(self) -> dict:
         return {
-            "version": 2,
+            "version": 3,
             "rules": list(self.selected),
             "findings": [f.to_json() for f in self.findings],
             "notices": list(self.notices),
@@ -82,7 +78,6 @@ class LintResult:
                 "total": len(self.findings),
                 "new": len(self.new),
                 "suppressed": len(self.suppressed),
-                "baselined": len(self.baselined),
             },
         }
 
@@ -91,7 +86,6 @@ class LintResult:
         lines.extend(f"notice: {notice}" for notice in self.notices)
         summary = (
             f"{len(self.new)} new finding(s), "
-            f"{len(self.baselined)} baselined, "
             f"{len(self.suppressed)} suppressed "
             f"({len(self.selected)} rule(s))"
         )
@@ -105,20 +99,15 @@ class LintResult:
         return self.render_text()
 
 
-def resolve_selection(select: Optional[Iterable[str]],
-                      ignore: Optional[Iterable[str]]) -> tuple:
+def resolve_selection(select: Optional[Iterable[str]]) -> tuple:
     """Validated, ordered rule-id selection (exit 2 on unknown ids)."""
-    known = set(ALL_RULE_IDS)
-    for ids, flag in ((select, "--select"), (ignore, "--ignore")):
-        for rid in ids or ():
-            if rid not in known:
-                raise LintConfigError(
-                    f"{flag}: unknown rule id {rid!r} "
-                    f"(known: {', '.join(ALL_RULE_IDS)})"
-                )
-    chosen = list(select) if select else list(DEFAULT_RULE_IDS)
-    ignored = set(ignore or ())
-    return tuple(rid for rid in chosen if rid not in ignored)
+    for rid in select or ():
+        if rid not in ALL_RULE_IDS:
+            raise LintConfigError(
+                f"--select: unknown rule id {rid!r} "
+                f"(known: {', '.join(ALL_RULE_IDS)})"
+            )
+    return tuple(select) if select else DEFAULT_RULE_IDS
 
 
 def python_files(scan_root: Path) -> list:
@@ -159,16 +148,12 @@ def run_lint(
     scan_root,
     *,
     select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-    baseline_path=None,
     repo_root=None,
     ver_base: Optional[str] = None,
 ) -> LintResult:
     """Run the selected rules over *scan_root* and return the result.
 
-    ``baseline_path`` (when given and existing) grandfathers known
-    findings; a missing *explicitly requested* baseline is a
-    configuration error.  ``repo_root`` anchors path display and the
+    ``repo_root`` anchors path display and the
     VER001 git diff (auto-discovered from *scan_root* when omitted).
     ``ver_base`` is the VER001 base ref: when given explicitly, a git
     failure is a configuration error (exit 2); when None, VER001 tries
@@ -182,7 +167,7 @@ def run_lint(
     repo_root = Path(repo_root).resolve() if repo_root is not None \
         else discover_repo_root(scan_root)
     prefix = _display_prefix(scan_root, repo_root)
-    selected = resolve_selection(select, ignore)
+    selected = resolve_selection(select)
     notices: list = []
 
     contexts = []
@@ -220,8 +205,6 @@ def run_lint(
         ))
 
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    if baseline_path is not None:
-        apply_baseline(findings, load_baseline(baseline_path))
     return LintResult(findings, selected, notices=notices)
 
 

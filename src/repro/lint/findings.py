@@ -1,13 +1,11 @@
 """Findings and suppression directives for the lint subsystem.
 
-A :class:`Finding` is one rule violation at one source location.  Its
-identity for baseline matching is ``(rule, path, message)`` — line
-numbers shift too easily under unrelated edits to be part of the key,
-so a grandfathered finding stays grandfathered when code above it moves.
+A :class:`Finding` is one rule violation at one source location.
 
-Suppression is explicit and greppable: a ``# lint: disable=ID`` comment
-on the flagged line (or a standalone comment on the line directly
-above) silences that rule there, ideally followed by a reason::
+Suppression is explicit and greppable, and it is the only way to
+silence a finding: a ``# lint: disable=ID`` comment on the flagged line
+(or a standalone comment on the line directly above) silences that
+rule there, followed by a reason::
 
     record = {"ts": time.time()}  # lint: disable=DET001 - journal timestamp
 
@@ -30,7 +28,7 @@ _DIRECTIVE_RE = re.compile(
 
 
 class LintConfigError(Exception):
-    """Bad lint configuration (unknown rule id, malformed baseline…).
+    """Bad lint configuration (unknown rule id, unparseable file…).
 
     The CLI maps this to exit status 2, mirroring the ``suite`` and
     ``baseline`` commands' invalid-configuration convention.
@@ -49,18 +47,6 @@ class Finding:
     message: str
     #: True when a ``# lint: disable`` comment covers this finding.
     suppressed: bool = False
-    #: True when the committed baseline grandfathers this finding.
-    baselined: bool = False
-
-    @property
-    def key(self) -> tuple:
-        """Baseline-matching identity (line numbers excluded)."""
-        return (self.rule, self.path, self.message)
-
-    @property
-    def is_new(self) -> bool:
-        """Counts against the exit status (not suppressed/baselined)."""
-        return not (self.suppressed or self.baselined)
 
     def to_json(self) -> dict:
         return {
@@ -71,7 +57,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
         }
 
     def render(self) -> str:

@@ -32,7 +32,7 @@ import subprocess
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.obs.summary import summarize_result
 from repro.sim.cache import CODE_VERSION
@@ -271,19 +271,6 @@ class BaselineStore:
         return out
 
 
-def store_points(
-    store: BaselineStore,
-    systems: Sequence[str],
-    workloads: Sequence[str],
-) -> list[tuple[str, str]]:
-    """(system, workload) pairs compare/record should visit.
-
-    The cartesian product of the requested systems and workloads; order
-    is systems-major to keep CLI output grouped.
-    """
-    return [(s, w) for s in systems for w in workloads]
-
-
 __all__ = [
     "BaselineStore",
     "DEFAULT_STORE_DIR",
@@ -295,6 +282,5 @@ __all__ = [
     "environment_fingerprint",
     "git_sha",
     "make_run_record",
-    "store_points",
     "validate_record",
 ]

@@ -20,12 +20,9 @@ budget is enforced by ``benchmarks/bench_hotpath.py --obs-check``.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.obs import events as ev
 from repro.obs.metrics import default_registry
-from repro.obs.registry import MetricsRegistry
-from repro.obs.tracer import DEFAULT_CAPACITY, Tracer
+from repro.obs.tracer import Tracer
 
 
 class Observability:
@@ -33,20 +30,12 @@ class Observability:
 
     ``trace=False`` (the default) gives metrics-only observation: the
     tracer is constructed disabled and every event hook short-circuits.
-    Pass ``trace=True`` (optionally with ``ring``/``sample_every``) to
-    also capture the discrete events.
+    Pass ``trace=True`` to also capture the discrete events.
     """
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        *,
-        trace: bool = False,
-        ring: int = DEFAULT_CAPACITY,
-        sample_every: int = 1,
-    ) -> None:
-        self.registry = registry if registry is not None else default_registry()
-        self.tracer = Tracer(ring, enabled=trace, sample_every=sample_every)
+    def __init__(self, *, trace: bool = False) -> None:
+        self.registry = default_registry()
+        self.tracer = Tracer(enabled=trace)
         r = self.registry
         # Cached handles: end_kernel runs once per kernel but touches ~20
         # metrics; skipping the name lookup keeps it cheap.

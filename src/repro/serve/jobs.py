@@ -51,6 +51,10 @@ FAILED = "failed"
 CANCELLED = "cancelled"
 TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED})
 
+#: Seconds a client turned away by a full queue is told to wait
+#: (the 429 answer's ``Retry-After``).
+RETRY_AFTER_S = 5
+
 # Dedup dispositions reported back to the submitter.
 DISP_NEW = "new"
 DISP_COALESCED = "coalesced"
@@ -285,13 +289,12 @@ class JobService:
 
     def __init__(self, store: ResultStore, *, pool_jobs: int = 2,
                  queue_depth: int = 8, registry=None,
-                 retry_after_s: int = 5, pool_pin: bool = False):
+                 pool_pin: bool = False):
         self.store = store
         self.pool_jobs = pool_jobs
         self.pool_pin = pool_pin
         self.queue_depth = queue_depth
         self.registry = registry
-        self.retry_after_s = retry_after_s
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=queue_depth)
         self._jobs: dict = {}        # job id -> Job
         self._active: dict = {}      # cas key -> non-terminal Job
@@ -376,7 +379,7 @@ class JobService:
             self._count("serve.rejected")
             raise QueueFullError(
                 f"submission queue full ({self.queue_depth} deep); "
-                f"retry after {self.retry_after_s}s"
+                f"retry after {RETRY_AFTER_S}s"
             ) from None
         self._active[key] = job
         self._set_queue_gauge()
@@ -568,6 +571,7 @@ __all__ = [
     "QUEUED",
     "QueueFullError",
     "RequestError",
+    "RETRY_AFTER_S",
     "RUNNING",
     "ShuttingDownError",
     "TERMINAL_STATES",

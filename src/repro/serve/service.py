@@ -30,6 +30,7 @@ from repro.obs.metrics import default_registry
 from repro.serve.jobs import (
     DONE,
     FAILED,
+    RETRY_AFTER_S,
     JobRequest,
     JobService,
     QueueFullError,
@@ -71,10 +72,8 @@ class ServeApp:
         except RequestError as exc:
             return 400, {}, {"error": str(exc)}
         except QueueFullError as exc:
-            return (429,
-                    {"Retry-After": str(self.service.retry_after_s)},
-                    {"error": str(exc),
-                     "retry_after_s": self.service.retry_after_s})
+            return (429, {"Retry-After": str(RETRY_AFTER_S)},
+                    {"error": str(exc), "retry_after_s": RETRY_AFTER_S})
         except ShuttingDownError as exc:
             return 503, {}, {"error": str(exc)}
         status = 200 if disposition != "new" else 201

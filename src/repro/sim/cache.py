@@ -115,6 +115,12 @@ def cached(
     return result
 
 
+def entries() -> list[Path]:
+    """The cached runs' entry files (none when the directory is absent)."""
+    d = cache_dir()
+    return sorted(d.glob("*.pkl")) if d.exists() else []
+
+
 def clear() -> int:
     """Delete every cache entry; returns how many files were removed.
 

@@ -448,6 +448,13 @@ def fire(
 
 #: Short, cache-friendly suite slice the drill sweeps by default.
 DRILL_WORKLOADS = ("Lulesh", "Euler", "CoMD", "MCB")
+#: Per-attempt budget (seconds) of the pooled chaos rounds: a worker
+#: a fault left hanging is killed and retried instead of wedging them.
+ATTEMPT_TIMEOUT_S = 8.0
+#: Budget (seconds) of a round that is not killed on purpose.
+ROUND_TIMEOUT_S = 300.0
+#: Range (seconds) of the seeded delay before a round is SIGKILLed.
+KILL_WINDOW_S = (0.75, 2.5)
 
 
 @dataclass
@@ -571,10 +578,6 @@ def run_drill(
     rounds: int = 3,
     jobs: int = 2,
     pin: bool = False,
-    timeout_s: float = 8.0,
-    round_timeout_s: float = 300.0,
-    kill_window: tuple[float, float] = (0.75, 2.5),
-    python: str = sys.executable,
 ) -> DrillReport:
     """Run the crash drill; see the module docstring for the shape.
 
@@ -638,13 +641,13 @@ def run_drill(
     def suite_cmd(journal: Path, jobs_n: int, resume: bool,
                   pin_run: bool) -> list[str]:
         cmd = [
-            python, "-m", "repro", "suite", system,
+            sys.executable, "-m", "repro", "suite", system,
             "--workloads", *workloads,
             "--jobs", str(jobs_n), "--retries", "1",
             "--journal", str(journal),
         ]
         if jobs_n > 1:
-            cmd += ["--timeout", str(timeout_s)]
+            cmd += ["--timeout", str(ATTEMPT_TIMEOUT_S)]
         if resume:
             cmd.append("--resume")
         if pin_run:
@@ -663,7 +666,7 @@ def run_drill(
             try:
                 proc.wait(
                     timeout=kill_after if kill_after is not None
-                    else round_timeout_s
+                    else ROUND_TIMEOUT_S
                 )
             except subprocess.TimeoutExpired:
                 outcome = "killed" if kill_after is not None else "timeout"
@@ -697,7 +700,7 @@ def run_drill(
     chaos_cache = root / "cache-chaos"
     for i in range(max(1, rounds)):
         kill_after = (
-            round(kill_rng.uniform(*kill_window), 3)
+            round(kill_rng.uniform(*KILL_WINDOW_S), 3)
             if i < max(1, rounds) - 1 else None
         )
         run_round(

@@ -61,7 +61,7 @@ envelope and quarantine are the shared ones of :mod:`repro.sim.durable`:
   attacks.
 
 Reads are **scan-cached**: :meth:`Journal.records`, :meth:`Journal.meta`
-and :meth:`Journal.completed_keys` share one parsed snapshot keyed on
+and :meth:`Journal.completed` share one parsed snapshot keyed on
 the file's (size, mtime_ns), so a resume consults the disk once, not
 once per accessor.
 """
@@ -267,13 +267,19 @@ class Journal:
                 fingerprint = rec["fingerprint"]
         return fingerprint
 
-    def completed_keys(self) -> set[str]:
-        """Keys whose most recent terminal event is ``done``."""
-        state: dict[str, str] = {}
+    def completed(self) -> dict[str, Optional[str]]:
+        """Keys whose most recent terminal event is ``done``, each
+        mapped to the ``config_hash`` that ``done`` record carries."""
+        state: dict[str, dict] = {}
         for rec in self.records():
             if rec["event"] in ("done", "failed"):
-                state[rec["key"]] = rec["event"]
-        return {k for k, ev in state.items() if ev == "done"}
+                state[rec["key"]] = rec
+        return {k: rec.get("config_hash") for k, rec in state.items()
+                if rec["event"] == "done"}
+
+    def completed_keys(self) -> set[str]:
+        """Keys whose most recent terminal event is ``done``."""
+        return set(self.completed())
 
     def load_result_bytes(self, key: str) -> Optional[bytes]:
         """Digest-verified pickled payload bytes; None when absent or

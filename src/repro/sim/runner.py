@@ -14,8 +14,8 @@ module runs a batch of independent tasks with:
   and the crash-loop breaker are module constants, not policy);
 * **journaling + resume** — every state transition is appended to a
   JSONL journal (:mod:`repro.sim.journal`); a re-run with
-  ``resume=True`` skips points already completed and re-runs only the
-  rest;
+  ``resume=True`` skips points already completed under the same
+  configuration and re-runs only the rest;
 * **structured failures** — a task that ultimately fails produces a
   :class:`FailureReport` (kind, exception type, traceback, config hash,
   attempt count) aggregated into the batch result instead of being
@@ -340,9 +340,12 @@ def run_tasks(
     batch = BatchResult()
     todo: list[Task] = []
     if policy.resume and journal is not None:
-        done = journal.completed_keys()
+        # A done point is reused only under the configuration that
+        # produced it: the same key under another config (say, another
+        # RDC size) re-runs.
+        done = journal.completed()
         for task in tasks:
-            if task.key in done:
+            if task.key in done and done[task.key] == task.config_hash:
                 result = journal.load_result(task.key)
                 if result is not None:
                     batch.results[task.key] = result

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.numa.system import ENGINE_VECTORIZED, MultiGpuSystem
 from repro.obs import summary
 from repro.obs.baseline import (
@@ -21,7 +22,6 @@ from repro.obs.baseline import (
     environment_fingerprint,
     git_sha,
     make_run_record,
-    store_points,
     validate_record,
 )
 from repro.obs.metrics import default_registry
@@ -147,10 +147,16 @@ class TestBaselineStore:
         with pytest.raises(ValueError, match="malformed"):
             store.save({"kind": "wrong"})
 
-    def test_store_points_systems_major(self):
-        pts = store_points(BaselineStore("x"), ["s1", "s2"], ["w1", "w2"])
-        assert pts == [("s1", "w1"), ("s1", "w2"),
-                       ("s2", "w1"), ("s2", "w2")]
+    def test_points_are_systems_major(self, tmp_path, capsys):
+        # Against an empty store every point is missing, so compare
+        # names them all, in visiting order, without simulating.
+        rc = main(["baseline", "compare", "--dir", str(tmp_path),
+                   "--systems", "numa-gpu", "carve-hwc",
+                   "--workloads", "Lulesh", "Euler"])
+        assert rc == 2
+        assert ("no baseline recorded for: numa-gpu/Lulesh, "
+                "numa-gpu/Euler, carve-hwc/Lulesh, carve-hwc/Euler"
+                in capsys.readouterr().err)
 
 
 class TestCommittedStore:

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro.cli import _HEADLINE as HEADLINE
@@ -7,6 +11,25 @@ from repro.cli import build_parser, main
 from repro.sim import experiments as E
 from repro.sim.driver import run_workload, time_of
 from repro.sim.runner import KIND_CRASH, FailureReport
+
+REPO = Path(__file__).resolve().parent.parent
+DOCS = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
+_FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.S | re.M)
+
+
+def _documented_commands(path):
+    """The argument text after each ``python -m repro`` in *path*'s
+    fenced code blocks (backslash continuations joined) and inline
+    code spans."""
+    text = path.read_text(encoding="utf-8")
+    lines = []
+    for block in _FENCE.findall(text):
+        lines += block.replace("\\\n", " ").splitlines()
+    lines += re.findall(r"`([^`\n]+)`", _FENCE.sub("", text))
+    for line in lines:
+        _, found, rest = line.partition("python -m repro")
+        if found:
+            yield rest
 
 
 class TestParser:
@@ -51,6 +74,29 @@ class TestParser:
     def test_suite_rejects_unknown_system(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["suite", "magic"])
+
+    def test_documented_commands_parse(self, capsys):
+        # Every `python -m repro ...` the docs show, in code blocks or
+        # inline code, must parse, so no doc names a removed flag.
+        # Commands with a <placeholder> or an ellipsis are skipped.
+        failures, parsed = [], 0
+        for path in DOCS:
+            for command in _documented_commands(path):
+                if "<" in command or "…" in command:
+                    continue
+                argv = []
+                for token in shlex.split(command, comments=True):
+                    if token in ("&", "&&", "|", "||", ";", ">"):
+                        break
+                    argv.append(token)
+                try:
+                    build_parser().parse_args(argv)
+                    parsed += 1
+                except SystemExit:
+                    failures.append(f"{path.name}: {command}")
+        capsys.readouterr()
+        assert not failures, failures
+        assert parsed >= 20
 
 
 class TestCommands:
@@ -101,6 +147,21 @@ class TestCommands:
             name: f"{times[E.SINGLE_GPU] / t:.2f}x"
             for name, t in times.items()
         }
+
+    def test_resume_under_a_new_rdc_size_reruns_the_point(self, capsys,
+                                                           tmp_path):
+        def suite_time(journal, *extra):
+            assert main(["suite", "carve-hwc", "--workloads", "Euler",
+                         "--journal", str(tmp_path / journal),
+                         "--no-cache", *extra]) == 0
+            row = next(line for line in capsys.readouterr().out.splitlines()
+                       if line.startswith("Euler"))
+            return row.split("|")[1].strip()
+
+        tiny = suite_time("j.jsonl", "--rdc-gb", "0.001")
+        resumed = suite_time("j.jsonl", "--rdc-gb", "4", "--resume")
+        fresh = suite_time("fresh.jsonl", "--rdc-gb", "4")
+        assert resumed == fresh != tiny
 
     @pytest.mark.slow
     def test_run_end_to_end(self, capsys):
@@ -171,8 +232,8 @@ class TestExitStatus:
         ["suite", "numa-gpu", "--timeout", "0"],
         ["chaos", "--jobs", "0"],
         ["chaos", "--rounds", "0"],
-        ["trace", "Lulesh", "--ring", "0"],
-        ["trace", "Lulesh", "--sample", "0"],
+        ["trace", "Lulesh", "--rdc-gb", "two"],
+        ["baseline", "compare", "--rdc-gb", "inf"],
         ["serve", "--jobs", "0"],
         ["serve", "--queue-depth", "0"],
         ["serve", "--store-max-bytes", "0"],

@@ -31,7 +31,8 @@ def run_rule(rule, rel_path, source):
 
 
 def new_findings(rule, rel_path, source):
-    return [f for f in run_rule(rule, rel_path, source) if f.is_new]
+    return [f for f in run_rule(rule, rel_path, source)
+            if not f.suppressed]
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +82,6 @@ class TestWallClock:
         found = run_rule(WallClockRule(), "core/foo.py", src)
         assert len(found) == 1
         assert found[0].suppressed
-        assert not found[0].is_new
 
     def test_standalone_suppression_covers_next_line(self):
         src = ("import time\n"

@@ -7,14 +7,18 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim.runner import RunnerPolicy, Task, run_tasks
+
+
+def _double(x):
+    return 2 * x
 
 
 class TestTraceParser:
     def test_defaults(self):
         args = build_parser().parse_args(["trace", "Lulesh"])
         assert args.system == "carve-hwc"
-        assert args.ring == 65_536
-        assert args.sample == 1
+        assert args.rdc_bytes == 2 * 2**30
         assert args.out is None and args.metrics_out is None
 
     def test_unknown_workload_rejected(self):
@@ -30,6 +34,25 @@ class TestTraceParser:
             ["suite", "numa-gpu", "--metrics-out", "m.json"]
         )
         assert suite_args.metrics_out == "m.json"
+
+
+class TestTraceJournal:
+    def test_assembles_one_slice_per_attempt(self, tmp_path, capsys):
+        journal = tmp_path / "batch.jsonl"
+        run_tasks([Task("a", _double, (1,)), Task("b", _double, (2,))],
+                  RunnerPolicy(journal_path=journal))
+        out = tmp_path / "batch.trace.json"
+        rc = main(["trace", "--journal", str(journal), "--out", str(out)])
+        assert rc == 0
+        assert "2 attempt(s) in 1 batch(es)" in capsys.readouterr().out
+        slices = [e["name"] for e in json.loads(out.read_text())["traceEvents"]
+                  if e["ph"] == "X"]
+        assert sorted(slices) == ["attempt a #1", "attempt b #1"]
+
+    def test_missing_journal_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "nope.jsonl"
+        assert main(["trace", "--journal", str(missing)]) == 1
+        assert f"no journal at {missing}" in capsys.readouterr().err
 
 
 @pytest.mark.slow

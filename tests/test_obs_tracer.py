@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
+from repro.obs import tracer as tracer_mod
 from repro.obs.events import (
     EVENT_EPOCH_FLUSH,
     EVENT_KINDS,
@@ -11,7 +10,7 @@ from repro.obs.events import (
     EVENT_MIGRATION,
     EVENT_REPLICATION,
 )
-from repro.obs.tracer import DEFAULT_CAPACITY, Tracer
+from repro.obs.tracer import RING_CAPACITY, Tracer
 
 
 class TestTraceEvent:
@@ -32,50 +31,29 @@ class TestTraceEvent:
 
 
 class TestRing:
-    def test_capacity_evicts_oldest_and_counts_drops(self):
-        t = Tracer(capacity=3)
+    def test_capacity_evicts_oldest_and_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(tracer_mod, "RING_CAPACITY", 3)
+        t = Tracer()
         for i in range(5):
             t.record(EVENT_MIGRATION, kernel=i)
         assert len(t) == 3
         assert t.dropped == 2
         assert [ev.kernel for ev in t.events()] == [2, 3, 4]
 
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            Tracer(capacity=0)
-
     def test_default_capacity(self):
-        assert Tracer().capacity == DEFAULT_CAPACITY
+        t = Tracer()
+        for i in range(RING_CAPACITY + 1):
+            t.record(EVENT_MIGRATION, kernel=i)
+        assert len(t) == RING_CAPACITY and t.dropped == 1
+        assert t.events()[0].kernel == 1
 
-    def test_clear_resets_everything(self):
-        t = Tracer(capacity=2)
+    def test_clear_resets_everything(self, monkeypatch):
+        monkeypatch.setattr(tracer_mod, "RING_CAPACITY", 2)
+        t = Tracer()
         for i in range(4):
             t.record(EVENT_MIGRATION)
         t.clear()
         assert len(t) == 0 and t.dropped == 0
-
-
-class TestSampling:
-    def test_stride_keeps_every_nth(self):
-        t = Tracer(sample_every=3)
-        for i in range(9):
-            t.record(EVENT_MIGRATION, kernel=i)
-        assert [ev.kernel for ev in t.events()] == [0, 3, 6]
-
-    def test_stride_counts_each_kind_separately(self):
-        t = Tracer(sample_every=2)
-        for i in range(4):
-            t.record(EVENT_MIGRATION, kernel=i)
-            t.record(EVENT_EPOCH_FLUSH, kernel=i)
-        kept = [(ev.kind, ev.kernel) for ev in t.events()]
-        assert kept == [
-            (EVENT_MIGRATION, 0), (EVENT_EPOCH_FLUSH, 0),
-            (EVENT_MIGRATION, 2), (EVENT_EPOCH_FLUSH, 2),
-        ]
-
-    def test_invalid_stride_rejected(self):
-        with pytest.raises(ValueError):
-            Tracer(sample_every=0)
 
 
 class TestDisabled:

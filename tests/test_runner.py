@@ -270,6 +270,25 @@ class TestJournalResume:
         assert [s["key"] for s in starts].count("c") == 2
         assert [s["key"] for s in starts].count("a") == 1
 
+    def test_resume_reruns_a_point_whose_config_changed(self, tmp_path):
+        # The key names the point, the config hash the configuration it
+        # ran under: a done record from another config must not be
+        # replayed as this config's result.
+        journal = tmp_path / "j.jsonl"
+        policy = RunnerPolicy(journal_path=journal, resume=True)
+        first = [Task("a", _ok, (1,), config_hash="small"),
+                 Task("b", _ok, (2,), config_hash="same")]
+        run_tasks(first, RunnerPolicy(journal_path=journal))
+        second = run_tasks([Task("a", _ok, (5,), config_hash="large"),
+                            Task("b", _ok, (9,), config_hash="same")],
+                           policy)
+        assert second.resumed == ["b"]
+        assert second.results == {"a": 10, "b": 4}
+        # The re-run's done record now speaks for the new config.
+        third = run_tasks([Task("a", _ok, (7,), config_hash="large")],
+                          policy)
+        assert third.resumed == ["a"] and third.results == {"a": 10}
+
     def test_resume_results_survive_without_sim_cache(self, tmp_path):
         # The journal's sidecar pickles, not the sim cache, feed resume;
         # conftest already sets REPRO_NO_CACHE=1 for every test.
