@@ -121,6 +121,15 @@ def _gb_bytes(text: str) -> int:
             f"invalid size in GB: {text!r}") from None
 
 
+class _StoreGiven(argparse.Action):
+    """Store the value and note the option in ``given``, so a command
+    can tell an option typed on the command line from its default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*namespace.given, option_string)
+
+
 def _write_metrics(path: str, source, **extra) -> None:
     """The one ``--metrics-out`` writer: *source* (an Observability or
     a bare registry) plus *extra* top-level fields."""
@@ -145,6 +154,13 @@ def _cmd_trace(args) -> int:
     (--journal, docs/tracing.md), or run one workload under full
     observation and export its kernel trace."""
     if args.batch_journal:
+        mixed = ([args.workload] if args.workload else []) + [*args.given]
+        if mixed:
+            print(f"repro trace: --journal assembles a recorded batch and "
+                  f"takes no workload, --system, --rdc-gb or "
+                  f"--metrics-out (got {', '.join(mixed)})",
+                  file=sys.stderr)
+            return 2
         return _assemble_journal(Path(args.batch_journal), args.out)
     if not args.workload:
         print("repro trace: a workload (or --journal) is required",
@@ -502,13 +518,18 @@ def build_parser() -> argparse.ArgumentParser:
                            "nodes (no-op where unsupported)"),
     }
 
-    def options(*flags: str) -> argparse.ArgumentParser:
+    def options(*flags: str, note_given: bool = False
+                ) -> argparse.ArgumentParser:
         # A fresh parent per subcommand: argparse gives every child the
         # parent's own action objects, so one child's set_defaults
         # would otherwise change its siblings' defaults too.
         parent = argparse.ArgumentParser(add_help=False)
+        extra = {}
+        if note_given:
+            extra = dict(action=_StoreGiven)
+            parent.set_defaults(given=())
         for flag in flags:
-            parent.add_argument(flag, **shared[flag])
+            parent.add_argument(flag, **shared[flag], **extra)
         return parent
 
     sub.add_parser("list", help="list the workload suite").set_defaults(
@@ -531,7 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="assemble a batch timeline from its journal (--journal), "
              "or run one workload with tracing on; either way the "
              "output is a Perfetto-loadable Chrome trace",
-        parents=[options("--system", "--rdc-gb", "--metrics-out")],
+        parents=[options("--system", "--rdc-gb", "--metrics-out",
+                         note_given=True)],
     )
     trace_p.add_argument("workload", nargs="?", default=None,
                          choices=abbrs)

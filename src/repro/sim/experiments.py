@@ -28,6 +28,7 @@ from repro.config import (
 from repro.numa.unified_memory import assess_capacity_loss
 from repro.perf.model import PerformanceModel, geometric_mean
 from repro.perf.stats import RunResult
+from repro.sim import cache, driver
 from repro.sim.driver import run_workload, time_of
 from repro.sim.runner import (
     FailureReport,
@@ -135,6 +136,20 @@ def simulate_named(
     return run_workload(abbr, config, label=label, use_cache=use_cache)
 
 
+def cached_named(
+    abbr: str, config: SystemConfig, label: str, use_cache: bool
+) -> Optional[RunResult]:
+    """Parent-side probe of :func:`simulate_named`: the point's sim-cache
+    entry, or None.
+
+    Answers nothing while this module's ``run_workload`` is replaced by
+    a wrapper, so the wrapper still sees every point.
+    """
+    if not use_cache or run_workload is not driver.run_workload:
+        return None
+    return cache.load(suite.get(abbr), config)
+
+
 def run_suites(
     suites: dict[str, SuiteRun],
     workloads: Optional[list[str]] = None,
@@ -161,7 +176,7 @@ def run_suites(
     tasks = [
         Task(key=f"{sid}/{abbr}", fn=simulate_named,
              args=(abbr, run.config, run.config_name, use_cache),
-             config_hash=config_hash(run.config))
+             config_hash=config_hash(run.config), lookup=cached_named)
         for abbr in names
         for sid, run in suites.items()
     ]

@@ -32,7 +32,10 @@ Isolated execution runs on the **persistent worker pool** of
 import/config cost across tasks, results come back pickled over each
 worker's pipe, and a worker that dies or overruns its deadline only
 loses its own task — the pool respawns a replacement in its slot, so a
-dying worker can never take unrelated tasks down with it.  With
+dying worker can never take unrelated tasks down with it.  Points whose
+result the parent already holds (a journal-resumed key, or a task
+whose ``lookup`` finds it, such as a sim-cache hit) are answered before
+the pool starts, and the pool is sized by what is left.  With
 ``pin=True`` the pool additionally places workers round-robin across
 NUMA nodes with per-worker CPU pinning (see ``docs/runner.md``).
 """
@@ -184,12 +187,19 @@ class FailureReport:
 
 @dataclass(frozen=True)
 class Task:
-    """One unit of work: a picklable top-level callable plus arguments."""
+    """One unit of work: a picklable top-level callable plus arguments.
+
+    *lookup*, when set, is a top-level callable the parent of a pooled
+    batch calls as ``lookup(*args)`` before it starts any worker: a
+    non-None return is the task's result (say, a sim-cache hit), so the
+    task never crosses the pool.  It never travels over the pool wire.
+    """
 
     key: str
     fn: Callable[..., Any]
     args: tuple = ()
     config_hash: str = ""
+    lookup: Optional[Callable[..., Any]] = None
 
 
 @dataclass
@@ -338,23 +348,7 @@ def run_tasks(
 
         journal.append("meta", "", fingerprint=environment_fingerprint())
     batch = BatchResult()
-    todo: list[Task] = []
-    if policy.resume and journal is not None:
-        # A done point is reused only under the configuration that
-        # produced it: the same key under another config (say, another
-        # RDC size) re-runs.
-        done = journal.completed()
-        for task in tasks:
-            if task.key in done and done[task.key] == task.config_hash:
-                result = journal.load_result(task.key)
-                if result is not None:
-                    batch.results[task.key] = result
-                    batch.resumed.append(task.key)
-                    continue
-            todo.append(task)
-    else:
-        todo = list(tasks)
-
+    todo = _pre_dispatch(tasks, policy, journal, batch, telem)
     if policy.isolated:
         _run_isolated(todo, policy, journal, batch, telem)
     else:
@@ -375,6 +369,63 @@ def run_tasks(
     if fail_fast and batch.failures:
         raise BatchFailed(next(iter(batch.failures.values())))
     return batch
+
+
+def _pre_dispatch(
+    tasks: Sequence[Task],
+    policy: RunnerPolicy,
+    journal: Optional[Journal],
+    batch: BatchResult,
+    telem: _Telemetry,
+) -> list[Task]:
+    """Answer every point whose result is already known; return the rest.
+
+    First resume: tasks the journal records as done under the same
+    configuration take their sidecar result.  Then, for a pooled batch
+    only, each remaining task's ``lookup`` is probed in the parent, so
+    a known result never crosses the pool and the pool is sized by what
+    is left.  A hit is recorded like a finished inline attempt: a
+    ``start`` at slot -1, then ``done``.  A miss, or a probe that
+    raises, records nothing and leaves the task to the workers.  The
+    inline path does not probe: there the task's own read costs the
+    same.
+    """
+    todo: list[Task] = []
+    if policy.resume and journal is not None:
+        # A done point is reused only under the configuration that
+        # produced it: the same key under another config (say, another
+        # RDC size) re-runs.
+        done = journal.completed()
+        for task in tasks:
+            if task.key in done and done[task.key] == task.config_hash:
+                result = journal.load_result(task.key)
+                if result is not None:
+                    batch.results[task.key] = result
+                    batch.resumed.append(task.key)
+                    continue
+            todo.append(task)
+    else:
+        todo = list(tasks)
+    if not policy.isolated:
+        return todo
+    left: list[Task] = []
+    for task in todo:
+        started = time.monotonic()
+        result = None
+        if task.lookup is not None:
+            try:
+                result = task.lookup(*task.args)
+            except Exception:
+                pass  # a broken probe costs a simulation, nothing more
+        if result is None:
+            left.append(task)
+            continue
+        elapsed_s = time.monotonic() - started
+        if journal is not None:
+            journal.append("start", task.key, attempt=1, slot=-1, node=-1)
+        telem.attempt()
+        _record_success(batch, journal, task, result, 1, elapsed_s, telem)
+    return left
 
 
 def _record_success(

@@ -28,6 +28,7 @@ from typing import Callable, Optional, Sequence
 from repro.config import ConfigError, SystemConfig
 from repro.perf.model import PerformanceModel, geometric_mean
 from repro.perf.stats import RunResult
+from repro.sim import cache
 from repro.sim.driver import resolve_workload, run_workload
 from repro.sim.runner import (
     FailureReport,
@@ -50,6 +51,17 @@ def simulate_point(
 ) -> RunResult:
     """Top-level (hence picklable) worker entry: simulate one point."""
     return run_workload(spec, config, label=label, use_cache=use_cache)
+
+
+def cached_point(
+    spec: WorkloadSpec,
+    config: SystemConfig,
+    label: Optional[str],
+    use_cache: bool,
+) -> Optional[RunResult]:
+    """Parent-side probe of :func:`simulate_point`: the point's sim-cache
+    entry, or None."""
+    return cache.load(spec, config) if use_cache else None
 
 
 def point_key(name: str, value: float, abbr: str) -> str:
@@ -168,6 +180,7 @@ def run_sweep(
             fn=simulate_point,
             args=(spec, cfg, f"{name}={v:g}", use_cache),
             config_hash=config_hash(cfg),
+            lookup=cached_point,
         )
         for spec in specs
         for v, cfg in configs
@@ -238,6 +251,7 @@ def reprice_sweep(
             fn=simulate_point,
             args=(spec, base_config, f"{name}-base", use_cache),
             config_hash=config_hash(base_config),
+            lookup=cached_point,
         )
         for spec in specs
     ]

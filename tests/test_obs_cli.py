@@ -49,6 +49,25 @@ class TestTraceJournal:
                   if e["ph"] == "X"]
         assert sorted(slices) == ["attempt a #1", "attempt b #1"]
 
+    @pytest.mark.parametrize("extra, named", [
+        (["Lulesh"], "Lulesh"),
+        (["--system", "carve-hwc"], "--system"),
+        (["--rdc-gb", "2"], "--rdc-gb"),
+        (["--metrics-out", "m.json"], "--metrics-out"),
+    ])
+    def test_simulation_options_refused(self, tmp_path, capsys, monkeypatch,
+                                        extra, named):
+        monkeypatch.chdir(tmp_path)
+        journal = tmp_path / "batch.jsonl"
+        run_tasks([Task("a", _double, (1,))],
+                  RunnerPolicy(journal_path=journal))
+        out = tmp_path / "batch.trace.json"
+        rc = main(["trace", "--journal", str(journal), "--out", str(out),
+                   *extra])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "m.json").exists()
+
     def test_missing_journal_exits_1(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"
         assert main(["trace", "--journal", str(missing)]) == 1

@@ -338,3 +338,95 @@ class TestCrashLoopBreaker:
         kinds = {f.kind for f in batch.failures.values()}
         assert KIND_CRASH_LOOP not in kinds
         assert batch.results["a"] == 2
+
+
+_probed: list = []
+
+
+def _known(x):
+    """A lookup that knows every point: the result the task would give."""
+    _probed.append(x)
+    return x * 2
+
+
+def _unknown(x):
+    _probed.append(x)
+    return None
+
+
+def _broken_probe(_x):
+    raise RuntimeError("deliberate probe failure")
+
+
+def _no_pool(*_args, **_kwargs):
+    raise AssertionError("a worker pool was started")
+
+
+class TestParentAnswered:
+    """Pooled batches answer known points in the parent (lookup)."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_probes(self):
+        _probed.clear()
+
+    def test_all_known_batch_starts_no_pool(self, monkeypatch, tmp_path):
+        from repro.obs.metrics import default_registry
+
+        monkeypatch.setattr(runner, "WorkerPool", _no_pool)
+        journal = tmp_path / "j.jsonl"
+        registry = default_registry()
+        tasks = [Task(k, _ok, (i,), lookup=_known)
+                 for i, k in enumerate(["a", "b"])]
+        batch = run_tasks(tasks, RunnerPolicy(jobs=2, journal_path=journal),
+                          registry=registry)
+        assert batch.ok and batch.results == {"a": 0, "b": 2}
+        starts = _journal_events(journal, "start")
+        assert [(s["key"], s["attempt"], s["slot"], s["node"])
+                for s in starts] == [("a", 1, -1, -1), ("b", 1, -1, -1)]
+        done = _journal_events(journal, "done")
+        assert [d["key"] for d in done] == ["a", "b"]
+        assert all(d["attempt"] == 1 and d["elapsed_s"] >= 0 for d in done)
+        assert Journal(journal).load_result("b") == 2
+        assert registry.get("runner.attempts").total() == 2
+        assert registry.get("pool.tasks").total() == 0
+
+    def test_inline_batch_does_not_probe(self):
+        batch = run_tasks([Task("a", _ok, (3,), lookup=_known)],
+                          RunnerPolicy())
+        assert batch.results == {"a": 6}
+        assert _probed == []
+
+    def test_misses_go_to_the_pool(self, tmp_path):
+        journal = tmp_path / "j.jsonl"
+        tasks = [Task("a", _ok, (1,), lookup=_unknown),
+                 Task("b", _ok, (2,), lookup=_known)]
+        batch = run_tasks(tasks, RunnerPolicy(jobs=2, journal_path=journal))
+        assert batch.results == {"a": 2, "b": 4}
+        slots = {s["key"]: s["slot"] for s in _journal_events(journal,
+                                                              "start")}
+        assert slots["a"] >= 0 and slots["b"] == -1
+
+    def test_raising_probe_leaves_the_outcome(self, tmp_path):
+        journal = tmp_path / "j.jsonl"
+        tasks = [Task("a", _ok, (1,), lookup=_broken_probe),
+                 Task("b", _boom, (2,), lookup=_broken_probe)]
+        batch = run_tasks(tasks, RunnerPolicy(jobs=2, journal_path=journal))
+        assert batch.results == {"a": 2}
+        assert batch.failures["b"].kind == KIND_EXCEPTION
+        assert batch.failures["b"].exception_type == "ValueError"
+        starts = _journal_events(journal, "start")
+        assert sorted(s["key"] for s in starts) == ["a", "b"]
+        assert all(s["slot"] >= 0 for s in starts)
+
+    def test_resumed_key_is_not_probed(self, tmp_path):
+        journal = tmp_path / "j.jsonl"
+        run_tasks([Task("a", _ok, (1,)), Task("b", _boom, (2,))],
+                  RunnerPolicy(journal_path=journal))
+        batch = run_tasks(
+            [Task("a", _ok, (1,), lookup=_unknown),
+             Task("b", _ok, (2,), lookup=_unknown)],
+            RunnerPolicy(jobs=2, journal_path=journal, resume=True),
+        )
+        assert batch.resumed == ["a"]
+        assert batch.results == {"a": 2, "b": 4}
+        assert _probed == [2]

@@ -7,6 +7,7 @@ import pytest
 
 from repro.config import ConfigError, LinkConfig, baseline_config
 from repro.sim.chaos import KIND_WORKER_KILL, PLAN_ENV, FaultEvent
+from repro.sim import runner
 from repro.sim.journal import Journal
 from repro.sim.runner import KIND_CRASH, RunnerPolicy
 from repro.sim.sweep import point_key, reprice_sweep, run_sweep
@@ -213,3 +214,148 @@ class TestSweepOrder:
                           use_cache=False)
         assert sweep.ok and len(sweep.points) == 6
         assert calls == ["sweep", "other"]
+
+
+def _no_pool(*_args, **_kwargs):
+    raise AssertionError("a worker pool was started")
+
+
+def _starts(path):
+    return {rec["key"]: rec["slot"] for rec in Journal(path).records()
+            if rec["event"] == "start"}
+
+
+def _done_metrics(path):
+    return {rec["key"]: rec["metrics"] for rec in Journal(path).records()
+            if rec["event"] == "done"}
+
+
+class TestParentAnsweredSweep:
+    """A pooled sweep answers its sim-cache hits in the parent and sends
+    only the points it must simulate to the pool."""
+
+    VALUES = [0.5 * GB, 2 * GB]
+
+    @pytest.fixture(autouse=True)
+    def sim_cache(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("REPRO_NO_CACHE")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "simcache"))
+        return tmp_path / "simcache"
+
+    def _run(self, journal, values=None, jobs=2, use_cache=True):
+        base = baseline_config()
+        return run_sweep(
+            "rdc", values or self.VALUES, lambda v: base.with_rdc(int(v)),
+            WL_NAMES, use_cache=use_cache,
+            runner=RunnerPolicy(jobs=jobs, journal_path=journal),
+        )
+
+    def test_all_cached_sweep_starts_no_pool(self, monkeypatch, tmp_path):
+        inline = self._run(tmp_path / "inline.jsonl", jobs=1,
+                           use_cache=False)
+        cold = self._run(tmp_path / "cold.jsonl")
+        assert set(_starts(tmp_path / "cold.jsonl").values()) >= {0}
+        monkeypatch.setattr(runner, "WorkerPool", _no_pool)
+        warm = self._run(tmp_path / "warm.jsonl")
+        assert warm.ok
+        assert set(_starts(tmp_path / "warm.jsonl").values()) == {-1}
+        for other in (cold, inline):
+            assert set(other.points) == set(warm.points)
+            for cell, point in warm.points.items():
+                assert other.points[cell].result == point.result
+                assert other.points[cell].time_s == point.time_s
+        done = _done_metrics(tmp_path / "warm.jsonl")
+        assert len(done) == len(self.VALUES)
+        for name in ("cold.jsonl", "inline.jsonl"):
+            assert _done_metrics(tmp_path / name) == done, name
+
+    def test_half_cached_sweep_dispatches_only_misses(self, tmp_path):
+        self._run(tmp_path / "warmup.jsonl", values=[2 * GB])
+        self._run(tmp_path / "half.jsonl")
+        abbr = WL_NAMES[0].abbr
+        starts = _starts(tmp_path / "half.jsonl")
+        assert starts[point_key("rdc", 2 * GB, abbr)] == -1
+        assert starts[point_key("rdc", 0.5 * GB, abbr)] >= 0
+
+    def test_no_cache_dispatches_every_point(self, tmp_path):
+        self._run(tmp_path / "warmup.jsonl")
+        self._run(tmp_path / "nocache.jsonl", use_cache=False)
+        starts = _starts(tmp_path / "nocache.jsonl")
+        assert len(starts) == len(self.VALUES)
+        assert all(slot >= 0 for slot in starts.values())
+
+    def test_corrupt_entry_quarantined_once_then_simulated(
+            self, monkeypatch, tmp_path, sim_cache):
+        from repro.sim import cache, durable
+
+        monkeypatch.setattr(durable, "_warned_kinds", set())
+        cold = self._run(tmp_path / "cold.jsonl")
+        victim = baseline_config().with_rdc(int(0.5 * GB))
+        entry = sim_cache / f"{cache._key(WL_NAMES[0], victim)}.pkl"
+        entry.write_bytes(b"not a sealed entry")
+        quarantined = []
+        real = cache.quarantine
+
+        def counting(path, *args):
+            quarantined.append(path)
+            return real(path, *args)
+
+        monkeypatch.setattr(cache, "quarantine", counting)
+        with pytest.warns(RuntimeWarning, match="sim-cache"):
+            again = self._run(tmp_path / "again.jsonl")
+        assert quarantined == [entry]  # in the parent, once
+        assert len(list(sim_cache.glob("*.corrupt"))) == 1
+        abbr = WL_NAMES[0].abbr
+        starts = _starts(tmp_path / "again.jsonl")
+        assert starts[point_key("rdc", 0.5 * GB, abbr)] >= 0
+        assert starts[point_key("rdc", 2 * GB, abbr)] == -1
+        assert again.points == cold.points
+        assert cache.load(WL_NAMES[0], victim) == cold.points[
+            (0.5 * GB, abbr)].result  # the worker stored it again
+
+    def test_reprice_sweep_answers_cached_base_in_parent(
+            self, monkeypatch, tmp_path):
+        base = baseline_config()
+
+        def priced(bw):
+            return base.replace(link=LinkConfig(inter_gpu_bytes_per_s=bw))
+
+        def sweep(journal):
+            return reprice_sweep(
+                "bw", [32e9, 64e9], base, priced, WL_NAMES,
+                runner=RunnerPolicy(jobs=2, journal_path=journal),
+            )
+
+        cold = sweep(tmp_path / "cold.jsonl")
+        monkeypatch.setattr(runner, "WorkerPool", _no_pool)
+        warm = sweep(tmp_path / "warm.jsonl")
+        assert warm.ok and warm.points == cold.points
+        assert set(_starts(tmp_path / "warm.jsonl").values()) == {-1}
+
+    def test_wrapped_run_workload_sees_every_pooled_point(
+            self, monkeypatch, tmp_path):
+        from repro.sim import cache, experiments
+
+        def suite_run(journal):
+            run = experiments.SuiteRun(
+                experiments.NUMA_GPU,
+                experiments.config_for(experiments.NUMA_GPU),
+            )
+            return experiments.run_suites(
+                {"numa": run}, ["Euler", "Nekbone"],
+                runner=RunnerPolicy(jobs=2, journal_path=journal),
+            )["numa"]
+
+        cold = suite_run(tmp_path / "cold.jsonl")
+        real = experiments.run_workload
+        monkeypatch.setattr(experiments, "run_workload",
+                            lambda *a, **kw: real(*a, **kw))
+        loads = []
+        real_load = cache.load
+        monkeypatch.setattr(
+            cache, "load", lambda *a: loads.append(a) or real_load(*a))
+        wrapped = suite_run(tmp_path / "wrapped.jsonl")
+        assert loads == []  # nothing probed in the parent
+        starts = _starts(tmp_path / "wrapped.jsonl")
+        assert len(starts) == 2 and all(s >= 0 for s in starts.values())
+        assert wrapped.results == cold.results
