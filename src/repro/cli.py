@@ -16,9 +16,9 @@ Exposes the library's common operations without writing Python:
     python -m repro lint                      # determinism/invariant lint
     python -m repro serve --port 8765         # async job service (HTTP)
 
-``run``, ``suite`` and ``trace`` all accept ``--metrics-out PATH`` to
-dump the metric registry (see ``docs/metrics.md``) as JSON; ``trace``
-additionally writes Chrome ``trace_event`` JSON for
+``run`` and ``trace`` accept ``--metrics-out PATH`` to dump the metric
+registry (see ``docs/metrics.md``) as JSON; ``trace`` additionally
+writes Chrome ``trace_event`` JSON for
 https://ui.perfetto.dev (see ``docs/observability.md``).  The baseline
 store, the regression gate's two tiers, and the report layout are
 documented in ``docs/regression.md``.
@@ -40,7 +40,7 @@ from repro.analysis.report import format_table
 from repro.analysis.sharing import profile_sharing
 from repro.config import ConfigError
 from repro.numa.system import ENGINE_REFERENCE, ENGINE_VECTORIZED
-from repro.obs import Observability, default_registry
+from repro.obs import Observability
 from repro.obs.export import (
     assemble_trace,
     build_chrome_trace,
@@ -130,10 +130,10 @@ class _StoreGiven(argparse.Action):
         namespace.given = (*namespace.given, option_string)
 
 
-def _write_metrics(path: str, source, **extra) -> None:
-    """The one ``--metrics-out`` writer: *source* (an Observability or
-    a bare registry) plus *extra* top-level fields."""
-    write_metrics_json(path, source, extra=extra)
+def _write_metrics(path: str, obs: Observability, **extra) -> None:
+    """The one ``--metrics-out`` writer: *obs* plus *extra* top-level
+    fields."""
+    write_metrics_json(path, obs, extra=extra)
     print(f"metrics written to {path}")
 
 
@@ -238,14 +238,12 @@ def _cmd_suite(args) -> int:
         pin=args.pin,
         fsync_journal=args.fsync_journal,
     )
-    registry = default_registry() if args.metrics_out else None
     run = E.run_suite(
         args.system,
         workloads=args.workloads,
         rdc_bytes=args.rdc_bytes,
         use_cache=not args.no_cache,
         runner=policy,
-        registry=registry,
     )
     rows = []
     for abbr in (args.workloads or suite.all_abbrs()):
@@ -260,14 +258,6 @@ def _cmd_suite(args) -> int:
         ["workload", "time", "status"],
         rows, title=f"{args.system} suite (journal: {journal})",
     ))
-    if registry is not None:
-        from repro.obs.summary import summarize_result
-
-        _write_metrics(
-            args.metrics_out, registry, system=args.system,
-            workloads={abbr: summarize_result(r)
-                       for abbr, r in run.results.items()},
-        )
     if not run.ok:
         print(f"\n{len(run.failures)} failed, {len(run.cancelled)} "
               f"cancelled point(s):", file=sys.stderr)
@@ -575,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
         "suite",
         help="run one config across workloads (fault-tolerant batch)",
         parents=[options("--workloads", "--rdc-gb", "--jobs", "--pin",
-                         "--no-cache", "--metrics-out")],
+                         "--no-cache")],
     )
     suite_p.add_argument("system", choices=configs)
     suite_p.add_argument("--timeout", type=_positive(float), default=None,

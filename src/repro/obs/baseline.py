@@ -70,10 +70,13 @@ DETERMINISTIC_KEYS = (
 
 @functools.lru_cache(maxsize=1)
 def git_sha() -> Optional[str]:
-    """Short git revision of the working tree (best effort, else None).
+    """Short git revision of the simulator's checkout (best effort).
 
-    Falls back to ``GITHUB_SHA`` when git itself is unavailable (e.g. a
-    CI step running from an exported tarball).  Asked once per process:
+    Git runs in this package's own directory, so the answer names the
+    code that runs whatever the current directory is.  Falls back to
+    ``GITHUB_SHA`` (else None) when git or the checkout is unavailable
+    (e.g. a CI step running from an exported tarball).  Asked once per
+    process:
     the code that runs is the code loaded at start, so later commits
     cannot change the answer, and every journalled batch and serve job
     would otherwise spawn ``git``.
@@ -81,6 +84,7 @@ def git_sha() -> Optional[str]:
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short=12", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
             capture_output=True, text=True, timeout=5,
         )
         if out.returncode == 0 and out.stdout.strip():

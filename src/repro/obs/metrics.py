@@ -122,40 +122,6 @@ SPECS: tuple = (
     MetricSpec("link.bytes", KIND_COUNTER, "bytes", _LINK,
                "Bytes moved over each directed inter-GPU link.",
                "§2.1, Fig. 3"),
-    # -- runner ----------------------------------------------------------
-    MetricSpec("runner.attempts", KIND_COUNTER, "attempts", (),
-               "Task attempts started by the fault-tolerant runner.",
-               "repro infra"),
-    MetricSpec("runner.retries", KIND_COUNTER, "attempts", (),
-               "Attempts that were retries of a previously failed task.",
-               "repro infra"),
-    MetricSpec("runner.failures", KIND_COUNTER, "failures", ("kind",),
-               "Task attempts that failed, by failure kind "
-               "(exception/timeout/crash/crash_loop).", "repro infra"),
-    # -- worker pool -----------------------------------------------------
-    MetricSpec("pool.tasks", KIND_COUNTER, "tasks", ("worker",),
-               "Tasks dispatched to each persistent pool worker slot "
-               "(counts across respawns).", "repro infra"),
-    # -- chaos engine & journal durability (docs/chaos.md) ---------------
-    MetricSpec("chaos.injected", KIND_COUNTER, "faults", ("kind",),
-               "Faults injected in this process by the seeded chaos "
-               "engine, by fault kind; the drill state directory is the "
-               "cross-process audit trail.", "repro infra"),
-    MetricSpec("journal.torn_records", KIND_COUNTER, "records", (),
-               "Half-written journal tail lines (crash mid-append) "
-               "detected and silently truncated before the next append.",
-               "repro infra"),
-    MetricSpec("journal.corrupt_records", KIND_COUNTER, "records", (),
-               "Damaged non-tail journal lines (unparsable or malformed) "
-               "skipped with a one-shot warning — not crash fallout.",
-               "repro infra"),
-    MetricSpec("journal.checksum_failures", KIND_COUNTER, "records", (),
-               "Complete journal records dropped because their "
-               "per-record checksum did not verify.", "repro infra"),
-    MetricSpec("journal.sidecar_quarantined", KIND_COUNTER, "files", (),
-               "Unreadable or digest-mismatched sidecar result pickles "
-               "quarantined to *.corrupt; the point re-runs on resume.",
-               "repro infra"),
     # -- job service (docs/serve.md) -------------------------------------
     MetricSpec("serve.submitted", KIND_COUNTER, "requests", (),
                "Job submissions accepted by the service, regardless of "
@@ -183,11 +149,6 @@ SPECS: tuple = (
     MetricSpec("trace.dropped", KIND_COUNTER, "events", (),
                "Events evicted from the tracer ring buffer (capacity "
                "overflow).", "repro infra"),
-    # -- obs self-accounting ---------------------------------------------
-    MetricSpec("obs.digest_errors", KIND_COUNTER, "failures", (),
-               "Result digest computations that raised and were skipped "
-               "(summarize_result); the journal 'done' record then "
-               "carries no metrics field.", "repro infra"),
     # -- gauges ----------------------------------------------------------
     MetricSpec("mem.pages_mapped", KIND_GAUGE, "pages", _G,
                "Pages homed on each GPU at end of run.", "§2.2"),
@@ -199,12 +160,6 @@ SPECS: tuple = (
     MetricSpec("fault.link_scale", KIND_GAUGE, "fraction", _LINK,
                "Effective bandwidth scale of each faulted link during the "
                "most recent fault epoch (1.0 = healthy).", "repro infra"),
-    MetricSpec("pool.workers", KIND_GAUGE, "processes", (),
-               "Worker-pool processes alive at the last scheduling step "
-               "(0 after shutdown).", "repro infra"),
-    MetricSpec("pool.queue_depth", KIND_GAUGE, "tasks", (),
-               "Tasks queued behind the pool (pending dispatch or "
-               "backing off) at the last scheduling step.", "repro infra"),
     MetricSpec("serve.queue_depth", KIND_GAUGE, "jobs", (),
                "Jobs waiting in the service's bounded submission queue "
                "(excludes the one currently executing).", "repro infra"),

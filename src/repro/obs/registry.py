@@ -12,9 +12,9 @@ Three metric kinds exist:
   and flushes one ``inc(value=N)`` per metric, never one call per access.
 * :class:`Gauge` — a point-in-time value (last write wins), e.g. the
   bandwidth scale of a faulted link or end-of-run page occupancy.
-* :class:`Histogram` — fixed-bucket distribution with bulk
-  ``observe_many``; used for per-kernel quantities whose spread matters
-  (accesses per kernel, accumulated latency).
+* :class:`Histogram` — fixed-bucket distribution; used for per-kernel
+  quantities whose spread matters (accesses per kernel, accumulated
+  latency) and for job latency.
 
 A registry also provides *per-kernel snapshotting*: :meth:`MetricsRegistry.
 begin_kernel` marks a baseline and :meth:`MetricsRegistry.end_kernel`
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 
 class MetricError(Exception):
@@ -158,19 +158,17 @@ class Gauge(Metric):
 
 
 class Histogram(Metric):
-    """Fixed-bucket histogram with bulk observation.
+    """Fixed-bucket histogram.
 
-    ``buckets`` are inclusive upper bounds; one implicit overflow bucket
-    catches everything above the last bound.  Per label key the state is
+    ``buckets`` are inclusive upper bounds (their order is checked by
+    :class:`MetricSpec`); one implicit overflow bucket catches
+    everything above the last bound.  Per label key the state is
     ``[bucket_counts..., overflow]`` plus running count/sum.
     """
 
     def __init__(self, spec: MetricSpec) -> None:
         super().__init__(spec)
-        bounds = tuple(spec.buckets)
-        if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
-            raise MetricError(f"{self.name}: buckets must strictly increase")
-        self.bounds = bounds
+        self.bounds = tuple(spec.buckets)
 
     def _state(self, key: tuple) -> dict:
         state = self._values.get(key)
@@ -194,19 +192,6 @@ class Histogram(Metric):
         state["buckets"][self._bucket_index(value)] += 1
         state["count"] += 1
         state["sum"] += value
-
-    def observe_many(self, values: Sequence[float], **labels) -> None:
-        """Bulk mutator: one call per batch, not one per sample."""
-        if not len(values):
-            return
-        state = self._state(label_key(self.spec, labels))
-        buckets = state["buckets"]
-        total = 0.0
-        for v in values:
-            buckets[self._bucket_index(v)] += 1
-            total += v
-        state["count"] += len(values)
-        state["sum"] += total
 
     def _zero(self):
         return None
@@ -258,26 +243,6 @@ class MetricsRegistry:
         self._metrics[spec.name] = metric
         return metric
 
-    def counter(self, name: str, unit: str = "count", labels: tuple = (),
-                description: str = "", paper_ref: str = "") -> Counter:
-        return self.register(MetricSpec(
-            name, KIND_COUNTER, unit, tuple(labels), description, paper_ref
-        ))
-
-    def gauge(self, name: str, unit: str = "value", labels: tuple = (),
-              description: str = "", paper_ref: str = "") -> Gauge:
-        return self.register(MetricSpec(
-            name, KIND_GAUGE, unit, tuple(labels), description, paper_ref
-        ))
-
-    def histogram(self, name: str, buckets: tuple, unit: str = "value",
-                  labels: tuple = (), description: str = "",
-                  paper_ref: str = "") -> Histogram:
-        return self.register(MetricSpec(
-            name, KIND_HISTOGRAM, unit, tuple(labels), description,
-            paper_ref, buckets=tuple(buckets),
-        ))
-
     # -- access ---------------------------------------------------------
 
     def get(self, name: str) -> Metric:
@@ -291,9 +256,6 @@ class MetricsRegistry:
 
     def names(self) -> list[str]:
         return sorted(self._metrics)
-
-    def specs(self) -> list[MetricSpec]:
-        return [self._metrics[n].spec for n in self.names()]
 
     # -- per-kernel snapshotting ----------------------------------------
 

@@ -9,9 +9,8 @@ counter dump) so journals stay greppable and cheap.
 The function is duck-typed: task functions can return anything, so a
 non-RunResult simply yields ``None`` and the journal stays unchanged.
 A RunResult-*shaped* object whose digest computation raises is a
-different story — that is data loss, so it is **counted**
-(``obs.digest_errors`` on the caller's registry) and surfaced as a
-single :class:`RuntimeWarning` per process instead of being silently
+different story — that is data loss, so it is surfaced as a single
+:class:`RuntimeWarning` per process instead of being silently
 swallowed.
 """
 
@@ -24,36 +23,27 @@ from typing import Optional
 _warned_digest_failure = False
 
 
-def _note_digest_failure(exc: BaseException, registry) -> None:
-    """Count a digest failure and warn exactly once per process."""
+def _note_digest_failure(exc: BaseException) -> None:
+    """Warn about a digest failure exactly once per process."""
     global _warned_digest_failure
-    if registry is not None:
-        from repro.obs.metrics import spec_for
-
-        try:
-            registry.register(spec_for("obs.digest_errors")).inc()
-        except Exception:
-            pass  # a foreign registry must still never fail the journal
     if not _warned_digest_failure:
         _warned_digest_failure = True
         warnings.warn(
             f"metric digest failed and was dropped from the journal "
-            f"({type(exc).__name__}: {exc}); further failures are "
-            f"counted in obs.digest_errors without this warning",
+            f"({type(exc).__name__}: {exc}); further failures drop "
+            f"their digest without this warning",
             RuntimeWarning,
             stacklevel=3,
         )
 
 
-def summarize_result(result, registry=None) -> Optional[dict]:
+def summarize_result(result) -> Optional[dict]:
     """A small JSON-safe digest of a ``RunResult`` (else ``None``).
 
     Keys are derived from the metric contract (``sim.accesses``,
     ``rdc.hit`` ...) so journal greps and docs speak the same language.
-
-    *registry* (a :class:`repro.obs.registry.MetricsRegistry`, optional)
-    receives an ``obs.digest_errors`` increment when a RunResult-shaped
-    object blows up mid-digest; the failure itself never propagates — a
+    A RunResult-shaped object that blows up mid-digest yields ``None``
+    and the one-shot warning; the failure never propagates — a
     malformed result must not fail the journal write.
     """
     total = getattr(result, "total", None)
@@ -87,7 +77,7 @@ def summarize_result(result, registry=None) -> Optional[dict]:
             )),
         }
     except Exception as exc:
-        _note_digest_failure(exc, registry)
+        _note_digest_failure(exc)
         return None
 
 

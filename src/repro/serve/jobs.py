@@ -117,6 +117,11 @@ class JobRequest:
             raise RequestError(
                 f"workloads: unknown abbreviation(s) {', '.join(bad)}"
             )
+        repeated = sorted({w for w in workloads if workloads.count(w) > 1})
+        if repeated:
+            raise RequestError(
+                f"workloads: {', '.join(repeated)} given more than once"
+            )
 
         rdc_gb = payload.get("rdc_gb", 2.0)
         if not isinstance(rdc_gb, (int, float)) or isinstance(rdc_gb, bool) \
@@ -222,8 +227,7 @@ class Job:
 
 
 def execute_request(request: JobRequest, journal_path, pool_jobs: int,
-                    registry=None, *, on_event=None,
-                    pin: bool = False) -> tuple:
+                    *, on_event=None, pin: bool = False) -> tuple:
     """Run one request on the worker fabric (blocking).
 
     Returns ``(payload, suite_run)``: the JSON-safe result payload and
@@ -247,7 +251,6 @@ def execute_request(request: JobRequest, journal_path, pool_jobs: int,
         rdc_bytes=int(request.rdc_gb * GB),
         use_cache=request.use_cache,
         runner=policy,
-        registry=registry,
         on_event=on_event,
     )
     elapsed = time.monotonic() - t0
@@ -430,8 +433,7 @@ class JobService:
         try:
             payload, run = await asyncio.to_thread(
                 execute_request, job.request, journal_path,
-                self.pool_jobs, self.registry,
-                on_event=forward, pin=self.pool_pin,
+                self.pool_jobs, on_event=forward, pin=self.pool_pin,
             )
         except Exception as exc:  # config/runner blew up, not a point
             job.error = f"{type(exc).__name__}: {exc}"

@@ -152,10 +152,9 @@ class ResultStore:
                 )
             payload = envelope["payload"]
         except (ValueError, KeyError, OSError) as exc:
-            durable.quarantine(path, exc, "serve result",
-                               "the job will re-run on next submission",
-                               registry=self._registry,
-                               metric="serve.store_quarantined")
+            if durable.quarantine(path, exc, "serve result",
+                                  "the job will re-run on next submission"):
+                self._count("serve.store_quarantined")
             return None
         try:
             os.utime(path)  # LRU touch: a hit is a use
@@ -168,6 +167,12 @@ class ResultStore:
 
     def keys(self) -> list[str]:
         return sorted(p.stem for p in self.results_dir.glob("*.json"))
+
+    def _count(self, name: str) -> None:
+        if self._registry is not None:
+            from repro.obs.metrics import spec_for
+
+            self._registry.register(spec_for(name)).inc()
 
     # -- bounded-store GC ------------------------------------------------
 
@@ -227,7 +232,7 @@ class ResultStore:
                     continue
             total -= size
             evicted += 1
-            durable.count(self._registry, "serve.store_evicted")
+            self._count("serve.store_evicted")
         return evicted
 
 

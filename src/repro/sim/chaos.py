@@ -237,14 +237,9 @@ class ChaosEngine:
         self,
         plan: ChaosPlan,
         state_dir: Union[str, Path],
-        registry=None,
     ) -> None:
         self.plan = plan
         self.state_dir = Path(state_dir)
-        #: Optional MetricsRegistry counting ``chaos.injected{kind}``
-        #: for faults injected in *this* process (the state directory,
-        #: not the counter, is the cross-process source of truth).
-        self.registry = registry
 
     # -- state files ----------------------------------------------------
 
@@ -318,15 +313,7 @@ class ChaosEngine:
                 continue
             if not self._claim_injection(idx, event, site, key, tick):
                 continue
-            self._count(event.kind)
             self._inject(event, key, path=path, line=line)
-
-    def _count(self, kind: str) -> None:
-        if self.registry is None:
-            return
-        from repro.obs.metrics import spec_for
-
-        self.registry.register(spec_for("chaos.injected")).inc(kind=kind)
 
     def _inject(
         self,
@@ -421,13 +408,6 @@ def active() -> Optional[ChaosEngine]:
     # between the parent's and a worker's copy cannot occur.
     _env_engine = (key, engine)
     return engine
-
-
-def attach_registry(registry) -> None:
-    """Give the armed engine a metrics registry if it lacks one."""
-    engine = active()
-    if engine is not None and engine.registry is None and registry is not None:
-        engine.registry = registry
 
 
 def fire(
@@ -900,7 +880,6 @@ __all__ = [
     "SITE_TASK",
     "STATE_ENV",
     "active",
-    "attach_registry",
     "fire",
     "install",
     "run_drill",

@@ -14,8 +14,9 @@ store all write through here.  Stdlib only.
   :func:`scan_records` sorts each line of a record file as intact, torn
   tail, corrupt or checksum failure.
 * :func:`quarantine` moves a damaged artifact to ``<name>.corrupt`` —
-  evidence kept, reported as a miss so the work is redone — counts it,
-  and warns on the first incident of each artifact kind per process.
+  evidence kept, reported as a miss so the work is redone — and warns
+  on the first incident of each artifact kind per process; the
+  ``*.corrupt`` file is the record of every incident.
 """
 
 from __future__ import annotations
@@ -179,15 +180,6 @@ def scan_records(path: Union[str, Path]) -> RecordScan:
     return scan
 
 
-def count(registry, metric: str, delta: int = 1) -> None:
-    """Add *delta* to *metric* on *registry* (no-op without one)."""
-    if registry is None or delta <= 0:
-        return
-    from repro.obs.metrics import spec_for
-
-    registry.register(spec_for(metric)).inc(delta)
-
-
 def warn_once(kind: str, message: str) -> None:
     """Issue *message* as a RuntimeWarning, once per *kind* per process."""
     if kind in _warned_kinds:
@@ -197,25 +189,25 @@ def warn_once(kind: str, message: str) -> None:
 
 
 def quarantine(path: Union[str, Path], exc: BaseException, kind: str,
-               consequence: str, registry=None,
-               metric: Optional[str] = None) -> None:
-    """Move a damaged artifact to ``<name>.corrupt``, count it, warn once.
+               consequence: str) -> bool:
+    """Move a damaged artifact to ``<name>.corrupt`` and warn once.
 
-    Quiet when *path* is already gone (another process got there first).
-    *kind* names the artifact and keys its warn-once latch;
-    *consequence* says what happens instead ("the run will be ...").
+    Returns whether this call moved it: False, quietly, when *path* is
+    already gone (another process got there first).  *kind* names the
+    artifact and keys its warn-once latch; *consequence* says what
+    happens instead ("the run will be ...").
     """
     path = Path(path)
     target = path.with_suffix(".corrupt")
     try:
         path.replace(target)
     except OSError:
-        return
-    if metric is not None:
-        count(registry, metric)
+        return False
     warn_once(
         kind,
         f"quarantined corrupt {kind} {path.name} -> {target.name} "
         f"({type(exc).__name__}: {exc}); {consequence}.  Further "
-        f"{kind} quarantines are counted silently.",
+        f"{kind} quarantines leave their *.corrupt file without a "
+        f"warning.",
     )
+    return True

@@ -155,7 +155,6 @@ def run_suites(
     workloads: Optional[list[str]] = None,
     use_cache: bool = True,
     runner: Optional[RunnerPolicy] = None,
-    registry=None,
     on_event=None,
 ) -> dict[str, SuiteRun]:
     """Run several configurations across the workload list as one batch.
@@ -167,12 +166,17 @@ def run_suites(
 
     Without *runner* a failed point raises
     :class:`~repro.sim.runner.BatchFailed`; with one, failed workloads
-    land in :attr:`SuiteRun.failures`.  *registry* and *on_event*
-    thread straight through to :func:`repro.sim.runner.run_tasks`.
+    land in :attr:`SuiteRun.failures`.  *on_event* threads straight
+    through to :func:`repro.sim.runner.run_tasks`.  An unknown or
+    repeated workload name fails before any simulation.
     """
     names = workloads if workloads is not None else suite.all_abbrs()
     for abbr in names:
-        suite.get(abbr)  # an unknown name fails before any simulation
+        suite.get(abbr)
+    repeated = sorted({abbr for abbr in names if names.count(abbr) > 1})
+    if repeated:
+        raise ConfigError(f"workloads: {', '.join(repeated)} given "
+                          f"more than once")
     tasks = [
         Task(key=f"{sid}/{abbr}", fn=simulate_named,
              args=(abbr, run.config, run.config_name, use_cache),
@@ -180,7 +184,7 @@ def run_suites(
         for abbr in names
         for sid, run in suites.items()
     ]
-    batch = run_tasks(tasks, runner, registry=registry, on_event=on_event)
+    batch = run_tasks(tasks, runner, on_event=on_event)
     for sid, run in suites.items():
         for abbr in names:
             key = f"{sid}/{abbr}"
@@ -200,7 +204,6 @@ def run_suite(
     rdc_bytes: int = 2 * GB,
     use_cache: bool = True,
     runner: Optional[RunnerPolicy] = None,
-    registry=None,
     on_event=None,
 ) -> SuiteRun:
     """Run one named configuration across the workload list.
@@ -210,8 +213,7 @@ def run_suite(
     """
     run = SuiteRun(config_name, config_for(config_name, base, rdc_bytes))
     return run_suites(
-        {config_name: run}, workloads, use_cache, runner,
-        registry=registry, on_event=on_event,
+        {config_name: run}, workloads, use_cache, runner, on_event=on_event,
     )[config_name]
 
 

@@ -40,19 +40,20 @@ envelope and quarantine are the shared ones of :mod:`repro.sim.durable`:
 
 * **Per-record checksums.**  Every line carries ``sum`` — a truncated
   sha256 over the record's canonical JSON without the ``sum`` field.  A
-  record whose ``sum`` is missing or fails is dropped and counted,
-  never trusted: resume then re-runs the point, which is always safe.
+  record whose ``sum`` is missing or fails is dropped (and counted in
+  the :class:`~repro.sim.durable.RecordScan`), never trusted: resume
+  then re-runs the point, which is always safe.
 * **Torn tail vs interior corruption.**  A crash mid-append tears at
   most the *final* line; that is expected damage, silently truncated
-  away before the next append (counted once per journal instance).  A
-  broken line anywhere *else* — or a complete line failing its
-  checksum — means something other than a crash touched the file, so it
-  is skipped **loudly**: a one-shot ``RuntimeWarning`` plus counters.
+  away before the next append.  A broken line anywhere *else* — or a
+  complete line failing its checksum — means something other than a
+  crash touched the file, so it is skipped **loudly**: a one-shot
+  ``RuntimeWarning`` naming the scan's counts.
 * **Sealed sidecars.**  Results are pickled to
   ``<journal-stem>-results/<sha256(key)[:24]>.pkl`` as a sealed blob:
   magic, sha256 of the payload, payload.  ``load_result`` verifies the
   digest and quarantines any unreadable or tampered sidecar to
-  ``*.corrupt`` (one-shot warning, counted) so resume re-runs the point
+  ``*.corrupt`` (one-shot warning) so resume re-runs the point
   instead of resuming from garbage.
 * **Opt-in fsync.**  ``Journal(..., fsync=True)`` (``suite
   --fsync-journal``) fsyncs every append and sidecar store,
@@ -95,18 +96,12 @@ class Journal:
         self,
         path: Union[str, Path],
         fsync: bool = False,
-        registry=None,
     ) -> None:
         self.path = Path(path)
         self.results_dir = self.path.parent / f"{self.path.stem}-results"
-        #: Optional MetricsRegistry for the journal.* damage counters.
-        self.registry = registry
         self._fsync = fsync
         self._scan_cache: Optional[tuple[tuple[int, int], RecordScan]] = None
         self._tail_checked = False
-        self._torn_counted = False
-        self._counted_corrupt = 0
-        self._counted_checksum = 0
 
     # ------------------------------------------------------------------
     # Writing
@@ -141,9 +136,8 @@ class Journal:
 
         Only a crash mid-append produces one, only on the last line,
         and its content is by definition an event that never completed
-        — so removal is always safe and done silently (counted in the
-        ``journal.torn_records`` metric, once per incident).  Checked
-        once per instance: after the first append this process owns the
+        — so removal is always safe and done silently.  Checked once
+        per instance: after the first append this process owns the
         tail.
         """
         if self._tail_checked:
@@ -165,7 +159,6 @@ class Journal:
             return False
         with self.path.open("rb+") as f:
             f.truncate(cut)
-        self._note_torn()
         return True
 
     def store_result(self, key: str, result: Any) -> None:
@@ -214,14 +207,14 @@ class Journal:
             return self._scan_cache[1]
         scan = self._parse()
         self._scan_cache = (cache_key, scan)
-        self._publish(scan)
+        self._warn_damage(scan)
         return scan
 
     def _parse(self) -> RecordScan:
         return durable.scan_records(self.path)
 
-    def _publish(self, scan: RecordScan) -> None:
-        """Surface a scan's damage: one-shot warning + counters."""
+    def _warn_damage(self, scan: RecordScan) -> None:
+        """Surface a scan's interior damage: a one-shot warning."""
         if scan.corrupt_records or scan.checksum_failures:
             durable.warn_once(
                 "journal record",
@@ -230,24 +223,8 @@ class Journal:
                 f"{scan.checksum_failures} failing their checksum); they "
                 f"were skipped and their points will re-run on resume, "
                 f"but interior damage is not crash fallout — check the "
-                f"storage.  Further incidents are counted silently.",
+                f"storage.  Further incidents are not warned about.",
             )
-        if scan.torn_tail:
-            self._note_torn()
-        durable.count(
-            self.registry, "journal.corrupt_records",
-            scan.corrupt_records - self._counted_corrupt,
-        )
-        self._counted_corrupt = max(
-            self._counted_corrupt, scan.corrupt_records
-        )
-        durable.count(
-            self.registry, "journal.checksum_failures",
-            scan.checksum_failures - self._counted_checksum,
-        )
-        self._counted_checksum = max(
-            self._counted_checksum, scan.checksum_failures
-        )
 
     def records(self) -> list[dict]:
         """All intact records (see :meth:`scan` for damage handling)."""
@@ -292,8 +269,8 @@ class Journal:
 
         Any unreadable sidecar — bad envelope, digest mismatch,
         unpicklable payload — is moved to ``*.corrupt`` (evidence
-        preserved, the point re-runs on resume) with a one-shot warning
-        and a counted metric, like every durable artifact.
+        preserved, the point re-runs on resume) with a one-shot warning,
+        like every durable artifact.
         """
         return self._load(key, pickle.loads)
 
@@ -308,23 +285,8 @@ class Journal:
             return None
         except Exception as exc:
             durable.quarantine(target, exc, "journal sidecar",
-                               "the point will re-run on resume",
-                               registry=self.registry,
-                               metric="journal.sidecar_quarantined")
+                               "the point will re-run on resume")
             return None
-
-    # ------------------------------------------------------------------
-    # Accounting
-    # ------------------------------------------------------------------
-
-    def _note_torn(self) -> None:
-        # A file tail can be torn at most once per crash, and one
-        # instance observes at most one crash's fallout (scan and
-        # repair both see the same tear) — count it once.
-        if self._torn_counted:
-            return
-        self._torn_counted = True
-        durable.count(self.registry, "journal.torn_records")
 
 
 __all__ = [

@@ -108,59 +108,39 @@ def plan_affinity(
     jobs: int,
     pin: bool,
     nodes: Optional[Sequence[Sequence[int]]] = None,
-) -> list[Optional[tuple[int, ...]]]:
-    """Per-worker CPU sets for *jobs* workers.
+) -> list[tuple[Optional[tuple[int, ...]], int]]:
+    """Per-worker ``(cpus, node)`` placement for *jobs* workers.
 
-    Unpinned: every entry is ``None`` (inherit the parent's affinity).
-    Pinned: workers are placed round-robin across NUMA nodes — worker
-    *i* on node ``i % n_nodes`` — and the workers sharing one node split
-    its CPU list into disjoint contiguous slices, so each worker's
-    memory allocations and scheduling stay on one node (the
-    process-per-node recipe).  When a node has fewer CPUs than workers,
-    the whole node set is shared instead.
+    Unpinned: every entry is ``(None, -1)`` (inherit the parent's
+    affinity, no node).  Pinned: workers are placed round-robin across
+    NUMA nodes — worker *i* on node ``i % n_nodes`` — and the workers
+    sharing one node split its CPU list into disjoint contiguous
+    slices, so each worker's memory allocations and scheduling stay on
+    one node (the process-per-node recipe).  When a node has fewer CPUs
+    than workers, the whole node set is shared instead.  The node lands
+    in each ``start`` journal record, so timelines and drill reports
+    label slots with the node they ran on.
     """
     if jobs <= 0:
         raise ValueError("jobs must be positive")
     if not pin:
-        return [None] * jobs
+        return [(None, -1)] * jobs
     topo = [list(n) for n in (nodes if nodes is not None else numa_nodes())]
     topo = [n for n in topo if n] or [_process_cpus()]
-    per_node: dict[int, list[int]] = {}
+    plan = []
     for worker in range(jobs):
-        per_node.setdefault(worker % len(topo), []).append(worker)
-    plan: list[Optional[tuple[int, ...]]] = [None] * jobs
-    for node_idx, workers in per_node.items():
-        cpus = topo[node_idx]
-        share = len(workers)
-        for rank, worker in enumerate(workers):
-            if share <= len(cpus):
-                lo = (rank * len(cpus)) // share
-                hi = ((rank + 1) * len(cpus)) // share
-                plan[worker] = tuple(cpus[lo:hi])
-            else:
-                plan[worker] = tuple(cpus)
+        node = worker % len(topo)
+        cpus = topo[node]
+        # Workers on this node, and this worker's rank among them.
+        share = len(range(node, jobs, len(topo)))
+        rank = worker // len(topo)
+        if share <= len(cpus):
+            lo = (rank * len(cpus)) // share
+            hi = ((rank + 1) * len(cpus)) // share
+            plan.append((tuple(cpus[lo:hi]), node))
+        else:
+            plan.append((tuple(cpus), node))
     return plan
-
-
-def plan_nodes(
-    jobs: int,
-    pin: bool,
-    nodes: Optional[Sequence[Sequence[int]]] = None,
-) -> list[int]:
-    """The NUMA node each worker slot lands on (-1 when unpinned).
-
-    Mirrors the round-robin placement of :func:`plan_affinity` — worker
-    *i* on node ``i % n_nodes`` — so journal ``start`` records, and the
-    timelines and drill reports built from them, can label slots with
-    the node they actually ran on.
-    """
-    if jobs <= 0:
-        raise ValueError("jobs must be positive")
-    if not pin:
-        return [-1] * jobs
-    topo = [list(n) for n in (nodes if nodes is not None else numa_nodes())]
-    topo = [n for n in topo if n] or [_process_cpus()]
-    return [i % len(topo) for i in range(jobs)]
 
 
 def _apply_affinity(cpus: Optional[Sequence[int]]) -> None:
@@ -257,9 +237,6 @@ class PoolWorker:
     #: sentinel remains meaningful and crash handling fires exactly
     #: once, when the process actually exits.
     conn_dead: bool = False
-    #: Tasks dispatched to this slot over the pool's lifetime (counts
-    #: across respawns — it identifies the slot, not the process).
-    tasks_started: int = 0
     #: Deaths since the slot last delivered a result.  The runner's
     #: crash-loop breaker reads this to stop respawning a slot that can
     #: never complete a task (poison task, broken node, OOM treadmill).
@@ -290,10 +267,9 @@ class WorkerPool:
         if jobs <= 0:
             raise ValueError("pool size must be positive")
         self._ctx = ctx if ctx is not None else _mp_context()
-        node_plan = plan_nodes(jobs, pin, nodes)
         self.workers = [
-            PoolWorker(index=i, affinity=plan, node=node_plan[i])
-            for i, plan in enumerate(plan_affinity(jobs, pin, nodes))
+            PoolWorker(index=i, affinity=cpus, node=node)
+            for i, (cpus, node) in enumerate(plan_affinity(jobs, pin, nodes))
         ]
 
     def __len__(self) -> int:
@@ -326,7 +302,6 @@ class WorkerPool:
             worker.conn.send((MSG_RUN, key, fn, args))
         except (OSError, ValueError):
             return False
-        worker.tasks_started += 1
         return True
 
     # -- events ---------------------------------------------------------
@@ -404,9 +379,6 @@ class WorkerPool:
 
     # -- lifecycle ------------------------------------------------------
 
-    def alive_count(self) -> int:
-        return sum(1 for w in self.workers if w.alive)
-
     def reap(self, worker: PoolWorker) -> None:
         """Join a dead worker and retire its slot (no replacement)."""
         if worker.process is not None:
@@ -469,5 +441,4 @@ __all__ = [
     "numa_nodes",
     "parse_cpulist",
     "plan_affinity",
-    "plan_nodes",
 ]

@@ -52,7 +52,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Union
 
-from repro.obs.metrics import spec_for
 from repro.obs.summary import summarize_result
 from repro.sim import chaos
 from repro.sim.journal import Journal
@@ -230,71 +229,27 @@ class BatchFailed(RuntimeError):
 # Batch execution
 # ---------------------------------------------------------------------------
 
-class _Telemetry:
-    """Optional metric/event sink for runner lifecycle happenings.
+def _emitter(on_event: Optional[Callable[[dict], None]]
+             ) -> Callable[..., None]:
+    """``emit(kind, **data)`` forwarding one lifecycle event to *on_event*.
 
-    Wraps a :class:`repro.obs.registry.MetricsRegistry` (``runner.*``
-    counters and ``pool.*`` gauges from the contract in
-    :mod:`repro.obs.metrics`).  Every method is a cheap no-op when
-    nothing was attached.
+    The callback is observational (the serve event stream); a raising
+    subscriber must never fail the batch.
     """
-
-    def __init__(self, registry, on_event=None) -> None:
-        self._on_event = on_event
-        #: The attached registry (also consumed by the result-digest
-        #: path, which counts ``obs.digest_errors`` against it).
-        self.registry = registry
-        self._attempts = self._retries = self._failures = None
-        self._pool_workers = self._pool_queue = self._pool_tasks = None
-        if registry is not None:
-            self._attempts = registry.register(spec_for("runner.attempts"))
-            self._retries = registry.register(spec_for("runner.retries"))
-            self._failures = registry.register(spec_for("runner.failures"))
-            self._pool_workers = registry.register(spec_for("pool.workers"))
-            self._pool_queue = registry.register(
-                spec_for("pool.queue_depth")
-            )
-            self._pool_tasks = registry.register(spec_for("pool.tasks"))
-
-    def attempt(self) -> None:
-        if self._attempts is not None:
-            self._attempts.inc()
-
-    def retry(self) -> None:
-        if self._retries is not None:
-            self._retries.inc()
-
-    def failure(self, kind: str) -> None:
-        if self._failures is not None:
-            self._failures.inc(kind=kind)
-
-    def pool_task(self, worker: int) -> None:
-        if self._pool_tasks is not None:
-            self._pool_tasks.inc(worker=worker)
-
-    def pool_state(self, workers_alive: int, queue_depth: int) -> None:
-        if self._pool_workers is not None:
-            self._pool_workers.set(workers_alive)
-            self._pool_queue.set(queue_depth)
-
-    def emit(self, kind: str, **data) -> None:
-        """Forward one lifecycle event to the attached ``on_event``.
-
-        The callback is observational (the serve event stream); a
-        raising subscriber must never fail the batch.
-        """
-        if self._on_event is None:
+    def emit(kind: str, **data) -> None:
+        if on_event is None:
             return
         try:
-            self._on_event({"kind": kind, **data})
+            on_event({"kind": kind, **data})
         except Exception:
             pass
+
+    return emit
 
 
 def run_tasks(
     tasks: Sequence[Task],
     policy: Optional[RunnerPolicy] = None,
-    registry=None,
     on_event: Optional[Callable[[dict], None]] = None,
 ) -> BatchResult:
     """Execute *tasks* in submission order under *policy*.
@@ -303,14 +258,9 @@ def run_tasks(
     the batch runs fail-fast under the default one and raises
     :class:`BatchFailed` instead.
 
-    *registry* (a :class:`repro.obs.registry.MetricsRegistry`) collects
-    the ``runner.attempts`` / ``runner.retries`` / ``runner.failures``
-    counters plus the pool gauges.  It is observational only — task
-    scheduling, retries, and results are unaffected.
-
     *on_event* receives one dict per point completion (``point.done``
     / ``point.failed``) — the serve event stream's feed; it is
-    observational too.  The journal records every attempt once
+    observational only.  The journal records every attempt once
     (``start`` with its pool slot and NUMA node, then ``done``,
     ``retry``, ``failed`` or ``cancelled``), and the batch timeline is
     assembled from it (docs/tracing.md).
@@ -319,20 +269,13 @@ def run_tasks(
     if fail_fast:
         policy = RunnerPolicy(keep_going=False)
     policy.validate()
-    telem = _Telemetry(registry, on_event)
+    emit = _emitter(on_event)
     keys = [t.key for t in tasks]
     if len(set(keys)) != len(keys):
         raise ValueError("task keys must be unique within a batch")
 
-    # A chaos engine armed via the environment (docs/chaos.md) counts
-    # its parent-side injections against this batch's registry.
-    chaos.attach_registry(registry)
     journal = (
-        Journal(
-            policy.journal_path,
-            fsync=policy.fsync_journal,
-            registry=registry,
-        )
+        Journal(policy.journal_path, fsync=policy.fsync_journal)
         if policy.journal_path else None
     )
     if journal is not None:
@@ -348,11 +291,11 @@ def run_tasks(
 
         journal.append("meta", "", fingerprint=environment_fingerprint())
     batch = BatchResult()
-    todo = _pre_dispatch(tasks, policy, journal, batch, telem)
+    todo = _pre_dispatch(tasks, policy, journal, batch, emit)
     if policy.isolated:
-        _run_isolated(todo, policy, journal, batch, telem)
+        _run_isolated(todo, policy, journal, batch, emit)
     else:
-        _run_inline(todo, policy, journal, batch, telem)
+        _run_inline(todo, policy, journal, batch, emit)
     # Pooled attempts land in completion order, which varies run to run;
     # re-key into submission order so a batch's outcome is byte-identical
     # regardless of jobs/pin/scheduling.
@@ -376,7 +319,7 @@ def _pre_dispatch(
     policy: RunnerPolicy,
     journal: Optional[Journal],
     batch: BatchResult,
-    telem: _Telemetry,
+    emit: Callable[..., None],
 ) -> list[Task]:
     """Answer every point whose result is already known; return the rest.
 
@@ -423,8 +366,7 @@ def _pre_dispatch(
         elapsed_s = time.monotonic() - started
         if journal is not None:
             journal.append("start", task.key, attempt=1, slot=-1, node=-1)
-        telem.attempt()
-        _record_success(batch, journal, task, result, 1, elapsed_s, telem)
+        _record_success(batch, journal, task, result, 1, elapsed_s, emit)
     return left
 
 
@@ -435,25 +377,21 @@ def _record_success(
     result: Any,
     attempt: int,
     elapsed_s: float,
-    telem: Optional["_Telemetry"] = None,
+    emit: Callable[..., None],
 ) -> None:
     batch.results[task.key] = result
     if journal is not None:
         journal.store_result(task.key, result)
         # RunResult-shaped outcomes enrich the done record with a compact
         # metric digest (rdc.hit, link.bytes, ...) for journal greps.
-        # Digest failures are counted (obs.digest_errors) not swallowed.
-        metrics = summarize_result(
-            result, registry=telem.registry if telem is not None else None
-        )
+        # A digest that raises is dropped with a one-shot warning.
+        metrics = summarize_result(result)
         extra = {"metrics": metrics} if metrics is not None else {}
         journal.append(
             "done", task.key, attempt=attempt, elapsed_s=elapsed_s,
             config_hash=task.config_hash, **extra,
         )
-    if telem is not None:
-        telem.emit("point.done", key=task.key, attempt=attempt,
-                   elapsed_s=elapsed_s)
+    emit("point.done", key=task.key, attempt=attempt, elapsed_s=elapsed_s)
 
 
 def _record_failure(
@@ -461,14 +399,13 @@ def _record_failure(
     journal: Optional[Journal],
     task: Task,
     report: FailureReport,
-    telem: Optional["_Telemetry"] = None,
+    emit: Callable[..., None],
 ) -> None:
     batch.failures[task.key] = report
     if journal is not None:
         journal.append("failed", task.key, **report.to_record())
-    if telem is not None:
-        telem.emit("point.failed", key=task.key,
-                   failure_kind=report.kind, attempts=report.attempts)
+    emit("point.failed", key=task.key, failure_kind=report.kind,
+         attempts=report.attempts)
 
 
 def _run_inline(
@@ -476,7 +413,7 @@ def _run_inline(
     policy: RunnerPolicy,
     journal: Optional[Journal],
     batch: BatchResult,
-    telem: _Telemetry,
+    emit: Callable[..., None],
 ) -> None:
     """In-process execution in submission order (the default path)."""
     for i, task in enumerate(todo):
@@ -487,7 +424,6 @@ def _run_inline(
                 # The inline path has no pool slot: -1 for both.
                 journal.append("start", task.key, attempt=attempt,
                                slot=-1, node=-1)
-            telem.attempt()
             try:
                 chaos.fire(chaos.SITE_TASK, task.key)
                 result = task.fn(*task.args)
@@ -501,7 +437,6 @@ def _run_inline(
                             exception_type=type(exc).__name__,
                             message=str(exc), backoff_s=delay,
                         )
-                    telem.retry()
                     if delay > 0:
                         time.sleep(delay)
                     attempt += 1
@@ -513,8 +448,7 @@ def _run_inline(
                     config_hash=task.config_hash, attempts=attempt,
                     elapsed_s=time.perf_counter() - started,
                 )
-                _record_failure(batch, journal, task, report, telem)
-                telem.failure(KIND_EXCEPTION)
+                _record_failure(batch, journal, task, report, emit)
                 if not policy.keep_going:
                     batch.cancelled.extend(t.key for t in todo[i + 1:])
                     return
@@ -522,7 +456,7 @@ def _run_inline(
             else:
                 _record_success(
                     batch, journal, task, result, attempt,
-                    time.perf_counter() - started, telem,
+                    time.perf_counter() - started, emit,
                 )
                 break
 
@@ -548,7 +482,7 @@ def _run_isolated(
     policy: RunnerPolicy,
     journal: Optional[Journal],
     batch: BatchResult,
-    telem: _Telemetry,
+    emit: Callable[..., None],
 ) -> None:
     """Crash-isolated execution on the persistent worker pool."""
     if not todo:
@@ -575,7 +509,6 @@ def _run_isolated(
                 entry.task, entry.attempt + 1,
                 time.monotonic() + delay, entry.first_started,
             ))
-            telem.retry()
             return
         report = FailureReport(
             key=entry.task.key, kind=kind, exception_type=exc_type,
@@ -583,8 +516,7 @@ def _run_isolated(
             config_hash=entry.task.config_hash, attempts=entry.attempt,
             elapsed_s=time.monotonic() - entry.first_started,
         )
-        _record_failure(batch, journal, entry.task, report, telem)
-        telem.failure(kind)
+        _record_failure(batch, journal, entry.task, report, emit)
         if not policy.keep_going:
             stop = True
 
@@ -644,9 +576,6 @@ def _run_isolated(
                 if journal is not None:
                     journal.append("start", task.key, attempt=attempt,
                                    slot=worker.index, node=worker.node)
-                telem.attempt()
-                telem.pool_task(worker.index)
-            telem.pool_state(pool.alive_count(), len(pending))
 
             # Wait for results/crashes, bounded by the nearest deadline
             # or backoff wake-up.
@@ -683,7 +612,7 @@ def _run_isolated(
                             batch, journal, entry.task, result,
                             entry.attempt,
                             time.monotonic() - entry.first_started,
-                            telem,
+                            emit,
                         )
                 else:  # died: segfault, OOM kill, os._exit — crash case
                     if entry is not None:
@@ -717,8 +646,7 @@ def _run_isolated(
                                 ),
                             )
                             _record_failure(batch, journal, entry.task,
-                                            report, telem)
-                            telem.failure(KIND_CRASH_LOOP)
+                                            report, emit)
                             stop = True
                             continue
                         finish_failure(
@@ -751,4 +679,3 @@ def _run_isolated(
                         pool.kill_worker(worker)
     finally:
         pool.shutdown(force=stop)
-        telem.pool_state(0, len(pending))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import json
+import shutil
 import subprocess
 import warnings
 from pathlib import Path
@@ -24,7 +25,6 @@ from repro.obs.baseline import (
     make_run_record,
     validate_record,
 )
-from repro.obs.metrics import default_registry
 from repro.workloads.base import generate_trace
 from repro.workloads.suite import get
 
@@ -87,6 +87,29 @@ class TestFingerprint:
             git_sha.cache_clear()
         assert first == second
         assert len(spawned) == 1
+
+    def test_git_sha_names_the_source_checkout_not_the_cwd(
+            self, tmp_path, monkeypatch):
+        if shutil.which("git") is None:
+            pytest.skip("git is not installed")
+        own = subprocess.run(
+            ["git", "rev-parse", "--short=12", "HEAD"],
+            cwd=Path(summary.__file__).resolve().parent,
+            capture_output=True, text=True,
+        )
+        if own.returncode != 0:
+            pytest.skip("the simulator source is not a git checkout")
+        git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+               "-c", "commit.gpgsign=false"]
+        subprocess.run(git + ["init", "-q"], cwd=tmp_path, check=True)
+        subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "x"],
+                       cwd=tmp_path, check=True)
+        monkeypatch.chdir(tmp_path)
+        git_sha.cache_clear()
+        try:
+            assert git_sha() == own.stdout.strip()
+        finally:
+            git_sha.cache_clear()
 
 
 class TestRunRecord:
@@ -185,28 +208,23 @@ class _ExplodingResult:
 
 class TestDigestFailureAccounting:
     def test_counts_and_warns_once(self, monkeypatch):
+        # The one-shot warning is the record of a dropped digest.
         monkeypatch.setattr(summary, "_warned_digest_failure", False)
-        registry = default_registry()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert summary.summarize_result(
-                _ExplodingResult(), registry=registry) is None
-            assert summary.summarize_result(
-                _ExplodingResult(), registry=registry) is None
-        assert registry.get("obs.digest_errors").total() == 2
+            assert summary.summarize_result(_ExplodingResult()) is None
+            assert summary.summarize_result(_ExplodingResult()) is None
         runtime = [w for w in caught
                    if issubclass(w.category, RuntimeWarning)]
         assert len(runtime) == 1
-        assert "obs.digest_errors" in str(runtime[0].message)
+        assert "synthetic digest failure" in str(runtime[0].message)
 
     def test_duck_type_miss_stays_silent(self, monkeypatch):
         monkeypatch.setattr(summary, "_warned_digest_failure", False)
-        registry = default_registry()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert summary.summarize_result(None, registry=registry) is None
-            assert summary.summarize_result({}, registry=registry) is None
-        assert registry.get("obs.digest_errors").total() == 0
+            assert summary.summarize_result(None) is None
+            assert summary.summarize_result({}) is None
         assert not caught
 
     def test_failure_never_propagates_without_registry(self, monkeypatch):

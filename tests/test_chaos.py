@@ -16,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.registry import MetricsRegistry
 from repro.sim import chaos
 from repro.sim.chaos import (
     DRILL_WORKLOADS,
@@ -54,9 +53,9 @@ def _no_leftover_engine(monkeypatch):
     chaos.uninstall()
 
 
-def _engine(tmp_path, *events, registry=None):
+def _engine(tmp_path, *events):
     plan = ChaosPlan(seed=0, events=tuple(events))
-    return ChaosEngine(plan, tmp_path / "state", registry=registry)
+    return ChaosEngine(plan, tmp_path / "state")
 
 
 class TestPlan:
@@ -185,12 +184,8 @@ class TestEngineSemantics:
         assert ChaosEngine.injected(eng.state_dir) == []
 
     def test_audit_record_written_with_metrics(self, tmp_path):
-        registry = MetricsRegistry()
-        eng = _engine(
-            tmp_path,
-            FaultEvent(KIND_WORKER_EXCEPTION, "", nth=1),
-            registry=registry,
-        )
+        # The ev<i>.injected audit record is the one count of injections.
+        eng = _engine(tmp_path, FaultEvent(KIND_WORKER_EXCEPTION, "", nth=1))
         with pytest.raises(ChaosInjectedError):
             eng.fire(SITE_TASK, "numa-gpu/Lulesh")
         (rec,) = ChaosEngine.injected(eng.state_dir)
@@ -199,8 +194,8 @@ class TestEngineSemantics:
         assert rec["key"] == "numa-gpu/Lulesh"
         assert rec["pid"] == os.getpid()
         assert rec["tick"] == 1
-        counter = registry.get("chaos.injected")
-        assert counter.value(kind=KIND_WORKER_EXCEPTION) == 1
+        assert [p.name for p in eng.state_dir.glob("ev*.injected")] == [
+            "ev0.injected"]
 
 
 class TestFaultKinds:
@@ -210,19 +205,14 @@ class TestFaultKinds:
         from repro.sim import durable
 
         monkeypatch.setattr(durable, "_warned_kinds", set())
-        registry = MetricsRegistry()
-        chaos.install(
-            _engine(tmp_path, FaultEvent(kind, "", nth=1),
-                    registry=registry)
-        )
-        journal = Journal(tmp_path / "j.jsonl", registry=registry)
+        chaos.install(_engine(tmp_path, FaultEvent(kind, "", nth=1)))
+        journal = Journal(tmp_path / "j.jsonl")
         journal.store_result("k", {"payload": list(range(100))})
         chaos.uninstall()
         with pytest.warns(RuntimeWarning, match="quarantined"):
             assert journal.load_result("k") is None
-        assert list(journal.results_dir.glob("*.corrupt"))
+        assert len(list(journal.results_dir.glob("*.corrupt"))) == 1
         assert not list(journal.results_dir.glob("*.pkl"))
-        assert registry.get("journal.sidecar_quarantined").value() == 1
 
     def test_simcache_corrupt_rots_the_entry(self, tmp_path):
         entry = tmp_path / "entry.pkl"
@@ -279,15 +269,6 @@ class TestHookPlumbing:
         monkeypatch.setenv(STATE_ENV, str(tmp_path / "state"))
         assert chaos.active() is None
         chaos.fire(SITE_TASK, "k")  # still a no-op
-
-    def test_attach_registry_fills_missing_only(self, tmp_path):
-        eng = _engine(tmp_path, FaultEvent(KIND_WORKER_EXCEPTION, "", nth=1))
-        chaos.install(eng)
-        registry = MetricsRegistry()
-        chaos.attach_registry(registry)
-        assert eng.registry is registry
-        chaos.attach_registry(MetricsRegistry())
-        assert eng.registry is registry  # first one sticks
 
 
 _KILL_CHILD = """

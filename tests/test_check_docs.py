@@ -77,6 +77,21 @@ class TestReferenceCompleteness:
         assert any("rdc.hit" in p for p in problems)
 
 
+class TestMetricsEmitted:
+    def test_metric_no_module_names_is_flagged(self, checker, tmp_path):
+        package = tmp_path / "src" / "repro"
+        (package / "obs").mkdir(parents=True)
+        # The contract's own literals do not count as emitting.
+        (package / "obs" / "metrics.py").write_text(
+            'NAMES = ("rdc.hit", "link.bytes")\n')
+        (package / "emit.py").write_text(
+            '"""Counts link.bytes (a docstring is not a literal name)."""\n'
+            'COUNTED = "rdc.hit"\n')
+        problems = checker.check_metrics_emitted(tmp_path)
+        assert any("`link.bytes`" in p for p in problems)
+        assert not any("`rdc.hit`" in p for p in problems)
+
+
 class TestEndpointTokens:
     def test_unknown_endpoint_flagged(self, checker, tmp_path):
         md = tmp_path / "a.md"

@@ -217,6 +217,14 @@ class TestExitStatus:
         err = capsys.readouterr().err
         assert "invalid configuration" in err
 
+    def test_repeated_workload_exits_2(self, capsys, tmp_path):
+        # Refused before any simulation, with one line naming the name.
+        rc = main(["suite", "numa-gpu", "--workloads", "Euler", "Euler",
+                   "--journal", str(tmp_path / "j.jsonl")])
+        assert rc == 2
+        assert "Euler given more than once" in capsys.readouterr().err
+        assert not (tmp_path / "j.jsonl").exists()
+
     def test_zero_rdc_size_is_refused_not_defaulted(self, capsys):
         # --rdc-gb 0 is a value, not an absent flag: it must reach
         # validation instead of silently simulating the 2 GB default.

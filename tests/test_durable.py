@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.registry import MetricsRegistry
 from repro.sim import durable
 from repro.sim.durable import (
     CHECKSUM,
@@ -130,26 +129,21 @@ class TestRecords:
 
 class TestQuarantine:
     def test_moves_aside_counts_and_warns(self, tmp_path):
-        registry = MetricsRegistry()
         path = tmp_path / "entry.pkl"
         path.write_bytes(b"bad")
         with pytest.warns(RuntimeWarning, match="quarantined corrupt thing"):
-            quarantine(path, ValueError("bad"), "thing", "it is redone",
-                       registry=registry,
-                       metric="journal.sidecar_quarantined")
+            # True: this call moved it, so a caller may count it.
+            assert quarantine(path, ValueError("bad"), "thing",
+                              "it is redone") is True
         assert not path.exists()
         assert (tmp_path / "entry.corrupt").read_bytes() == b"bad"
-        assert registry.get("journal.sidecar_quarantined").value() == 1
 
     def test_already_gone_is_quiet(self, tmp_path):
-        registry = MetricsRegistry()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            quarantine(tmp_path / "gone.pkl", ValueError("x"), "thing",
-                       "it is redone", registry=registry,
-                       metric="journal.sidecar_quarantined")
+            assert quarantine(tmp_path / "gone.pkl", ValueError("x"),
+                              "thing", "it is redone") is False
         assert not list(tmp_path.iterdir())
-        assert "journal.sidecar_quarantined" not in registry.names()
 
     def test_one_warning_per_kind_per_process(self, tmp_path):
         for name in ("a", "b", "c"):

@@ -25,15 +25,16 @@ class TestTraceParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["trace", "DOOM"])
 
-    def test_metrics_out_accepted_on_run_and_suite(self):
+    def test_metrics_out_accepted_on_run_not_suite(self):
         run_args = build_parser().parse_args(
             ["run", "Lulesh", "--metrics-out", "m.json"]
         )
         assert run_args.metrics_out == "m.json"
-        suite_args = build_parser().parse_args(
-            ["suite", "numa-gpu", "--metrics-out", "m.json"]
-        )
-        assert suite_args.metrics_out == "m.json"
+        # A suite's digests live in its journal's done records.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["suite", "numa-gpu", "--metrics-out", "m.json"]
+            )
 
 
 class TestTraceJournal:
@@ -103,14 +104,16 @@ class TestMetricsOut:
         assert "sim.accesses" in doc["metrics"]
         assert doc["kernel_snapshots"], "no per-kernel snapshots"
 
-    def test_suite_writes_metrics_json(self, tmp_path):
-        path = tmp_path / "m.json"
+    def test_suite_journal_carries_the_digests(self, tmp_path):
+        path = tmp_path / "suite.jsonl"
         rc = main([
             "suite", "numa-gpu", "--workloads", "Lulesh",
-            "--metrics-out", str(path), "--no-cache",
+            "--journal", str(path), "--no-cache",
         ])
         assert rc == 0
-        doc = json.loads(path.read_text())
-        assert doc["metrics"]["runner.attempts"]["values"] == {"": 1}
-        assert "Lulesh" in doc["workloads"]
-        assert doc["workloads"]["Lulesh"]["kernels"] > 0
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["key"] for r in records if r["event"] == "start"] == [
+            "numa-gpu/Lulesh"]
+        (done,) = [r for r in records if r["event"] == "done"]
+        assert done["metrics"]["workload"] == "Lulesh"
+        assert done["metrics"]["kernels"] > 0

@@ -105,10 +105,10 @@ class TestMetricsJson:
 
     def test_accepts_bare_registry(self, tmp_path):
         r = default_registry()
-        r.get("runner.attempts").inc(3)
+        r.get("trace.dropped").inc(3)
         path = tmp_path / "m.json"
         doc = write_metrics_json(path, r)
-        assert doc["metrics"]["runner.attempts"]["values"] == {"": 3}
+        assert doc["metrics"]["trace.dropped"]["values"] == {"": 3}
 
 
 def _migration_run():

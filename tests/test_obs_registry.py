@@ -24,6 +24,12 @@ def _registry() -> MetricsRegistry:
     return MetricsRegistry()
 
 
+def _metric(registry: MetricsRegistry, kind: str, name: str = "x.y",
+            labels: tuple = (), **extra):
+    """Register one spec, as the contract in repro.obs.metrics does."""
+    return registry.register(MetricSpec(name, kind, "n", labels, **extra))
+
+
 class TestSpec:
     def test_rejects_bad_name(self):
         with pytest.raises(MetricError):
@@ -42,7 +48,7 @@ class TestSpec:
 class TestCounter:
     def test_inc_and_total(self):
         r = _registry()
-        c = r.counter("rdc.hit", "accesses", labels=("gpu",))
+        c = r.register(spec_for("rdc.hit"))
         c.inc(3, gpu=0)
         c.inc(2, gpu=1)
         c.inc(1, gpu=0)
@@ -51,27 +57,27 @@ class TestCounter:
         assert c.total() == 6
 
     def test_negative_increment_rejected(self):
-        c = _registry().counter("x.y", "n")
+        c = _metric(_registry(), KIND_COUNTER)
         with pytest.raises(MetricError):
             c.inc(-1)
 
     def test_zero_increment_creates_no_cell(self):
-        c = _registry().counter("x.y", "n", labels=("gpu",))
+        c = _metric(_registry(), KIND_COUNTER, labels=("gpu",))
         c.inc(0, gpu=3)
         assert c.values() == {}
 
     def test_missing_label_rejected(self):
-        c = _registry().counter("x.y", "n", labels=("gpu",))
+        c = _metric(_registry(), KIND_COUNTER, labels=("gpu",))
         with pytest.raises(MetricError):
             c.inc(1)
 
     def test_extra_label_rejected(self):
-        c = _registry().counter("x.y", "n")
+        c = _metric(_registry(), KIND_COUNTER)
         with pytest.raises(MetricError):
             c.inc(1, gpu=0)
 
     def test_inc_many_bulk(self):
-        c = _registry().counter("x.y", "n", labels=("gpu",))
+        c = _metric(_registry(), KIND_COUNTER, labels=("gpu",))
         c.inc_many([((0,), 5), ((1,), 7)])
         assert c.value(gpu=0) == 5
         assert c.value(gpu=1) == 7
@@ -79,7 +85,7 @@ class TestCounter:
 
 class TestGauge:
     def test_set_overwrites(self):
-        g = _registry().gauge("x.g", "pages", labels=("gpu",))
+        g = _metric(_registry(), KIND_GAUGE, labels=("gpu",))
         g.set(4, gpu=0)
         g.set(9, gpu=0)
         assert g.value(gpu=0) == 9
@@ -87,7 +93,7 @@ class TestGauge:
 
 class TestHistogram:
     def test_bucket_upper_bounds_inclusive(self):
-        h = _registry().histogram("x.h", buckets=(10, 100), unit="n")
+        h = _metric(_registry(), KIND_HISTOGRAM, buckets=(10, 100))
         h.observe(10)   # first bucket (inclusive)
         h.observe(11)   # second bucket
         h.observe(101)  # overflow
@@ -96,37 +102,30 @@ class TestHistogram:
         assert state["count"] == 3
         assert state["sum"] == 122
 
-    def test_observe_many(self):
-        h = _registry().histogram("x.h", buckets=(10,), unit="n")
-        h.observe_many([1, 2, 3, 1000])
-        state = h.values()[()]
-        assert state["count"] == 4
-        assert state["buckets"] == [3, 1]
-
 
 class TestRegistry:
     def test_register_is_get_or_create(self):
         r = _registry()
-        a = r.counter("x.y", "n")
-        b = r.counter("x.y", "n")
+        a = _metric(r, KIND_COUNTER)
+        b = _metric(r, KIND_COUNTER)
         assert a is b
 
     def test_register_spec_mismatch_raises(self):
         r = _registry()
-        r.counter("x.y", "n")
+        _metric(r, KIND_COUNTER)
         with pytest.raises(MetricError):
-            r.gauge("x.y", "n")
+            _metric(r, KIND_GAUGE)
 
     def test_contains_and_names(self):
         r = _registry()
-        r.counter("x.y", "n")
+        _metric(r, KIND_COUNTER)
         assert "x.y" in r
         assert "z.q" not in r
         assert r.names() == ["x.y"]
 
     def test_kernel_snapshots_are_deltas(self):
         r = _registry()
-        c = r.counter("x.y", "n", labels=("gpu",))
+        c = _metric(r, KIND_COUNTER, labels=("gpu",))
         r.begin_kernel("k0")
         c.inc(5, gpu=0)
         r.end_kernel()
@@ -141,7 +140,7 @@ class TestRegistry:
 
     def test_zero_delta_omitted_from_snapshot(self):
         r = _registry()
-        c = r.counter("x.y", "n")
+        c = _metric(r, KIND_COUNTER)
         r.begin_kernel("k0")
         c.inc(1)
         r.end_kernel()

@@ -1,11 +1,11 @@
-"""Runner telemetry: metrics registry wiring + journal enrichment."""
+"""Runner accounting: every attempt recorded once in the journal, and
+the journal's ``done`` records enriched with a metric digest."""
 
 from __future__ import annotations
 
 import json
 import os
 
-from repro.obs.metrics import default_registry
 from repro.sim import runner
 from repro.sim.runner import RunnerPolicy, Task, run_tasks
 
@@ -38,36 +38,56 @@ def _simulate(_x):
     return MultiGpuSystem(cfg).run(trace)
 
 
+def _events(journal, event: str) -> list[dict]:
+    return [rec for rec in map(json.loads, journal.read_text().splitlines())
+            if rec["event"] == event]
+
+
+def _retried_batch(tmp_path, monkeypatch, jobs: int):
+    """flaky: 2 attempts (1 retry), succeeds; dead: 2 attempts, fails."""
+    monkeypatch.setattr(runner, "BACKOFF_BASE_S", 0.0)
+    journal = tmp_path / "j.jsonl"
+    tasks = [
+        Task(key="flaky", fn=_flaky, args=(str(tmp_path), 1)),
+        Task(key="dead", fn=_boom, args=(1,)),
+    ]
+    batch = run_tasks(
+        tasks, RunnerPolicy(jobs=jobs, retries=1, journal_path=journal)
+    )
+    assert batch.results["flaky"] == 101
+    assert "dead" in batch.failures
+    assert len(_events(journal, "start")) == 4
+    assert sorted(r["key"] for r in _events(journal, "retry")) == [
+        "dead", "flaky"]
+    (failed,) = _events(journal, "failed")
+    assert (failed["key"], failed["kind"], failed["attempts"]) == (
+        "dead", runner.KIND_EXCEPTION, 2)
+    return journal
+
+
 class TestRegistryWiring:
-    def test_attempts_counted(self):
-        registry = default_registry()
+    """What the runner once counted in a registry, the journal records."""
+
+    def test_attempts_counted(self, tmp_path):
+        journal = tmp_path / "j.jsonl"
         batch = run_tasks(
             [Task(key=k, fn=_ok, args=(1,)) for k in ("a", "b", "c")],
-            RunnerPolicy(),
-            registry=registry,
+            RunnerPolicy(journal_path=journal),
         )
         assert len(batch.results) == 3
-        assert registry.get("runner.attempts").total() == 3
-        assert registry.get("runner.retries").total() == 0
+        starts = _events(journal, "start")
+        assert [(s["key"], s["attempt"]) for s in starts] == [
+            ("a", 1), ("b", 1), ("c", 1)]
+        assert _events(journal, "retry") == []
 
     def test_retries_and_failures_counted(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(runner, "BACKOFF_BASE_S", 0.0)
-        registry = default_registry()
-        tasks = [
-            Task(key="flaky", fn=_flaky, args=(str(tmp_path), 1)),
-            Task(key="dead", fn=_boom, args=(1,)),
-        ]
-        batch = run_tasks(
-            tasks,
-            RunnerPolicy(retries=1),
-            registry=registry,
-        )
-        assert batch.results["flaky"] == 101
-        assert "dead" in batch.failures
-        # flaky: 2 attempts (1 retry); dead: 2 attempts (1 retry), fails.
-        assert registry.get("runner.attempts").total() == 4
-        assert registry.get("runner.retries").total() == 2
-        assert registry.get("runner.failures").total() == 1
+        journal = _retried_batch(tmp_path, monkeypatch, jobs=1)
+        assert {s["slot"] for s in _events(journal, "start")} == {-1}
+
+    def test_pooled_retries_and_failures_recorded(self, tmp_path,
+                                                  monkeypatch):
+        journal = _retried_batch(tmp_path, monkeypatch, jobs=2)
+        assert {s["slot"] for s in _events(journal, "start")} <= {0, 1}
 
     def test_no_registry_is_free(self):
         batch = run_tasks(

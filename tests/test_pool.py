@@ -1,6 +1,6 @@
 """Tests for the persistent worker pool (sim/pool.py) and its runner
 integration: NUMA planning, pipe transport, worker reuse,
-crash containment, metric gauges, and bit-identical pooled execution.
+crash containment, slot records, and bit-identical pooled execution.
 
 Worker functions must be top-level so they survive pickling into
 worker subprocesses.
@@ -14,7 +14,6 @@ import pickle
 
 import pytest
 
-from repro.obs.metrics import default_registry
 from repro.sim.journal import Journal
 from repro.sim.pool import (
     ERR,
@@ -92,22 +91,31 @@ class TestPlanAffinity:
     NODES = [[0, 1, 2, 3], [4, 5, 6, 7]]
 
     def test_unpinned_inherits(self):
-        assert plan_affinity(3, pin=False) == [None, None, None]
+        assert plan_affinity(3, pin=False) == [(None, -1)] * 3
 
     def test_round_robin_disjoint_slices(self):
         plan = plan_affinity(4, pin=True, nodes=self.NODES)
         # Workers 0/2 split node0, workers 1/3 split node1.
-        assert plan == [(0, 1), (4, 5), (2, 3), (6, 7)]
+        assert plan == [((0, 1), 0), ((4, 5), 1), ((2, 3), 0), ((6, 7), 1)]
+        # An odd count leaves node0 three workers, node1 two.
+        assert plan_affinity(5, pin=True, nodes=self.NODES) == [
+            ((0,), 0), ((4, 5), 1), ((1,), 0), ((6, 7), 1), ((2, 3), 0),
+        ]
 
     def test_one_worker_takes_whole_node(self):
         assert plan_affinity(2, pin=True, nodes=self.NODES) == [
-            (0, 1, 2, 3),
-            (4, 5, 6, 7),
+            ((0, 1, 2, 3), 0),
+            ((4, 5, 6, 7), 1),
         ]
 
     def test_oversubscribed_node_is_shared(self):
         plan = plan_affinity(3, pin=True, nodes=[[0]])
-        assert plan == [(0,), (0,), (0,)]
+        assert plan == [((0,), 0)] * 3
+
+    def test_pool_slots_follow_the_plan(self):
+        pool = WorkerPool(jobs=3, pin=True, nodes=self.NODES)
+        assert [(w.affinity, w.node) for w in pool.workers] == \
+            plan_affinity(3, pin=True, nodes=self.NODES)
 
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValueError):
@@ -180,7 +188,7 @@ class TestWorkerPool:
         # The reaped slot is excluded from future waits: no busy events.
         pool.reap(worker)
         assert pool.events(timeout=0.05) == []
-        assert pool.alive_count() == 0
+        assert not worker.alive
         pool.shutdown(force=True)
 
     def test_shutdown_is_idempotent_and_kills_everything(self):
@@ -189,7 +197,7 @@ class TestWorkerPool:
         procs = [w.process for w in pool.workers]
         pool.shutdown()
         pool.shutdown(force=True)
-        assert pool.alive_count() == 0
+        assert not any(w.alive for w in pool.workers)
         assert all(not p.is_alive() for p in procs)
 
     def test_pinned_execution_still_correct(self):
@@ -206,27 +214,23 @@ class TestWorkerPool:
 
 
 # ---------------------------------------------------------------------------
-# Pool telemetry
+# Slot records
 # ---------------------------------------------------------------------------
 
-class TestPoolMetrics:
-    def test_gauges_and_per_worker_counters(self):
-        registry = default_registry()
+class TestPoolRecords:
+    def test_start_records_name_worker_slots(self, tmp_path):
+        path = tmp_path / "j.jsonl"
         batch = run_tasks(
             _tasks(_ok, ["a", "b", "c"]),
-            RunnerPolicy(jobs=2),
-            registry=registry,
+            RunnerPolicy(jobs=2, journal_path=path),
         )
         assert batch.ok
-        assert registry.get("runner.attempts").value() == 3
-        # All dispatches accounted for, attributed to real slot indices.
-        tasks_by_worker = registry.get("pool.tasks").values()
-        assert sum(tasks_by_worker.values()) == 3
-        # Samples are keyed by worker slot index (jobs=2 -> slots 0/1).
-        assert set(tasks_by_worker) <= {(0,), (1,)}
-        # Final state after shutdown: nothing alive, nothing queued.
-        assert registry.get("pool.workers").value() == 0
-        assert registry.get("pool.queue_depth").value() == 0
+        starts = [r for r in Journal(path).records() if r["event"] == "start"]
+        # Every dispatch recorded once, attributed to a real slot index
+        # (jobs=2 -> slots 0/1) on no pinned node.
+        assert sorted(r["key"] for r in starts) == ["a", "b", "c"]
+        assert {r["slot"] for r in starts} <= {0, 1}
+        assert {r["node"] for r in starts} == {-1}
 
 
 # ---------------------------------------------------------------------------

@@ -370,15 +370,11 @@ class TestParentAnswered:
         _probed.clear()
 
     def test_all_known_batch_starts_no_pool(self, monkeypatch, tmp_path):
-        from repro.obs.metrics import default_registry
-
         monkeypatch.setattr(runner, "WorkerPool", _no_pool)
         journal = tmp_path / "j.jsonl"
-        registry = default_registry()
         tasks = [Task(k, _ok, (i,), lookup=_known)
                  for i, k in enumerate(["a", "b"])]
-        batch = run_tasks(tasks, RunnerPolicy(jobs=2, journal_path=journal),
-                          registry=registry)
+        batch = run_tasks(tasks, RunnerPolicy(jobs=2, journal_path=journal))
         assert batch.ok and batch.results == {"a": 0, "b": 2}
         starts = _journal_events(journal, "start")
         assert [(s["key"], s["attempt"], s["slot"], s["node"])
@@ -387,8 +383,6 @@ class TestParentAnswered:
         assert [d["key"] for d in done] == ["a", "b"]
         assert all(d["attempt"] == 1 and d["elapsed_s"] >= 0 for d in done)
         assert Journal(journal).load_result("b") == 2
-        assert registry.get("runner.attempts").total() == 2
-        assert registry.get("pool.tasks").total() == 0
 
     def test_inline_batch_does_not_probe(self):
         batch = run_tasks([Task("a", _ok, (3,), lookup=_known)],

@@ -34,8 +34,8 @@ OTHER_WORKLOADS = ("XSBench", "AMG", "CoMD", "MCB", "HPGMG")
 def _fake_execute(started=None, release=None, ok=True):
     """A stand-in for execute_request, optionally gated on events."""
 
-    def fake(request, journal_path, pool_jobs, registry=None,
-             on_event=None, pin=False):
+    def fake(request, journal_path, pool_jobs, *, on_event=None,
+             pin=False):
         if started is not None:
             started.set()
         if release is not None:
@@ -114,6 +114,8 @@ class TestJobRequest:
         ({"system": "numa-gpu", "timeout_s": 0}, "timeout_s:"),
         ({"system": "numa-gpu", "retries": -2}, "retries:"),
         ({"system": "numa-gpu", "surprise": 1}, "unknown field"),
+        ({"system": "numa-gpu", "workloads": ["Euler", WORKLOAD, "Euler"]},
+         "workloads: Euler given more than once"),
     ])
     def test_bad_payloads_name_the_field(self, payload, fragment):
         with pytest.raises(RequestError, match=None) as exc:
@@ -531,6 +533,15 @@ class TestHttpSurface:
             assert r.status == 400 and "system:" in r["error"]
             r = c.submit("numa-gpu", workloads=["NotAWorkload"])
             assert r.status == 400 and "NotAWorkload" in r["error"]
+
+    def test_repeated_workload_400(self, tmp_path):
+        # Refused at the boundary: no job, no execution.
+        with ThreadedServer(tmp_path) as srv:
+            c = ServeClient(port=srv.port)
+            r = c.submit("numa-gpu", workloads=["Euler", "Euler"])
+            assert r.status == 400
+            assert "Euler given more than once" in r["error"]
+        assert list((tmp_path / "journals").iterdir()) == []
 
     def test_result_before_completion_409s(self, tmp_path, monkeypatch):
         started, release = threading.Event(), threading.Event()

@@ -13,7 +13,10 @@ Two families of checks over the repository's Markdown:
    or the trace-event kinds (`repro.obs.events.EVENT_KINDS`); rendered
    labels must match the spec's declared labels.  The reverse holds
    too: every registered metric and event kind must be documented in
-   ``docs/metrics.md``.
+   ``docs/metrics.md``.  And every registered metric must be emitted:
+   its name must appear as a string literal in some ``src/repro``
+   module other than the contract ``obs/metrics.py`` itself (found by
+   AST walk), so a contract entry no code emits cannot linger.
 3. **Service endpoints** — every backticked ``METHOD /path`` token
    (e.g. `` `GET /jobs/<id>` ``) must match a route declared in
    ``repro.serve.routes.ROUTES``, and every declared route must appear
@@ -137,6 +140,28 @@ def check_reference_complete(root: Path) -> list[str]:
     return problems
 
 
+def check_metrics_emitted(root: Path) -> list[str]:
+    """Every registered metric is named by some non-contract module."""
+    import ast
+
+    package = root / "src" / "repro"
+    contract = package / "obs" / "metrics.py"
+    literals = set()
+    for path in sorted(package.rglob("*.py")):
+        if path == contract:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        literals.update(
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        )
+    return [
+        f"src/repro/obs/metrics.py: registered metric `{spec.name}` is "
+        f"emitted nowhere (no src/repro string literal names it)"
+        for spec in SPECS if spec.name not in literals
+    ]
+
+
 def check_endpoint_tokens(md: Path, root: Path) -> list[str]:
     """Backticked ``METHOD /path`` tokens that match no declared route."""
     problems = []
@@ -235,6 +260,7 @@ def run_checks(root: Path) -> list[str]:
         problems.extend(check_metric_tokens(md, root))
         problems.extend(check_endpoint_tokens(md, root))
     problems.extend(check_reference_complete(root))
+    problems.extend(check_metrics_emitted(root))
     problems.extend(check_routes_documented(root))
     problems.extend(check_lint_rules_documented(root))
     problems.extend(check_cli_commands_documented(root))
