@@ -9,7 +9,7 @@ Exposes the library's common operations without writing Python:
     python -m repro trace Lulesh              # Perfetto-loadable trace
     python -m repro sharing XSBench           # Fig. 4-style analysis
     python -m repro configs                   # experiment registry
-    python -m repro cache --clear             # simulation result cache
+    python -m repro cache --clear             # simulation run/trace cache
     python -m repro baseline record           # commit run records
     python -m repro baseline compare          # two-tier regression gate
     python -m repro report                    # markdown/HTML dashboard
@@ -463,12 +463,16 @@ def _cmd_serve(args) -> int:
 def _cmd_cache(args) -> int:
     if args.clear:
         n = simcache.clear()
-        print(f"removed {n} cached run(s)")
+        print(f"removed {n} cache file(s) (runs and traces) from "
+              f"{simcache.cache_dir()}")
     else:
-        entries = simcache.entries()
-        total = sum(p.stat().st_size for p in entries)
-        print(f"{len(entries)} cached run(s), {total / 2**20:.1f} MiB "
-              f"in {simcache.cache_dir()}")
+        parts = []
+        for what, entries in (("run", simcache.entries()),
+                              ("trace", simcache.trace_entries())):
+            total = sum(p.stat().st_size for p in entries)
+            parts.append(f"{len(entries)} cached {what}(s), "
+                         f"{total / 2**20:.1f} MiB")
+        print(f"{'; '.join(parts)} in {simcache.cache_dir()}")
     return 0
 
 
@@ -610,7 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
     sh_p.add_argument("workload", choices=abbrs)
     sh_p.set_defaults(fn=_cmd_sharing)
 
-    cache_p = sub.add_parser("cache", help="inspect/clear the result cache")
+    cache_p = sub.add_parser("cache",
+                             help="inspect/clear the run and trace cache")
     cache_p.add_argument("--clear", action="store_true")
     cache_p.set_defaults(fn=_cmd_cache)
 

@@ -344,11 +344,9 @@ def write_trace(path, doc: dict) -> Path:
 
 
 def write_metrics_json(path, obs, extra: Optional[dict] = None) -> dict:
-    """Dump the registry (totals + per-kernel snapshots) as one JSON file.
-
-    ``obs`` may be an ``Observability`` or a bare ``MetricsRegistry``.
-    """
-    registry = getattr(obs, "registry", obs)
+    """Dump *obs*'s registry (totals + per-kernel snapshots) as one JSON
+    file."""
+    registry = obs.registry
     doc = {
         "metrics": registry.snapshot(),
         "kernel_snapshots": [

@@ -16,25 +16,9 @@ swallowed.
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
-#: Whether the once-per-process digest-failure warning already fired.
-_warned_digest_failure = False
-
-
-def _note_digest_failure(exc: BaseException) -> None:
-    """Warn about a digest failure exactly once per process."""
-    global _warned_digest_failure
-    if not _warned_digest_failure:
-        _warned_digest_failure = True
-        warnings.warn(
-            f"metric digest failed and was dropped from the journal "
-            f"({type(exc).__name__}: {exc}); further failures drop "
-            f"their digest without this warning",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+from repro.sim.durable import warn_once
 
 
 def summarize_result(result) -> Optional[dict]:
@@ -77,7 +61,12 @@ def summarize_result(result) -> Optional[dict]:
             )),
         }
     except Exception as exc:
-        _note_digest_failure(exc)
+        warn_once(
+            "metric digest",
+            f"metric digest failed and was dropped from the journal "
+            f"({type(exc).__name__}: {exc}); further failures drop "
+            f"their digest without this warning",
+        )
         return None
 
 

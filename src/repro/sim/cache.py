@@ -6,9 +6,17 @@ exact (workload spec, system config) pair plus a code-version stamp.
 Bump :data:`CODE_VERSION` whenever simulator semantics change — stale
 cache entries are then ignored.
 
+A generated trace is an input of its workload, not of one point: every
+system and RDC size with the same :func:`~repro.workloads.base.trace_key`
+replays it.  Traces are therefore cached too, under ``traces/`` and keyed
+by ``CODE_VERSION`` plus the trace key (:func:`load_trace` /
+:func:`store_trace`), so a pool worker or serve job that never saw the
+trace loads it instead of synthesising it again.
+
 Entries are sealed pickles written atomically (:mod:`repro.sim.durable`):
 a damaged entry fails its digest on load and is quarantined to
-``<key>.corrupt``, so it costs a re-simulation, never a wrong result.
+``<key>.corrupt``, so it costs a re-simulation (or a regeneration),
+never a wrong result.
 
 Set the environment variable ``REPRO_NO_CACHE=1`` to disable caching.
 """
@@ -23,6 +31,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from repro.config import SystemConfig
+from repro.gpu.cta import WorkloadTrace
 from repro.perf.stats import RunResult
 from repro.sim import chaos
 from repro.sim.durable import atomic_write, quarantine, seal, sweep_tmp, unseal
@@ -39,6 +48,9 @@ from repro.workloads.base import WorkloadSpec
 CODE_VERSION = 14
 
 _DEFAULT_DIR = Path(__file__).resolve().parents[3] / ".simcache"
+
+#: Subdirectory of the cache holding the generated traces.
+TRACE_DIR = "traces"
 
 
 def cache_dir() -> Path:
@@ -59,46 +71,80 @@ def _key(spec: WorkloadSpec, config: SystemConfig) -> str:
     return hashlib.sha256(payload).hexdigest()[:32]
 
 
-def load(spec: WorkloadSpec, config: SystemConfig) -> Optional[RunResult]:
-    """Return a cached result, or None when absent/disabled/corrupt.
+def _trace_path(key: tuple) -> Path:
+    digest = hashlib.sha256(f"v{CODE_VERSION}|{key!r}".encode()).hexdigest()
+    return cache_dir() / TRACE_DIR / f"{digest[:32]}.pkl"
 
-    An entry that fails its digest, does not unpickle or is not a
-    RunResult is quarantined to ``<key>.corrupt`` rather than left in
-    place: left alone it would re-miss and re-simulate forever, while
-    deleting it would destroy the evidence.
+
+def _load(path: Path, cls: type, what: str, consequence: str):
+    """The sealed *cls* object at *path*, or None when absent/corrupt.
+
+    An entry that fails its digest, does not unpickle or is not a *cls*
+    is quarantined to ``<key>.corrupt`` rather than left in place: left
+    alone it would re-miss and be recomputed forever, while deleting it
+    would destroy the evidence.
     """
-    if not cache_enabled():
-        return None
-    path = cache_dir() / f"{_key(spec, config)}.pkl"
     try:
         obj = pickle.loads(unseal(path.read_bytes()))
-        if not isinstance(obj, RunResult):
+        if not isinstance(obj, cls):
             raise TypeError(
-                f"cached object is {type(obj).__name__}, not RunResult"
+                f"cached object is {type(obj).__name__}, not {cls.__name__}"
             )
     except FileNotFoundError:
         return None  # absent, or raced with clear(): an ordinary miss
     except Exception as exc:
         # Unpickling can raise nearly anything on a corrupt payload;
         # every such failure is the same condition: a bad entry.
-        quarantine(path, exc, "sim-cache entry",
-                   "the run will be re-simulated")
+        quarantine(path, exc, what, consequence)
         return None
     return obj
+
+
+def _store(path: Path, obj) -> None:
+    buf = io.BytesIO()
+    pickle.dump(obj, buf, protocol=pickle.HIGHEST_PROTOCOL)
+    atomic_write(path, seal(buf.getvalue()))
+
+
+def load(spec: WorkloadSpec, config: SystemConfig) -> Optional[RunResult]:
+    """Return a cached result, or None when absent/disabled/corrupt."""
+    if not cache_enabled():
+        return None
+    return _load(cache_dir() / f"{_key(spec, config)}.pkl", RunResult,
+                 "sim-cache entry", "the run will be re-simulated")
 
 
 def store(spec: WorkloadSpec, config: SystemConfig, result: RunResult) -> None:
     if not cache_enabled():
         return
     path = cache_dir() / f"{_key(spec, config)}.pkl"
-    buf = io.BytesIO()
-    pickle.dump(result, buf, protocol=pickle.HIGHEST_PROTOCOL)
-    atomic_write(path, seal(buf.getvalue()))
+    _store(path, result)
     # Chaos drill hook (docs/chaos.md): a simcache_corrupt event rots
     # the entry at rest, which the quarantine path in load() must turn
     # back into a clean re-simulated miss.
     chaos.fire(chaos.SITE_SIMCACHE_STORE, getattr(spec, "name", ""),
                path=path)
+
+
+def load_trace(key: tuple) -> Optional[WorkloadTrace]:
+    """The cached trace of a :func:`~repro.workloads.base.trace_key`, or
+    None when absent/disabled/corrupt."""
+    if not cache_enabled():
+        return None
+    return _load(_trace_path(key), WorkloadTrace, "sim-cache trace",
+                 "the trace will be regenerated")
+
+
+def store_trace(key: tuple, trace: WorkloadTrace) -> None:
+    """Cache *trace* under its trace key.
+
+    Workers that miss the same key at once each store identical bytes
+    through :func:`~repro.sim.durable.atomic_write`, so no lock is
+    needed.  No chaos site fires here: drill schedules count result
+    stores only.
+    """
+    if cache_enabled():
+        _store(_trace_path(key), trace)
 
 
 def cached(
@@ -121,19 +167,26 @@ def entries() -> list[Path]:
     return sorted(d.glob("*.pkl")) if d.exists() else []
 
 
+def trace_entries() -> list[Path]:
+    """The cached traces' entry files (none when the directory is absent)."""
+    d = cache_dir() / TRACE_DIR
+    return sorted(d.glob("*.pkl")) if d.exists() else []
+
+
 def clear() -> int:
-    """Delete every cache entry; returns how many files were removed.
+    """Delete every run and trace entry; returns how many files were removed.
 
     Also sweeps ``*.tmp`` leftovers from stores interrupted mid-write
     (killed processes can orphan their uniquely named tmp files) and
     ``*.corrupt`` quarantine files.
     """
-    d = cache_dir()
-    if not d.exists():
-        return 0
-    n = sweep_tmp(d)
-    for pattern in ("*.pkl", "*.corrupt"):
-        for p in d.glob(pattern):
-            p.unlink(missing_ok=True)
-            n += 1
+    n = 0
+    for d in (cache_dir(), cache_dir() / TRACE_DIR):
+        if not d.exists():
+            continue
+        n += sweep_tmp(d)
+        for pattern in ("*.pkl", "*.corrupt"):
+            for p in d.glob(pattern):
+                p.unlink(missing_ok=True)
+                n += 1
     return n

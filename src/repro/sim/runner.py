@@ -418,7 +418,7 @@ def _run_inline(
     """In-process execution in submission order (the default path)."""
     for i, task in enumerate(todo):
         attempt = 1
-        started = time.perf_counter()
+        started = time.monotonic()
         while True:
             if journal is not None:
                 # The inline path has no pool slot: -1 for both.
@@ -446,7 +446,7 @@ def _run_inline(
                     exception_type=type(exc).__name__, message=str(exc),
                     traceback=traceback.format_exc(),
                     config_hash=task.config_hash, attempts=attempt,
-                    elapsed_s=time.perf_counter() - started,
+                    elapsed_s=time.monotonic() - started,
                 )
                 _record_failure(batch, journal, task, report, emit)
                 if not policy.keep_going:
@@ -456,7 +456,7 @@ def _run_inline(
             else:
                 _record_success(
                     batch, journal, task, result, attempt,
-                    time.perf_counter() - started, emit,
+                    time.monotonic() - started, emit,
                 )
                 break
 

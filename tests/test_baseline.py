@@ -25,6 +25,7 @@ from repro.obs.baseline import (
     make_run_record,
     validate_record,
 )
+from repro.sim import durable
 from repro.workloads.base import generate_trace
 from repro.workloads.suite import get
 
@@ -209,7 +210,7 @@ class _ExplodingResult:
 class TestDigestFailureAccounting:
     def test_counts_and_warns_once(self, monkeypatch):
         # The one-shot warning is the record of a dropped digest.
-        monkeypatch.setattr(summary, "_warned_digest_failure", False)
+        monkeypatch.setattr(durable, "_warned_kinds", set())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert summary.summarize_result(_ExplodingResult()) is None
@@ -220,7 +221,7 @@ class TestDigestFailureAccounting:
         assert "synthetic digest failure" in str(runtime[0].message)
 
     def test_duck_type_miss_stays_silent(self, monkeypatch):
-        monkeypatch.setattr(summary, "_warned_digest_failure", False)
+        monkeypatch.setattr(durable, "_warned_kinds", set())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert summary.summarize_result(None) is None
@@ -228,7 +229,7 @@ class TestDigestFailureAccounting:
         assert not caught
 
     def test_failure_never_propagates_without_registry(self, monkeypatch):
-        monkeypatch.setattr(summary, "_warned_digest_failure", True)
+        monkeypatch.setattr(durable, "_warned_kinds", {"metric digest"})
         assert summary.summarize_result(_ExplodingResult()) is None
 
 

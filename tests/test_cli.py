@@ -121,6 +121,21 @@ class TestCommands:
         assert main(["cache"]) == 0
         assert "cached run(s)" in capsys.readouterr().out
 
+    def test_cache_reports_runs_and_traces(self, capsys, tmp_path,
+                                           monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        (tmp_path / "a.pkl").write_bytes(b"x" * 2**20)
+        (tmp_path / "traces").mkdir()
+        for name in ("b.pkl", "c.pkl"):
+            (tmp_path / "traces" / name).write_bytes(b"x" * 3 * 2**19)
+        assert main(["cache"]) == 0
+        out = capsys.readouterr().out
+        assert "1 cached run(s), 1.0 MiB; 2 cached trace(s), 3.0 MiB" in out
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        assert main(["cache", "--clear"]) == 0
+        assert "removed 3" in capsys.readouterr().out
+        assert not list(tmp_path.rglob("*.pkl"))
+
     def test_cache_clear(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         (tmp_path / "x.pkl").write_bytes(b"x")

@@ -17,7 +17,7 @@ from repro.obs.export import (
     write_metrics_json,
     write_trace,
 )
-from repro.obs.metrics import METRIC_NAMES, default_registry
+from repro.obs.metrics import METRIC_NAMES
 from repro.workloads.base import generate_trace
 from repro.workloads.suite import get
 
@@ -103,12 +103,13 @@ class TestMetricsJson:
         assert len(doc["kernel_snapshots"]) \
             == len(obs.registry.kernel_snapshots)
 
-    def test_accepts_bare_registry(self, tmp_path):
-        r = default_registry()
-        r.get("trace.dropped").inc(3)
+    def test_unobserved_run_writes_its_totals(self, tmp_path):
+        obs = Observability()
+        obs.registry.get("trace.dropped").inc(3)
         path = tmp_path / "m.json"
-        doc = write_metrics_json(path, r)
+        doc = write_metrics_json(path, obs)
         assert doc["metrics"]["trace.dropped"]["values"] == {"": 3}
+        assert doc["kernel_snapshots"] == []
 
 
 def _migration_run():
@@ -183,7 +184,7 @@ class TestAtomicWrites:
         path.write_text('{"previous": true}')
         before = path.read_bytes()
         with pytest.raises(TypeError):
-            write_metrics_json(path, default_registry(),
+            write_metrics_json(path, Observability(),
                                extra={"bad": object()})
         assert path.read_bytes() == before
         assert list(tmp_path.glob("*.tmp")) == []

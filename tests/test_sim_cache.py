@@ -9,8 +9,12 @@ import pytest
 
 from repro.perf.stats import RunResult
 from repro.sim import cache as simcache
-from repro.sim import durable
-from repro.workloads.base import WorkloadSpec
+from repro.sim import driver, durable
+from repro.sim.experiments import run_suite
+from repro.sim.runner import RunnerPolicy
+from repro.workloads.base import WorkloadSpec, trace_key
+
+from .conftest import count_generations
 
 
 def cache_spec():
@@ -143,3 +147,77 @@ class TestDisabled:
         simcache.store(spec, config, _result(spec, config))
         assert not list(tmp_path.iterdir())
         assert simcache.load(spec, config) is None
+
+
+def _trace_files(root):
+    return sorted((root / simcache.TRACE_DIR).glob("*"))
+
+
+class TestTraceEntries:
+    """Generated traces are sim-cache entries shared by every system."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self, monkeypatch):
+        monkeypatch.setattr(driver, "_trace_memo", driver._TraceMemo())
+
+    def test_pooled_batch_loads_traces_it_did_not_generate(
+            self, live_cache, monkeypatch):
+        names = ["Lulesh", "Euler"]
+        reference = run_suite("carve-hwc", workloads=names,
+                              use_cache=False)
+        # Workers fork with the parent's memo: empty it, so they store.
+        monkeypatch.setattr(driver, "_trace_memo", driver._TraceMemo())
+        first = run_suite("numa-gpu", workloads=names,
+                          runner=RunnerPolicy(jobs=2))
+        assert first.ok
+        assert len(_trace_files(live_cache)) == 2
+
+        def no_generation(spec, config):
+            raise AssertionError(f"regenerated {spec.abbr}")
+
+        # Forked workers inherit the patch: any point that would
+        # synthesise a trace fails.
+        monkeypatch.setattr(driver, "generate_trace", no_generation)
+        second = run_suite("carve-hwc", workloads=names,
+                           runner=RunnerPolicy(jobs=2))
+        assert second.ok, second.failure_summary()
+        assert second.results == reference.results
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncated"])
+    def test_corrupt_trace_quarantined_and_regenerated(
+            self, live_cache, monkeypatch, config, damage):
+        spec = cache_spec()
+        other = config.replace(n_gpus=2)
+        assert trace_key(spec, other) == trace_key(spec, config)
+        driver.run_workload(spec, config)
+        (path,) = _trace_files(live_cache)
+        blob = path.read_bytes()
+        path.write_bytes(b"garbage" if damage == "garbage" else blob[:40])
+        calls = count_generations(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="sim-cache trace") as seen:
+            got = driver.run_workload(spec, other)
+        assert len([w for w in seen
+                    if "quarantined" in str(w.message)]) == 1
+        assert calls == [spec.abbr]
+        assert path.with_suffix(".corrupt").exists()
+        assert path.read_bytes() == blob  # regenerated, byte-identical
+        assert got == driver.run_workload(spec, other, use_cache=False)
+
+    def test_uncached_runs_store_no_trace(self, live_cache, monkeypatch,
+                                          config):
+        spec = cache_spec()
+        driver.run_workload(spec, config, use_cache=False)
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        monkeypatch.setattr(driver, "_trace_memo", driver._TraceMemo())
+        driver.run_workload(spec, config)
+        assert not list(live_cache.iterdir())
+
+    def test_memo_hit_reads_no_entry(self, live_cache, monkeypatch, config):
+        spec = cache_spec()
+        loads = []
+        real = simcache.load_trace
+        monkeypatch.setattr(simcache, "load_trace",
+                            lambda key: loads.append(key) or real(key))
+        driver.run_workload(spec, config)
+        driver.run_workload(spec, config.replace(n_gpus=2))
+        assert len(loads) == 1
