@@ -82,12 +82,14 @@ class RemoteDataCache:
         self.write_policy = write_policy
         # Tag arrays: tag == -1 means the set is empty.  Plain lists, not
         # NumPy: the hot path indexes single elements, where ndarray
-        # scalar boxing costs far more than a list load.  Bulk operations
-        # (flush, reset) are rare and mutate the lists *in place* so that
-        # hot-path aliases stay valid.
-        self._tags = [-1] * n_lines
-        self._epochs = [0] * n_lines
-        self._dirty = [False] * n_lines
+        # scalar boxing costs far more than a list load.  They cover only
+        # the sets allocated so far (see ``reserve``); a set past their
+        # end is empty.  Bulk operations (reserve, flush, reset) are rare
+        # and mutate the lists *in place* so that hot-path aliases stay
+        # valid.
+        self._tags: list = []
+        self._epochs: list = []
+        self._dirty: list = []
         self.epochs = EpochCounters(bits=epoch_bits)
         self.stats = RdcStats()
         # Write-back dirty map: region ids that have been written.
@@ -98,25 +100,39 @@ class RemoteDataCache:
     def set_of(self, line: int) -> int:
         return line % self.n_sets
 
+    def reserve(self, n: int) -> None:
+        """Allocate sets ``0 .. n-1`` (at most ``n_sets``), in place.
+
+        Sets are allocated on demand: a large RDC that a workload's lines
+        never fill costs no memory beyond the sets they reach.
+        """
+        grow = min(n, self.n_sets) - len(self._tags)
+        if grow > 0:
+            self._tags += [-1] * grow
+            self._epochs += [0] * grow
+            self._dirty += [False] * grow
+
     # -- hot-path views ----------------------------------------------------
     # The vectorized execution engine inlines probe/insert/write against
-    # these live structures; any mutation must preserve the contracts of
-    # those methods (tag/epoch pairing, dirty-map upkeep, counters flushed
-    # through ``stats.add_counts``).
+    # these live structures, after reserving every set its kernel can
+    # reach; any mutation must preserve the contracts of those methods
+    # (tag/epoch pairing, dirty-map upkeep, counters flushed through
+    # ``stats.add_counts``).
 
     @property
     def tags(self) -> list:
-        """Per-set resident line tags (-1 = empty)."""
+        """Per allocated set, the resident line tag (-1 = empty)."""
         return self._tags
 
     @property
     def line_epochs(self) -> list:
-        """Per-set install epochs (valid only where a tag is set)."""
+        """Per allocated set, the install epoch (valid only where a tag
+        is set)."""
         return self._epochs
 
     @property
     def dirty_flags(self) -> list:
-        """Per-set dirty bits (write-back policy only)."""
+        """Per allocated set, the dirty bit (write-back policy only)."""
         return self._dirty
 
     @property
@@ -130,7 +146,7 @@ class RemoteDataCache:
         """One Alloy access: read tag+data, hit iff tag and epoch match."""
         s = line % self.n_sets
         self.stats.probes += 1
-        if self._tags[s] == line:
+        if s < len(self._tags) and self._tags[s] == line:
             if self.epochs.is_current(self._epochs[s], stream):
                 self.stats.hits += 1
                 return True
@@ -141,13 +157,15 @@ class RemoteDataCache:
         """Side-effect-free presence check (no counters)."""
         s = line % self.n_sets
         return (
-            self._tags[s] == line
+            s < len(self._tags)
+            and self._tags[s] == line
             and self.epochs.is_current(self._epochs[s], stream)
         )
 
     def insert(self, line: int, stream: int = 0, dirty: bool = False) -> None:
         """Install *line*, displacing whatever occupied its set."""
         s = line % self.n_sets
+        self.reserve(s + 1)
         self._tags[s] = line
         self._epochs[s] = self.epochs.current(stream)
         self._dirty[s] = dirty
@@ -163,7 +181,8 @@ class RemoteDataCache:
         in the dirty-map.
         """
         s = line % self.n_sets
-        if self._tags[s] != line or not self.epochs.is_current(
+        if s >= len(self._tags) or self._tags[s] != line \
+                or not self.epochs.is_current(
             self._epochs[s], stream
         ):
             return False
@@ -176,7 +195,7 @@ class RemoteDataCache:
     def invalidate_line(self, line: int) -> bool:
         """Coherence invalidation of one line; True if it was resident."""
         s = line % self.n_sets
-        if self._tags[s] == line:
+        if s < len(self._tags) and self._tags[s] == line:
             self._tags[s] = -1
             self._dirty[s] = False
             return True
@@ -197,7 +216,7 @@ class RemoteDataCache:
         flushed = 0
         if self.write_policy == WRITE_BACK:
             flushed = sum(self._dirty)
-            self._dirty[:] = [False] * self.n_sets
+            self._dirty[:] = [False] * len(self._dirty)
             self._dirty_regions.clear()
         rolled = self.epochs.advance(stream)
         if rolled:
@@ -214,7 +233,7 @@ class RemoteDataCache:
 
     def physical_reset(self) -> None:
         """Full tag-store reset (epoch rollover path)."""
-        n = self.n_sets
+        n = len(self._tags)
         self._tags[:] = [-1] * n
         self._epochs[:] = [0] * n
         self._dirty[:] = [False] * n
@@ -224,7 +243,7 @@ class RemoteDataCache:
     # -- introspection ------------------------------------------------------
 
     def occupancy(self, stream: int = 0) -> float:
-        """Fraction of sets holding a currently valid line."""
+        """Fraction of all ``n_sets`` sets holding a currently valid line."""
         cur = self.epochs.current(stream)
         valid = sum(
             1 for t, e in zip(self._tags, self._epochs) if t >= 0 and e == cur

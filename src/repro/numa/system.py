@@ -91,14 +91,17 @@ ENGINE_REFERENCE = "reference"
 class _KernelPrecompute:
     """Per-access quantities derived once per kernel (or chunk) in bulk.
 
-    All members are plain Python lists (``ndarray.tolist()`` output) so
-    the inner loop pays C-speed list indexing instead of NumPy scalar
-    boxing.  Cache geometry is identical across GPUs and the DRAM
-    bank/row mapping depends only on the line number, so one precompute
-    serves every chunk of a kernel regardless of which GPU runs it.
+    The per-access members are plain Python lists (``ndarray.tolist()``
+    output) so the inner loop pays C-speed list indexing instead of
+    NumPy scalar boxing.  Cache geometry is identical across GPUs and
+    the DRAM bank/row mapping depends only on the line number, so one
+    precompute serves every chunk of a kernel regardless of which GPU
+    runs it.  ``max_line`` (-1 for no accesses) bounds the RDC sets the
+    kernel can reach.
     """
 
-    __slots__ = ("lines", "writes", "pages", "l1_idx", "l2_idx", "banks", "rows")
+    __slots__ = ("lines", "writes", "pages", "l1_idx", "l2_idx", "banks",
+                 "rows", "max_line")
 
     lines: list
     writes: list
@@ -107,6 +110,7 @@ class _KernelPrecompute:
     l2_idx: list
     banks: list
     rows: list
+    max_line: int
 
 
 class MultiGpuSystem:
@@ -338,6 +342,7 @@ class MultiGpuSystem:
             l2_idx=(lines % l2_sets).tolist(),
             banks=(channels * bpc + in_channel % bpc).tolist(),
             rows=(in_channel // amap.lines_per_row).tolist(),
+            max_line=int(lines.max()) if len(lines) else -1,
         )
 
     def _process_chunk(self, gpu: int, lines, is_write, ks: KernelStats) -> None:
@@ -441,6 +446,9 @@ class MultiGpuSystem:
             rdc_wb = False
             if carve is not None and carve.predictor is None:
                 rdc = carve.rdc
+                # Allocate every set this kernel's lines can reach
+                # before aliasing the lists.
+                rdc.reserve(pre.max_line + 1)
                 rdc_tags = rdc.tags
                 rdc_eps = rdc.line_epochs
                 rdc_dirty = rdc.dirty_flags

@@ -9,14 +9,14 @@ The service separates four concerns the batch CLI fuses together:
   state machine ``queued → running → done | failed | cancelled``.
 * **execution** — :func:`execute_request`, a plain blocking function
   that drives :func:`repro.sim.experiments.run_suite` on the worker
-  pool and shapes the result payload.  It runs on a thread
-  (``asyncio.to_thread``) so the event loop keeps serving status
-  requests while the simulator grinds.
+  pool and shapes the result payload.  It runs on a job thread so the
+  event loop keeps serving status requests while the simulator grinds.
 * **scheduling** — :class:`JobService`, the asyncio manager: a bounded
   submission queue (explicit backpressure), dedup against in-flight
-  jobs (coalescing) and against the CAS store (cache hits), a single
-  executor draining the queue, and graceful shutdown that finishes the
-  running job and cancels the rest.
+  jobs (coalescing) and against the CAS store (cache hits), ``pool_jobs``
+  executors draining the queue, so up to ``pool_jobs`` jobs run at once
+  on one shared budget of ``pool_jobs`` worker slots, and graceful
+  shutdown that finishes the running jobs and cancels the rest.
 
 Failed jobs are **never** written to the CAS: a failure is a property
 of the attempt (timeout, crash, flaky machine), not of the config, so
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import functools
+from concurrent.futures import ThreadPoolExecutor
 
 # Wall-clock reads in this module are service telemetry (job latency,
 # timestamps shown to clients) — they never feed simulation results.
@@ -40,6 +41,7 @@ from repro.obs.summary import summarize_result
 from repro.serve.store import ResultStore, cas_key
 from repro.sim.cache import CODE_VERSION
 from repro.sim.experiments import GB, config_for, experiment_configs, run_suite
+from repro.sim.pool import WorkerSlots
 from repro.sim.runner import RunnerPolicy, config_hash
 from repro.workloads import suite
 
@@ -226,20 +228,21 @@ class Job:
         return payload
 
 
-def execute_request(request: JobRequest, journal_path, pool_jobs: int,
-                    *, on_event=None, pin: bool = False) -> tuple:
+def execute_request(request: JobRequest, journal_path, slots: WorkerSlots,
+                    *, on_event=None) -> tuple:
     """Run one request on the worker fabric (blocking).
 
     Returns ``(payload, suite_run)``: the JSON-safe result payload and
     the raw :class:`~repro.sim.experiments.SuiteRun` (whose ``ok`` flag
     decides done vs failed and whether the payload enters the CAS).
-    *on_event* receives per-point completion events (purely
-    observational); *pin* NUMA-pins the pool workers.
+    The batch runs up to ``len(slots)`` pool workers, each on a slot of
+    the *slots* budget it shares with concurrent jobs (one slot runs
+    the batch inline).  *on_event* receives per-point completion events
+    (purely observational).
     """
     t0 = time.monotonic()  # service latency only — never a sim input
     policy = RunnerPolicy(
-        jobs=pool_jobs,
-        pin=pin,
+        jobs=len(slots),
         timeout_s=request.timeout_s,
         retries=request.retries,
         keep_going=True,
@@ -252,6 +255,7 @@ def execute_request(request: JobRequest, journal_path, pool_jobs: int,
         use_cache=request.use_cache,
         runner=policy,
         on_event=on_event,
+        slots=slots,
     )
     elapsed = time.monotonic() - t0
     payload = {
@@ -277,33 +281,38 @@ def execute_request(request: JobRequest, journal_path, pool_jobs: int,
     return payload, run
 
 
-#: Queue sentinel: tells the executor to exit after the current job.
+#: Queue sentinel: tells one executor to exit after its current job.
 _SHUTDOWN = object()
 
 
 class JobService:
     """The asyncio scheduling core behind the HTTP frontend.
 
-    One executor coroutine drains a bounded queue; the simulator runs
-    on a worker thread so the event loop stays responsive.  All state
-    mutation happens on the event loop thread — handlers and the
-    executor never race.
+    ``pool_jobs`` executor coroutines drain one bounded queue, so up to
+    ``pool_jobs`` jobs run at once; their batches draw pool workers
+    from one :class:`~repro.sim.pool.WorkerSlots` budget of
+    ``pool_jobs`` slots.  The simulator runs on the service's own job
+    threads, one per executor, so the event loop stays responsive and
+    store writes (on the loop's default executor) never wait behind
+    jobs.  All state mutation happens on the event loop thread —
+    handlers and the executors never race.
     """
 
     def __init__(self, store: ResultStore, *, pool_jobs: int = 2,
                  queue_depth: int = 8, registry=None,
                  pool_pin: bool = False):
         self.store = store
-        self.pool_jobs = pool_jobs
-        self.pool_pin = pool_pin
         self.queue_depth = queue_depth
         self.registry = registry
+        #: The worker budget every job's batch draws from.
+        self.slots = WorkerSlots(pool_jobs, pool_pin)
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=queue_depth)
         self._jobs: dict = {}        # job id -> Job
         self._active: dict = {}      # cas key -> non-terminal Job
         self._seq = 0
         self._accepting = False
-        self._executor_task: Optional[asyncio.Task] = None
+        self._executors: list = []
+        self._threads: Optional[ThreadPoolExecutor] = None
         # Long-poll plumbing: one shared Event per job id, swapped out
         # on every emission so all waiters wake (docs/tracing.md).
         self._signals: dict = {}     # job id -> asyncio.Event
@@ -313,17 +322,22 @@ class JobService:
 
     async def start(self) -> None:
         self._accepting = True
-        self._executor_task = asyncio.create_task(
-            self._run_executor(), name="repro-serve-executor"
+        self._threads = ThreadPoolExecutor(
+            max_workers=len(self.slots), thread_name_prefix="repro-serve-job"
         )
+        self._executors = [
+            asyncio.create_task(self._run_executor(),
+                                name=f"repro-serve-executor-{i}")
+            for i in range(len(self.slots))
+        ]
 
     async def stop(self) -> None:
-        """Graceful shutdown: finish the running job, cancel the queue.
+        """Graceful shutdown: finish the running jobs, cancel the queue.
 
         Ordering matters: close the front door first (new submits get
         503), then mark everything still queued as cancelled, then let
-        the executor drain — the sentinel is only read after any job
-        already dequeued has finished.
+        the executors drain — each reads its sentinel only after the
+        job it already dequeued has finished.
         """
         self._accepting = False
         while True:
@@ -333,10 +347,13 @@ class JobService:
                 break
             if item is not _SHUTDOWN and item.state == QUEUED:
                 self._finish(item, CANCELLED)
-        await self._queue.put(_SHUTDOWN)
-        if self._executor_task is not None:
-            await self._executor_task
-            self._executor_task = None
+        for _ in self._executors:
+            await self._queue.put(_SHUTDOWN)
+        await asyncio.gather(*self._executors)
+        self._executors = []
+        if self._threads is not None:
+            self._threads.shutdown()
+            self._threads = None
         self._set_queue_gauge()
 
     # -- submission ------------------------------------------------------
@@ -431,9 +448,11 @@ class JobService:
             )
 
         try:
-            payload, run = await asyncio.to_thread(
-                execute_request, job.request, journal_path,
-                self.pool_jobs, on_event=forward, pin=self.pool_pin,
+            payload, run = await loop.run_in_executor(
+                self._threads, functools.partial(
+                    execute_request, job.request, journal_path, self.slots,
+                    on_event=forward,
+                ),
             )
         except Exception as exc:  # config/runner blew up, not a point
             job.error = f"{type(exc).__name__}: {exc}"

@@ -328,7 +328,7 @@ async def serve(host: str, port: int, *, store_dir, pool_jobs: int = 2,
             async with server:
                 await shutdown.wait()
     finally:
-        # Graceful drain: stop accepting, finish the running job,
+        # Graceful drain: stop accepting, finish the running jobs,
         # cancel the queue — then the sockets go away.
         await service.stop()
         server.close()

@@ -44,8 +44,9 @@ from repro.workloads.base import WorkloadSpec
 #: page-table resolve paths were removed; v13: cache-line state became
 #: flag ints, pages resolve at the access site only, and the driver
 #: reuses the last trace; results are bit-identical; v14: entries are
-#: sealed with a sha256 digest, so bare-pickle v13 entries are ignored).
-CODE_VERSION = 14
+#: sealed with a sha256 digest, so bare-pickle v13 entries are ignored;
+#: v15: RDC sets are allocated on demand; results are bit-identical).
+CODE_VERSION = 15
 
 _DEFAULT_DIR = Path(__file__).resolve().parents[3] / ".simcache"
 

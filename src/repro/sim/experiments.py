@@ -30,6 +30,7 @@ from repro.perf.model import PerformanceModel, geometric_mean
 from repro.perf.stats import RunResult
 from repro.sim import cache, driver
 from repro.sim.driver import run_workload, time_of
+from repro.sim.pool import WorkerSlots
 from repro.sim.runner import (
     FailureReport,
     RunnerPolicy,
@@ -156,6 +157,7 @@ def run_suites(
     use_cache: bool = True,
     runner: Optional[RunnerPolicy] = None,
     on_event=None,
+    slots: Optional[WorkerSlots] = None,
 ) -> dict[str, SuiteRun]:
     """Run several configurations across the workload list as one batch.
 
@@ -166,8 +168,8 @@ def run_suites(
 
     Without *runner* a failed point raises
     :class:`~repro.sim.runner.BatchFailed`; with one, failed workloads
-    land in :attr:`SuiteRun.failures`.  *on_event* threads straight
-    through to :func:`repro.sim.runner.run_tasks`.  An unknown or
+    land in :attr:`SuiteRun.failures`.  *on_event* and *slots* thread
+    straight through to :func:`repro.sim.runner.run_tasks`.  An unknown or
     repeated workload name fails before any simulation.
     """
     names = workloads if workloads is not None else suite.all_abbrs()
@@ -184,7 +186,7 @@ def run_suites(
         for abbr in names
         for sid, run in suites.items()
     ]
-    batch = run_tasks(tasks, runner, on_event=on_event)
+    batch = run_tasks(tasks, runner, on_event=on_event, slots=slots)
     for sid, run in suites.items():
         for abbr in names:
             key = f"{sid}/{abbr}"
@@ -205,6 +207,7 @@ def run_suite(
     use_cache: bool = True,
     runner: Optional[RunnerPolicy] = None,
     on_event=None,
+    slots: Optional[WorkerSlots] = None,
 ) -> SuiteRun:
     """Run one named configuration across the workload list.
 
@@ -214,6 +217,7 @@ def run_suite(
     run = SuiteRun(config_name, config_for(config_name, base, rdc_bytes))
     return run_suites(
         {config_name: run}, workloads, use_cache, runner, on_event=on_event,
+        slots=slots,
     )[config_name]
 
 

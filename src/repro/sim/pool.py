@@ -4,8 +4,14 @@
 paying the full interpreter/numpy import cost for every task.  This
 module provides the execution fabric underneath the runner instead:
 
-* **long-lived workers** — ``jobs`` subprocesses are started once per
-  batch and amortize import/config cost across every task they run;
+* **long-lived workers** — up to ``jobs`` subprocesses per batch, each
+  started once and amortizing import/config cost across every task it
+  runs;
+* **a shared slot budget** — :class:`WorkerSlots` holds ``jobs`` slots
+  with their placement planned once; a batch starts each worker on a
+  slot it took and gives the slot back when it retires the worker, so
+  concurrent batches (``repro serve`` jobs) never run more than
+  ``jobs`` workers between them;
 * **pipe-based task/result transport** — the parent sends
   ``(key, fn, args)`` down a duplex pipe and receives the pickled result
   back over the same pipe (results of the paper's points pickle to
@@ -31,9 +37,11 @@ bit-identical to the runner's inline path.
 
 from __future__ import annotations
 
+import heapq
 import multiprocessing
 import os
 import pickle
+import threading
 import traceback
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
@@ -143,6 +151,48 @@ def plan_affinity(
     return plan
 
 
+class WorkerSlots:
+    """A budget of worker slots that concurrent batches draw from.
+
+    Each slot's ``(cpus, node)`` placement is planned once with
+    :func:`plan_affinity`, so under ``pin`` two batches that hold
+    different slots never share a CPU slice.  A slot index is the
+    ``slot`` of every ``start`` journal record made on it.  Batches on
+    different threads may take and give slots concurrently.
+    """
+
+    def __init__(
+        self,
+        jobs: int,
+        pin: bool = False,
+        nodes: Optional[Sequence[Sequence[int]]] = None,
+    ) -> None:
+        self.plan = plan_affinity(jobs, pin, nodes)
+        self._free = list(range(jobs))  # a heap: the lowest index first
+        self._cond = threading.Condition()
+
+    def __len__(self) -> int:
+        return len(self.plan)
+
+    def take(self, block: bool) -> Optional[int]:
+        """The lowest free slot index.  When none is free, wait for one
+        if *block*, else return None."""
+        with self._cond:
+            while not self._free:
+                if not block:
+                    return None
+                self._cond.wait()
+            return heapq.heappop(self._free)
+
+    def give(self, index: int) -> None:
+        """Return a taken slot to the budget."""
+        with self._cond:
+            if index in self._free or not 0 <= index < len(self.plan):
+                raise ValueError(f"slot {index} is not taken")
+            heapq.heappush(self._free, index)
+            self._cond.notify()
+
+
 def _apply_affinity(cpus: Optional[Sequence[int]]) -> None:
     """Pin the calling process; silently a no-op where unsupported."""
     if not cpus:
@@ -197,6 +247,14 @@ def _worker_main(conn, affinity: Optional[tuple[int, ...]]) -> None:
     conn.close()
 
 
+#: Held across each worker's fork.  A fork copies every descriptor of
+#: the parent, so a batch forking on one thread while another batch's
+#: spawn holds its new worker's child-side pipe and sentinel ends would
+#: leave those ends open in an unrelated worker, and the other batch
+#: would miss its worker's death until that worker exited too.
+_SPAWN_LOCK = threading.Lock()
+
+
 def _mp_context():
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
@@ -224,12 +282,14 @@ def kill_process(process) -> None:
 class PoolWorker:
     """One worker slot: a process, its pipe, and its planned affinity."""
 
+    #: The slot's index in its :class:`WorkerSlots` budget.
     index: int
     affinity: Optional[tuple[int, ...]]
     #: NUMA node this slot was planned onto (-1 when unpinned) — the
     #: runner writes it into each ``start`` journal record, which
     #: labels the slot's row in assembled timelines.
     node: int = -1
+    #: The running process; None while the pool does not hold the slot.
     process: Any = None
     conn: Any = None
     #: True once ``recv`` raised EOF/OSError: the pipe must never be
@@ -248,7 +308,15 @@ class PoolWorker:
 
 
 class WorkerPool:
-    """A fixed set of persistent worker slots with crash containment.
+    """Persistent workers on slots drawn from a budget, with crash
+    containment.
+
+    ``workers`` has one entry per slot of the budget; the pool holds a
+    slot while that entry has a process.  :meth:`start` takes slots and
+    starts workers on them; :meth:`retire`, :meth:`reap`,
+    :meth:`kill_worker` and :meth:`shutdown` give them back, while
+    :meth:`respawn` and :meth:`restart_worker` replace a worker in the
+    slot it holds.
 
     The caller owns scheduling: it picks an idle worker, ``dispatch``-es
     a task to it, and consumes ``events()`` — ``("result", worker,
@@ -257,37 +325,52 @@ class WorkerPool:
     to :meth:`restart_worker` one that overran its deadline.
     """
 
-    def __init__(
-        self,
-        jobs: int,
-        pin: bool = False,
-        ctx=None,
-        nodes: Optional[Sequence[Sequence[int]]] = None,
-    ) -> None:
-        if jobs <= 0:
-            raise ValueError("pool size must be positive")
+    def __init__(self, slots: WorkerSlots, ctx=None) -> None:
+        self.slots = slots
         self._ctx = ctx if ctx is not None else _mp_context()
         self.workers = [
             PoolWorker(index=i, affinity=cpus, node=node)
-            for i, (cpus, node) in enumerate(plan_affinity(jobs, pin, nodes))
+            for i, (cpus, node) in enumerate(self.slots.plan)
         ]
 
-    def __len__(self) -> int:
-        return len(self.workers)
+    @property
+    def held(self) -> int:
+        """How many slots of the budget this pool holds."""
+        return sum(1 for w in self.workers if w.process is not None)
 
-    def start(self) -> None:
-        for worker in self.workers:
-            self._spawn(worker)
+    def start(self, want: Optional[int] = None, block: bool = True) -> int:
+        """Take up to *want* slots (default: the whole budget) and start
+        a worker on each; returns how many started.
+
+        With *block*, waits until the first slot is free; further slots
+        are taken only while some are free.
+        """
+        want = len(self.workers) if want is None else want
+        started = 0
+        while started < want:
+            index = self.slots.take(block=block and started == 0)
+            if index is None:
+                break
+            self._spawn(self.workers[index])
+            started += 1
+        return started
 
     def _spawn(self, worker: PoolWorker) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(child_conn, worker.affinity),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
+        """Start a process in *worker*'s slot, which the pool holds; the
+        slot goes back to the budget if the start fails."""
+        try:
+            with _SPAWN_LOCK:
+                parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+                process = self._ctx.Process(
+                    target=_worker_main,
+                    args=(child_conn, worker.affinity),
+                    daemon=True,
+                )
+                process.start()
+                child_conn.close()
+        except BaseException:
+            self.slots.give(worker.index)
+            raise
         worker.process = process
         worker.conn = parent_conn
         worker.conn_dead = False
@@ -379,27 +462,48 @@ class WorkerPool:
 
     # -- lifecycle ------------------------------------------------------
 
+    def retire(self, worker: PoolWorker) -> None:
+        """Stop an idle worker (``stop`` + join) and give its slot back."""
+        if worker.process is None:
+            return
+        try:
+            worker.conn.send((MSG_STOP,))
+        except (OSError, ValueError):
+            pass
+        worker.process.join(timeout=2.0)
+        self._release(worker)
+
     def reap(self, worker: PoolWorker) -> None:
-        """Join a dead worker and retire its slot (no replacement)."""
+        """Join a dead worker and give its slot back (no replacement)."""
         if worker.process is not None:
             worker.process.join(timeout=10.0)
-        self._close(worker)
+        self._release(worker)
 
     def respawn(self, worker: PoolWorker) -> None:
         """Replace a dead worker's process in the same slot."""
-        self.reap(worker)
+        if worker.process is not None:
+            worker.process.join(timeout=10.0)
+        self._close(worker)
         self._spawn(worker)
 
     def restart_worker(self, worker: PoolWorker) -> None:
         """Kill a (possibly hung) worker and start a replacement."""
-        self.kill_worker(worker)
+        if worker.process is not None:
+            kill_process(worker.process)
+        self._close(worker)
         self._spawn(worker)
 
     def kill_worker(self, worker: PoolWorker) -> None:
         """Kill a worker without replacement (deadline enforcement)."""
-        if worker.process is not None:
-            kill_process(worker.process)
+        self._release(worker)
+
+    def _release(self, worker: PoolWorker) -> None:
+        """Kill what is left of *worker* and give its slot back."""
+        if worker.process is None:
+            return
+        kill_process(worker.process)
         self._close(worker)
+        self.slots.give(worker.index)
 
     def _close(self, worker: PoolWorker) -> None:
         if worker.conn is not None:
@@ -412,22 +516,19 @@ class WorkerPool:
         worker.conn_dead = True
 
     def shutdown(self, force: bool = False) -> None:
-        """Stop every worker: graceful ``stop`` + join, or kill."""
+        """Stop every worker (graceful ``stop`` + join, or kill) and give
+        every slot back."""
+        held = [w for w in self.workers if w.process is not None]
         if not force:
-            for worker in self.workers:
-                if worker.process is None or worker.conn is None:
-                    continue
+            for worker in held:
                 try:
                     worker.conn.send((MSG_STOP,))
                 except (OSError, ValueError):
                     pass
-            for worker in self.workers:
-                if worker.process is not None:
-                    worker.process.join(timeout=2.0)
-        for worker in self.workers:
-            if worker.process is not None:
-                kill_process(worker.process)
-            self._close(worker)
+            for worker in held:
+                worker.process.join(timeout=2.0)
+        for worker in held:
+            self._release(worker)
 
 
 __all__ = [
@@ -437,6 +538,7 @@ __all__ = [
     "OK",
     "PoolWorker",
     "WorkerPool",
+    "WorkerSlots",
     "kill_process",
     "numa_nodes",
     "parse_cpulist",

@@ -28,16 +28,20 @@ for parallelism or a timeout, with bit-identical results.  Without a
 policy, a failed point raises :class:`BatchFailed`.
 
 Isolated execution runs on the **persistent worker pool** of
-:mod:`repro.sim.pool`: ``jobs`` long-lived subprocesses amortize
+:mod:`repro.sim.pool`: up to ``jobs`` long-lived subprocesses amortize
 import/config cost across tasks, results come back pickled over each
 worker's pipe, and a worker that dies or overruns its deadline only
 loses its own task — the pool respawns a replacement in its slot, so a
 dying worker can never take unrelated tasks down with it.  Points whose
 result the parent already holds (a journal-resumed key, or a task
 whose ``lookup`` finds it, such as a sim-cache hit) are answered before
-the pool starts, and the pool is sized by what is left.  With
-``pin=True`` the pool additionally places workers round-robin across
-NUMA nodes with per-worker CPU pinning (see ``docs/runner.md``).
+the pool starts, and the pool is sized by what is left.  Workers run on
+slots of a :class:`~repro.sim.pool.WorkerSlots` budget: a private one
+per batch, or one that concurrent batches share (``repro serve``).  A
+batch takes a slot when it has a point to run and gives it back as soon
+as its worker has nothing left to run.  With ``pin=True`` slots are
+placed round-robin across NUMA nodes with per-slot CPU pinning (see
+``docs/runner.md``).
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from typing import Any, Callable, Optional, Sequence, Union
 from repro.obs.summary import summarize_result
 from repro.sim import chaos
 from repro.sim.journal import Journal
-from repro.sim.pool import ERR, WorkerPool
+from repro.sim.pool import ERR, WorkerPool, WorkerSlots
 
 #: Failure kinds carried by :class:`FailureReport`.
 KIND_EXCEPTION = "exception"  # the task raised
@@ -251,6 +255,7 @@ def run_tasks(
     tasks: Sequence[Task],
     policy: Optional[RunnerPolicy] = None,
     on_event: Optional[Callable[[dict], None]] = None,
+    slots: Optional[WorkerSlots] = None,
 ) -> BatchResult:
     """Execute *tasks* in submission order under *policy*.
 
@@ -264,6 +269,12 @@ def run_tasks(
     (``start`` with its pool slot and NUMA node, then ``done``,
     ``retry``, ``failed`` or ``cancelled``), and the batch timeline is
     assembled from it (docs/tracing.md).
+
+    *slots* is the worker budget a pooled batch draws from, shared with
+    concurrent batches, whose slots are already placed; without it the
+    batch plans a private budget of ``min(policy.jobs, points left)``
+    slots, placed by ``policy.pin``.  The pool never holds more than
+    ``policy.jobs`` slots of it.
     """
     fail_fast = policy is None
     if fail_fast:
@@ -293,7 +304,7 @@ def run_tasks(
     batch = BatchResult()
     todo = _pre_dispatch(tasks, policy, journal, batch, emit)
     if policy.isolated:
-        _run_isolated(todo, policy, journal, batch, emit)
+        _run_isolated(todo, policy, journal, batch, emit, slots)
     else:
         _run_inline(todo, policy, journal, batch, emit)
     # Pooled attempts land in completion order, which varies run to run;
@@ -483,11 +494,21 @@ def _run_isolated(
     journal: Optional[Journal],
     batch: BatchResult,
     emit: Callable[..., None],
+    slots: Optional[WorkerSlots],
 ) -> None:
-    """Crash-isolated execution on the persistent worker pool."""
+    """Crash-isolated execution on the persistent worker pool.
+
+    The batch waits for one slot of the budget, then takes every free
+    slot it can use, up to ``min(policy.jobs, points left)``.  While an
+    eligible point finds no idle worker it takes a free slot if there
+    is one; once nothing is left to dispatch, each idle worker is
+    stopped and its slot goes back.
+    """
     if not todo:
         return
-    pool = WorkerPool(min(policy.jobs, len(todo)), pin=policy.pin)
+    if slots is None:
+        slots = WorkerSlots(min(policy.jobs, len(todo)), policy.pin)
+    pool = WorkerPool(slots)
     #: (task, attempt, eligible_at, first_started) awaiting a worker slot.
     pending: deque = deque((t, 1, 0.0, None) for t in todo)
     #: worker index -> the attempt it is currently executing.
@@ -520,8 +541,18 @@ def _run_isolated(
         if not policy.keep_going:
             stop = True
 
-    pool.start()
+    def idle_worker():
+        """An idle worker; if none is, one started on a free slot while
+        the batch may hold more."""
+        for worker in pool.workers:
+            if worker.alive and worker.index not in inflight:
+                return worker
+        if pool.held < policy.jobs and pool.start(1, block=False):
+            return idle_worker()
+        return None
+
     try:
+        pool.start(min(policy.jobs, len(todo)))
         while pending or inflight:
             if stop:
                 # Fail-fast: cancel in-flight and queued work alike; the
@@ -541,12 +572,9 @@ def _run_isolated(
                 break
 
             now = time.monotonic()
-            # Dispatch eligible tasks onto idle workers.
-            for worker in pool.workers:
-                if not pending:
-                    break
-                if worker.index in inflight or not worker.alive:
-                    continue
+            # Dispatch eligible tasks onto idle workers, starting one on
+            # a free slot of the budget when none is idle.
+            while pending:
                 picked = None
                 for _ in range(len(pending)):
                     candidate = pending.popleft()
@@ -557,15 +585,19 @@ def _run_isolated(
                     break
                 if picked is None:
                     break  # everything queued is still backing off
+                worker = idle_worker()
+                if worker is None:
+                    pending.appendleft(picked)
+                    break
                 task, attempt, _eligible, first = picked
                 if not pool.dispatch(worker, task.key, task.fn, task.args):
-                    # The slot died between batches; one respawn, then
+                    # The slot died between tasks; one respawn, then
                     # requeue rather than risk a hot loop.
                     pool.respawn(worker)
                     if not pool.dispatch(worker, task.key, task.fn,
                                          task.args):
                         pending.append((task, attempt, _eligible, first))
-                        continue
+                        break
                 started = time.monotonic()
                 inflight[worker.index] = _Running(
                     task=task, attempt=attempt, started=started,
@@ -576,6 +608,13 @@ def _run_isolated(
                 if journal is not None:
                     journal.append("start", task.key, attempt=attempt,
                                    slot=worker.index, node=worker.node)
+            if not pending:
+                # Nothing left to dispatch: idle workers give their
+                # slots back, so a concurrent batch can take them.
+                for worker in pool.workers:
+                    if (worker.process is not None
+                            and worker.index not in inflight):
+                        pool.retire(worker)
 
             # Wait for results/crashes, bounded by the nearest deadline
             # or backoff wake-up.
@@ -653,13 +692,13 @@ def _run_isolated(
                             entry, KIND_CRASH, "WorkerCrash",
                             f"worker died without a result ({detail})", "",
                         )
-                    if pending or inflight:
+                    if pending:
                         pool.respawn(worker)
                     else:
                         pool.reap(worker)
 
             # Deadline enforcement: kill overrunning workers, replace
-            # them if there is more work to run — the overrun's own
+            # them if there is more work to dispatch — the overrun's own
             # retry included, so it is queued before the decision.
             if policy.timeout_s is not None:
                 now = time.monotonic()
@@ -673,7 +712,7 @@ def _run_isolated(
                         f"wall-clock budget", "",
                     )
                     worker = pool.workers[index]
-                    if (pending or inflight) and not stop:
+                    if pending and not stop:
                         pool.restart_worker(worker)
                     else:
                         pool.kill_worker(worker)

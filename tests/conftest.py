@@ -15,6 +15,7 @@ from repro.config import (
 from repro.gpu.cta import KernelTrace, WorkloadTrace
 from repro.sim import driver
 from repro.sim.chaos import PLAN_ENV, STATE_ENV, ChaosPlan, FaultEvent
+from repro.sim.journal import Journal
 
 
 def small_config(**changes) -> SystemConfig:
@@ -96,6 +97,21 @@ def count_generations(monkeypatch) -> list[str]:
     return calls
 
 
+def pooled_attempts(path):
+    """``(slot, start ts, end ts)`` per pooled attempt in a journal."""
+    opened, out = {}, []
+    for r in Journal(path).records():
+        tag = (r["key"], r.get("attempt"))
+        if r["event"] == "start" and r["slot"] >= 0:
+            opened[tag] = r
+        elif r["event"] in ("done", "failed", "retry", "cancelled") \
+                and tag in opened:
+            start = opened.pop(tag)
+            out.append((start["slot"], start["ts"], r["ts"]))
+    assert not opened, f"unfinished attempts: {sorted(opened)}"
+    return out
+
+
 @pytest.fixture
 def config() -> SystemConfig:
     return small_config()
@@ -123,4 +139,5 @@ __all__ = [
     "make_trace",
     "arm_chaos",
     "count_generations",
+    "pooled_attempts",
 ]

@@ -1,6 +1,7 @@
 """Tests for the persistent worker pool (sim/pool.py) and its runner
 integration: NUMA planning, pipe transport, worker reuse,
-crash containment, slot records, and bit-identical pooled execution.
+crash containment, slot records, bit-identical pooled execution, and
+the slot budget that concurrent batches share.
 
 Worker functions must be top-level so they survive pickling into
 worker subprocesses.
@@ -11,6 +12,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import sys
+import threading
+import time
 
 import pytest
 
@@ -18,6 +22,7 @@ from repro.sim.journal import Journal
 from repro.sim.pool import (
     ERR,
     WorkerPool,
+    WorkerSlots,
     numa_nodes,
     parse_cpulist,
     plan_affinity,
@@ -29,7 +34,7 @@ from repro.sim.chaos import (
     FaultEvent,
 )
 from repro.sim.runner import RunnerPolicy, Task, run_tasks
-from tests.conftest import arm_chaos
+from tests.conftest import arm_chaos, pooled_attempts
 
 
 def _ok(x):
@@ -46,6 +51,11 @@ def _pid(_x):
 
 def _big(n):
     return b"\xab" * n
+
+
+def _nap(seconds):
+    time.sleep(seconds)
+    return seconds
 
 
 def _tasks(fn, keys, arg=1):
@@ -113,7 +123,7 @@ class TestPlanAffinity:
         assert plan == [((0,), 0)] * 3
 
     def test_pool_slots_follow_the_plan(self):
-        pool = WorkerPool(jobs=3, pin=True, nodes=self.NODES)
+        pool = WorkerPool(WorkerSlots(3, pin=True, nodes=self.NODES))
         assert [(w.affinity, w.node) for w in pool.workers] == \
             plan_affinity(3, pin=True, nodes=self.NODES)
 
@@ -172,7 +182,7 @@ class TestWorkerPool:
     def test_dead_pipe_surfaces_exactly_one_death_event(self, monkeypatch,
                                                         tmp_path):
         arm_chaos(monkeypatch, tmp_path, FaultEvent(KIND_WORKER_KILL))
-        pool = WorkerPool(jobs=1)
+        pool = WorkerPool(WorkerSlots(1))
         pool.start()
         worker = pool.workers[0]
         assert pool.dispatch(worker, "doomed", _ok, (1,))
@@ -192,7 +202,7 @@ class TestWorkerPool:
         pool.shutdown(force=True)
 
     def test_shutdown_is_idempotent_and_kills_everything(self):
-        pool = WorkerPool(jobs=2)
+        pool = WorkerPool(WorkerSlots(2))
         pool.start()
         procs = [w.process for w in pool.workers]
         pool.shutdown()
@@ -210,7 +220,7 @@ class TestWorkerPool:
 
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
-            WorkerPool(jobs=0)
+            WorkerPool(WorkerSlots(0))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +343,7 @@ class TestSidecarRace:
 
 class TestWireProtocol:
     def test_exception_reply_shape(self):
-        pool = WorkerPool(jobs=1)
+        pool = WorkerPool(WorkerSlots(1))
         pool.start()
         worker = pool.workers[0]
         assert pool.dispatch(worker, "boom", _boom, (1,))
@@ -350,3 +360,175 @@ class TestWireProtocol:
         assert exc_type == "ValueError"
         assert "deliberate" in text and "deliberate" in tb
         pool.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# The slot budget concurrent batches share
+# ---------------------------------------------------------------------------
+
+class _CountingSlots(WorkerSlots):
+    """A budget that records the most slots it ever had out at once."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.out = self.most_out = 0
+        self._count_lock = threading.Lock()
+
+    def take(self, block):
+        index = super().take(block)
+        if index is not None:
+            with self._count_lock:
+                self.out += 1
+                self.most_out = max(self.most_out, self.out)
+        return index
+
+    def give(self, index):
+        with self._count_lock:
+            self.out -= 1
+        super().give(index)
+
+
+def _in_threads(*calls):
+    """Run each ``(fn, args)`` on its own thread; return their results."""
+    results = [None] * len(calls)
+
+    def run(i, fn, args):
+        results[i] = fn(*args)
+
+    threads = [threading.Thread(target=run, args=(i, fn, args))
+               for i, (fn, args) in enumerate(calls)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
+class TestWorkerSlots:
+    def test_take_returns_none_when_every_slot_is_out(self):
+        slots = WorkerSlots(2)
+        assert [slots.take(block=False), slots.take(block=False)] == [0, 1]
+        assert slots.take(block=False) is None
+        slots.give(1)
+        assert slots.take(block=False) == 1
+
+    def test_give_rejects_a_slot_that_is_not_out(self):
+        slots = WorkerSlots(2)
+        with pytest.raises(ValueError):
+            slots.give(0)
+        slots.take(block=True)
+        slots.give(0)
+        with pytest.raises(ValueError):
+            slots.give(0)
+
+    def test_never_more_than_jobs_slots_out(self):
+        slots = _CountingSlots(3)
+        held, clash = set(), []
+        lock = threading.Lock()
+
+        def churn():
+            for _ in range(50):
+                index = slots.take(block=True)
+                with lock:
+                    if index in held:
+                        clash.append(index)
+                    held.add(index)
+                time.sleep(0.0005)
+                with lock:
+                    held.discard(index)
+                slots.give(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _in_threads(*[(churn, ()) for _ in range(6)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert clash == []
+        assert slots.most_out == 3 and slots.out == 0
+
+    def test_blocked_take_wakes_when_a_slot_is_given(self):
+        slots = WorkerSlots(1)
+        first = slots.take(block=True)
+        timer = threading.Timer(0.2, slots.give, args=(first,))
+        timer.start()
+        assert slots.take(block=True) == first
+        timer.join()
+
+    def test_pinned_pools_sharing_a_budget_get_disjoint_slices(self):
+        nodes = [[0, 1, 2, 3], [4, 5, 6, 7]]
+        slots = WorkerSlots(4, pin=True, nodes=nodes)
+        pools = [WorkerPool(slots) for _ in range(2)]
+        try:
+            assert [pool.start(2) for pool in pools] == [2, 2]
+            held = [
+                [w for w in pool.workers if w.process is not None]
+                for pool in pools
+            ]
+            cpus = [{c for w in ws for c in w.affinity} for ws in held]
+            assert cpus[0].isdisjoint(cpus[1])
+            assert cpus[0] | cpus[1] == set(range(8))
+            assert slots.take(block=False) is None
+        finally:
+            for pool in pools:
+                pool.shutdown()
+        assert sorted(slots.take(block=False) for _ in range(4)) == \
+            [0, 1, 2, 3]
+
+
+class TestSharedBudget:
+    """Two ``run_tasks`` batches on threads, sharing a 2-slot budget."""
+
+    def _batch(self, keys, naps, journal, slots):
+        tasks = [Task(key=k, fn=_nap, args=(s,)) for k, s in zip(keys, naps)]
+        batch = run_tasks(tasks, RunnerPolicy(jobs=2, journal_path=journal),
+                          slots=slots)
+        return batch, time.monotonic()
+
+    def test_never_more_than_the_budget_and_no_shared_slot(self, tmp_path):
+        slots = _CountingSlots(2)
+        journals = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        naps = [0.3, 0.05, 0.2, 0.05]
+        (a, _), (b, _) = _in_threads(
+            (self._batch, (list("abcd"), naps, journals[0], slots)),
+            (self._batch, (list("efgh"), naps, journals[1], slots)),
+        )
+        assert a.ok and b.ok
+        assert list(a.results) == list("abcd")
+        assert a.results == dict(zip("abcd", naps))
+        assert slots.most_out <= 2 and slots.out == 0
+        runs = [pooled_attempts(j) for j in journals]
+        assert len(runs[0]) == len(runs[1]) == 4
+        for slot_a, start_a, end_a in runs[0]:
+            assert slot_a in (0, 1)
+            for slot_b, start_b, end_b in runs[1]:
+                if start_a < end_b and start_b < end_a:
+                    assert slot_a != slot_b
+
+    def test_finished_short_point_hands_its_slot_on(self, tmp_path):
+        slots = _CountingSlots(2)
+        results = {}
+
+        def long_batch():
+            results["long"] = self._batch(
+                ["long", "short"], [3.0, 0.05], tmp_path / "a.jsonl", slots)
+
+        first = threading.Thread(target=long_batch)
+        first.start()
+        # The first batch takes both slots; the second waits for one.
+        deadline = time.monotonic() + 30
+        while slots.most_out < 2:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        waiting, waiting_done = self._batch(
+            ["other"], [0.05], tmp_path / "b.jsonl", slots)
+        first.join(60)
+        long, long_done = results["long"]
+        assert waiting.ok and long.ok
+        # The waiting batch ran on the short point's slot and finished
+        # well before the long point did.
+        assert long_done - waiting_done > 1.0
+        (other,) = pooled_attempts(tmp_path / "b.jsonl")
+        short_slot = {s for s, *_ in pooled_attempts(tmp_path / "a.jsonl")}
+        assert other[0] in short_slot

@@ -101,8 +101,7 @@ class TestRdcInvariants:
         system, _ = run_stream(cfg, accesses)
         for node in system.nodes:
             rdc = node.carve.rdc
-            for s in range(rdc.n_sets):
-                line = int(rdc._tags[s])
+            for line in rdc.tags:  # the allocated sets
                 if line < 0:
                     continue
                 page = line // system.amap.lines_per_page

@@ -25,7 +25,7 @@ from repro.serve.routes import ROUTES, match_route, methods_for
 from repro.serve.store import ResultStore, cas_key
 from repro.sim import durable
 from repro.sim.chaos import KIND_WORKER_KILL, FaultEvent
-from tests.conftest import arm_chaos
+from tests.conftest import arm_chaos, pooled_attempts
 
 WORKLOAD = "Lulesh"
 OTHER_WORKLOADS = ("XSBench", "AMG", "CoMD", "MCB", "HPGMG")
@@ -361,6 +361,31 @@ class TestScheduling:
         assert store.load(queued_req.cas_key()) is None
         assert running["id"] != queued["id"]
 
+    def test_two_new_jobs_run_at_once(self, tmp_path, monkeypatch):
+        both_started, release = threading.Event(), threading.Event()
+        gated = _fake_execute(release=release)
+        starts = []
+        lock = threading.Lock()
+
+        def fake(*args, **kwargs):
+            with lock:
+                starts.append(args[0].workloads)
+                if len(starts) == 2:
+                    both_started.set()
+            return gated(*args, **kwargs)
+
+        monkeypatch.setattr("repro.serve.jobs.execute_request", fake)
+        with ThreadedServer(tmp_path, pool_jobs=2) as srv:
+            c = ServeClient(port=srv.port)
+            ids = [c.submit("numa-gpu", workloads=[w])["id"]
+                   for w in (WORKLOAD, OTHER_WORKLOADS[0])]
+            # Both execute before either is released.
+            assert both_started.wait(10)
+            assert [c.job(i)["state"] for i in ids] == ["running"] * 2
+            release.set()
+            assert [c.wait(i, timeout=30)["state"] for i in ids] == \
+                ["done"] * 2
+
 
 # ---------------------------------------------------------------------------
 # The bounded store (LRU eviction, docs/serve.md)
@@ -605,6 +630,35 @@ class TestIntegration:
             # the journal really is the report's source
             store = ResultStore(tmp_path)
             assert store.journal_path(final["key"]).exists()
+
+    def test_concurrent_jobs_match_a_serial_server(self, tmp_path):
+        # Two new jobs at once on a 2-slot budget give byte-identical
+        # result digests to the same jobs on a one-job-at-a-time server.
+        requests = [("numa-gpu", [WORKLOAD, "Euler"]),
+                    ("carve-swc", [WORKLOAD])]
+
+        def digests(store, pool_jobs):
+            with ThreadedServer(store, pool_jobs=pool_jobs) as srv:
+                c = ServeClient(port=srv.port)
+                ids = [c.submit(system, workloads=w, use_cache=False)["id"]
+                       for system, w in requests]
+                finals = [c.wait(i, timeout=300) for i in ids]
+                assert [f["state"] for f in finals] == ["done"] * 2
+                keys = [f["key"] for f in finals]
+                out = [json.dumps(c.result(i)["results"], sort_keys=True)
+                       for i in ids]
+            return out, [ResultStore(store).journal_path(k) for k in keys]
+
+        concurrent, journals = digests(tmp_path / "two", 2)
+        assert concurrent == digests(tmp_path / "one", 1)[0]
+        # The jobs drew from one budget: attempts that overlap in time
+        # ran on different slots.
+        spans = [pooled_attempts(j) for j in journals]
+        assert all(spans)
+        for slot_a, start_a, end_a in spans[0]:
+            for slot_b, start_b, end_b in spans[1]:
+                if start_a < end_b and start_b < end_a:
+                    assert slot_a != slot_b
 
     def test_trace_endpoint_round_trip(self, tmp_path):
         from repro.obs.export import PID_WORKER_BASE
