@@ -2,14 +2,22 @@
 
 These are functional (hit/miss) models with true LRU replacement.  They know
 nothing about timing; the performance model converts the traffic they emit
-into time.  Each resident line carries the metadata the NUMA machinery
-needs as an int of flag bits: :data:`DIRTY` and :data:`REMOTE`.  A plain
-int costs no allocation per fill, which matters on the engine's hot path.
+into time.
+
+:class:`SetAssociativeCache` (the L2/LLC and the TLB levels) keeps each
+set as a plain ``dict`` whose insertion order is the LRU order: a refresh
+deletes the key and inserts it again, an eviction removes the first key.
+Each resident line carries the metadata the NUMA machinery needs as an
+int of flag bits, :data:`DIRTY` and :data:`REMOTE`; a plain int costs no
+allocation per fill, which matters on the engine's hot path.
+
+:class:`TagCache` (the write-through, no-allocate L1, whose lines never
+carry state) keeps each set as a ``list`` of lines, LRU first: at the
+L1's few ways a list scan beats dict upkeep.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -43,6 +51,9 @@ class SetAssociativeCache:
     scaled-down configurations functional.
     """
 
+    #: Set container: a ``dict`` of line -> DIRTY|REMOTE flags, LRU first.
+    _new_set = dict
+
     def __init__(self, n_lines: int, ways: int, name: str = "cache") -> None:
         if n_lines <= 0:
             raise ValueError("cache must have a positive line count")
@@ -58,30 +69,29 @@ class SetAssociativeCache:
         self.n_lines = n_lines
         self.ways = ways
         self.n_sets = n_lines // ways
-        # One OrderedDict per set: line -> DIRTY|REMOTE flags, LRU first.
-        self._sets: list[OrderedDict[int, int]] = [
-            OrderedDict() for _ in range(self.n_sets)
-        ]
+        self._sets: list = [self._new_set() for _ in range(self.n_sets)]
         self.hits = 0
         self.misses = 0
 
     # -- basic operations ------------------------------------------------
 
-    def _set_of(self, line: int) -> OrderedDict[int, int]:
+    def _set_of(self, line: int):
         return self._sets[line % self.n_sets]
 
     @property
-    def sets(self) -> list[OrderedDict[int, int]]:
+    def sets(self) -> list:
         """The per-set line tables, LRU-first (hot-path view).
 
-        Each maps a resident line to its state, an int of :data:`DIRTY`
-        and :data:`REMOTE` bits.  The vectorized execution engine operates
-        on these directly to avoid per-access method-call overhead; any
-        mutation must preserve the :meth:`lookup`/:meth:`insert` contract
-        (LRU order, ``ways`` bound, counter deltas flushed via
-        :meth:`add_lookup_counts`).  Assigning to a resident key keeps its
-        LRU position, so a state update must be followed by
-        ``move_to_end`` wherever the line's recency is refreshed.
+        Each is a ``dict`` mapping a resident line to its state, an int
+        of :data:`DIRTY` and :data:`REMOTE` bits, in LRU order (a
+        :class:`TagCache` set is a ``list`` of lines instead).  The
+        vectorized execution engine operates on these directly to avoid
+        per-access method-call overhead; any mutation must preserve the
+        :meth:`lookup`/:meth:`insert` contract (LRU order, ``ways``
+        bound, counter deltas flushed via :meth:`add_lookup_counts`).
+        Refresh = delete then re-insert; evict = remove the first key.
+        Assigning to a resident key keeps its LRU position, so a state
+        update that must not refresh recency is a plain assignment.
         """
         return self._sets
 
@@ -96,7 +106,7 @@ class SetAssociativeCache:
         if line in s:
             self.hits += 1
             if update_lru:
-                s.move_to_end(line)
+                s[line] = s.pop(line)
             return True
         self.misses += 1
         return False
@@ -115,25 +125,24 @@ class SetAssociativeCache:
         """
         s = self._set_of(line)
         flags = (DIRTY if dirty else 0) | (REMOTE if remote else 0)
-        state = s.get(line)
+        state = s.pop(line, None)
         if state is not None:
             s[line] = (state & DIRTY) | flags
-            s.move_to_end(line)
             return None
         victim = None
         if len(s) >= self.ways:
-            victim = _evicted(*s.popitem(last=False))
+            vline = next(iter(s))
+            victim = _evicted(vline, s.pop(vline))
         s[line] = flags
         return victim
 
     def mark_dirty(self, line: int) -> bool:
         """Set the dirty bit of a resident line; True if it was present."""
         s = self._set_of(line)
-        state = s.get(line)
+        state = s.pop(line, None)
         if state is None:
             return False
         s[line] = state | DIRTY
-        s.move_to_end(line)
         return True
 
     def invalidate_line(self, line: int) -> Optional[EvictedLine]:
@@ -201,3 +210,63 @@ class SetAssociativeCache:
     def reset_counters(self) -> None:
         self.hits = 0
         self.misses = 0
+
+
+class TagCache(SetAssociativeCache):
+    """A tag-only set-associative, true-LRU cache (the GPU L1).
+
+    Each set is a ``list`` of resident lines, LRU first.  Lines carry no
+    state, so :meth:`insert` refuses ``dirty`` or ``remote``, evicted and
+    invalidated lines report both flags clear, and no line is ever
+    flushed or dropped as remote.
+    """
+
+    _new_set = list
+
+    def lookup(self, line: int, update_lru: bool = True) -> bool:
+        s = self._set_of(line)
+        if line in s:
+            self.hits += 1
+            if update_lru:
+                s.remove(line)
+                s.append(line)
+            return True
+        self.misses += 1
+        return False
+
+    def insert(
+        self, line: int, dirty: bool = False, remote: bool = False
+    ) -> Optional[EvictedLine]:
+        if dirty or remote:
+            raise ValueError(f"{self.name}: tag-only lines carry no state")
+        s = self._set_of(line)
+        if line in s:
+            s.remove(line)
+            s.append(line)
+            return None
+        victim = None
+        if len(s) >= self.ways:
+            victim = EvictedLine(s.pop(0), False, False)
+        s.append(line)
+        return victim
+
+    def mark_dirty(self, line: int) -> bool:
+        raise ValueError(f"{self.name}: tag-only lines carry no state")
+
+    def invalidate_line(self, line: int) -> Optional[EvictedLine]:
+        s = self._set_of(line)
+        if line not in s:
+            return None
+        s.remove(line)
+        return EvictedLine(line, False, False)
+
+    def invalidate_all(self) -> list[EvictedLine]:
+        for s in self._sets:
+            s.clear()
+        return []
+
+    def invalidate_remote(self) -> int:
+        return 0
+
+    def flush_dirty(self) -> list[EvictedLine]:
+        return []

@@ -23,8 +23,9 @@ Two execution engines implement the identical per-access semantics:
   cache set indices, DRAM bank/row coordinates), resolves page homes at
   the access site through a per-GPU memo, and drives a tight loop per
   scheduled chunk with every invariant hoisted into per-GPU context
-  tuples, caches/DRAM operated on directly (cache-line state is a
-  ``DIRTY``/``REMOTE`` flag int), and counters tallied in locals that
+  tuples, caches/DRAM operated on directly (L1 sets are lists of
+  lines, L2 sets are insertion-ordered dicts of ``DIRTY``/``REMOTE``
+  flag ints, both LRU first), and counters tallied in locals that
   persist across chunks and flush once per kernel.
 * ``reference`` — the straightforward per-access loop, kept as the
   executable specification.  The equivalence test suite asserts the two
@@ -53,7 +54,7 @@ from repro.core.rdc import DIRTY_MAP_REGION_LINES
 from repro.gpu.cta import KernelTrace, WorkloadTrace
 from repro.gpu.scheduler import schedule_kernel
 from repro.memory.address import AddressMap
-from repro.memory.cache import DIRTY, REMOTE, SetAssociativeCache
+from repro.memory.cache import DIRTY, REMOTE, SetAssociativeCache, TagCache
 from repro.memory.dram import DramModel
 from repro.memory.tlb import TlbHierarchy
 from repro.numa.interconnect import FaultSchedule, Interconnect
@@ -68,7 +69,7 @@ class GpuNode:
 
     def __init__(self, gpu_id: int, config: SystemConfig, amap: AddressMap) -> None:
         self.gpu_id = gpu_id
-        self.l1 = SetAssociativeCache(
+        self.l1 = TagCache(
             config.l1_lines, config.gpu.l1_ways, name=f"gpu{gpu_id}.l1"
         )
         self.l2 = SetAssociativeCache(
@@ -532,16 +533,16 @@ class MultiGpuSystem:
                     if line in s1:
                         c1h += 1
                         l1h += 1
-                        s1.move_to_end(line)
+                        s1.remove(line)
+                        s1.append(line)
                     else:
                         c1m += 1
                     if is_local:
                         lw += 1
                         s2 = l2_sets[l2i_c[j]]
-                        state = s2.get(line)
+                        state = s2.pop(line, None)
                         if state is not None:
                             s2[line] = state | DIRTY
-                            s2.move_to_end(line)
                         else:
                             # Local DRAM write (inlined dram.access).
                             b = banks_c[j]
@@ -599,10 +600,9 @@ class MultiGpuSystem:
                             # its DRAM does (bank/row math is identical
                             # across nodes).
                             s2h = l2_sets_by_node[home][l2i_c[j]]
-                            hstate = s2h.get(line)
+                            hstate = s2h.pop(line, None)
                             if hstate is not None:
                                 s2h[line] = hstate | DIRTY
-                                s2h.move_to_end(line)
                             else:
                                 orh = open_rows_by_node[home]
                                 b = banks_c[j]
@@ -653,18 +653,19 @@ class MultiGpuSystem:
                 if line in s1:
                     c1h += 1
                     l1h += 1
-                    s1.move_to_end(line)
+                    s1.remove(line)
+                    s1.append(line)
                     continue
                 c1m += 1
                 s2 = l2_sets[l2i_c[j]]
                 if line in s2:
                     c2h += 1
                     l2h += 1
-                    s2.move_to_end(line)
+                    s2[line] = s2.pop(line)
                     lat += l2_lat
                     if len(s1) >= l1_ways:
-                        s1.popitem(last=False)
-                    s1[line] = 0
+                        del s1[0]
+                    s1.append(line)
                     continue
                 c2m += 1
                 page = pages_c[j]
@@ -703,13 +704,13 @@ class MultiGpuSystem:
                     # L2 fill; a displaced dirty (always local) line
                     # writes back to this GPU's DRAM.
                     if len(s2) >= l2_ways:
-                        vline, vstate = s2.popitem(last=False)
-                        if vstate & DIRTY:
+                        vline = next(iter(s2))
+                        if s2.pop(vline) & DIRTY:
                             dram_access(vline, True)
                     s2[line] = 0
                     if len(s1) >= l1_ways:
-                        s1.popitem(last=False)
-                    s1[line] = 0
+                        del s1[0]
+                    s1.append(line)
                     continue
 
                 # Remote line, LLC miss.
@@ -833,13 +834,13 @@ class MultiGpuSystem:
                                 mm.pop(page, None)
                 # L2 fill (remote) + L1 fill.
                 if len(s2) >= l2_ways:
-                    vline, vstate = s2.popitem(last=False)
-                    if vstate & DIRTY:
+                    vline = next(iter(s2))
+                    if s2.pop(vline) & DIRTY:
                         dram_access(vline, True)
                 s2[line] = REMOTE
                 if len(s1) >= l1_ways:
-                    s1.popitem(last=False)
-                s1[line] = 0
+                    del s1[0]
+                s1.append(line)
 
             # ---- bank the span's batched counters ----
             acc[gpu] = [

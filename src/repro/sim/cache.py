@@ -45,8 +45,10 @@ from repro.workloads.base import WorkloadSpec
 #: flag ints, pages resolve at the access site only, and the driver
 #: reuses the last trace; results are bit-identical; v14: entries are
 #: sealed with a sha256 digest, so bare-pickle v13 entries are ignored;
-#: v15: RDC sets are allocated on demand; results are bit-identical).
-CODE_VERSION = 15
+#: v15: RDC sets are allocated on demand; results are bit-identical;
+#: v16: L1 sets became tag-only lists and L2 sets plain dicts instead
+#: of OrderedDicts; results are bit-identical).
+CODE_VERSION = 16
 
 _DEFAULT_DIR = Path(__file__).resolve().parents[3] / ".simcache"
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory.cache import SetAssociativeCache
+from repro.memory.cache import SetAssociativeCache, TagCache
 
 
 class TestBasics:
@@ -366,3 +366,67 @@ class TestFlagStateModel:
             ] == [[tuple(e) for e in s] for s in ref.sets]
             assert (cache.hits, cache.misses) == (ref.hits, ref.misses)
             assert len(cache) == sum(len(s) for s in ref.sets)
+
+
+_TAG_OPS = st.tuples(
+    st.sampled_from([
+        "insert", "lookup", "invalidate_line", "invalidate_all",
+        "invalidate_remote", "flush_dirty",
+    ]),
+    st.integers(min_value=0, max_value=9),
+    st.booleans(),
+)
+
+
+class TestTagCacheModel:
+    """The tag-only list sets behave exactly like a list-based LRU."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([(1, 1), (2, 8), (4, 4), (6, 3), (8, 2), (8, 4)]),
+        st.lists(_TAG_OPS, min_size=20, max_size=120),
+    )
+    def test_matches_list_lru(self, geometry, ops):
+        cache = TagCache(*geometry)
+        ref = _ListLru(*geometry)
+        for op, line, a in ops:
+            if op == "insert":
+                got = _victim(cache.insert(line))
+                want = ref.insert(line, False, False)
+            elif op == "lookup":
+                got = cache.lookup(line, update_lru=a)
+                want = ref.lookup(line, a)
+            elif op == "invalidate_line":
+                got = _victim(cache.invalidate_line(line))
+                want = ref.invalidate_line(line)
+            else:
+                got = getattr(cache, op)()
+                want = getattr(ref, op)()
+            assert got == want, op
+            # Residency and LRU order, set by set.
+            assert [list(s) for s in cache.sets] == [
+                [e[0] for e in s] for s in ref.sets
+            ]
+            assert (cache.hits, cache.misses) == (ref.hits, ref.misses)
+            assert len(cache) == sum(len(s) for s in ref.sets)
+            assert sorted(cache) == sorted(e[0] for s in ref.sets for e in s)
+            assert cache.contains(line) == (ref._find(line)[1] is not None)
+
+    @pytest.mark.parametrize("flags", [{"dirty": True}, {"remote": True}])
+    def test_insert_with_state_raises(self, flags):
+        c = TagCache(16, 4)
+        with pytest.raises(ValueError):
+            c.insert(1, **flags)
+        assert not c.contains(1)
+
+    def test_mark_dirty_raises(self):
+        c = TagCache(16, 4)
+        c.insert(1)
+        with pytest.raises(ValueError):
+            c.mark_dirty(1)
+
+    def test_shares_geometry_checks(self):
+        with pytest.raises(ValueError):
+            TagCache(15, 4)
+        c = TagCache(2, 8)
+        assert c.ways == 2 and c.n_sets == 1

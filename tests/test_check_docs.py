@@ -57,6 +57,21 @@ class TestMetricTokens:
         problems = checker.check_metric_tokens(md, tmp_path)
         assert len(problems) == 1 and "labels" in problems[0]
 
+    def test_benchmark_ledger_names_ok(self, checker, tmp_path):
+        (tmp_path / "BENCHMARK.json").write_text(
+            '{"end_to_end": [{"name": "setup_s"}], '
+            '"per_layer": [{"name": "sim.pool.busy_share"}]}\n')
+        md = tmp_path / "a.md"
+        md.write_text("`sim.pool.busy_share` but not `sim.pool.busy`\n")
+        problems = checker.check_metric_tokens(md, tmp_path)
+        assert len(problems) == 1
+        assert "`sim.pool.busy`" in problems[0]
+
+    def test_ledger_names_need_benchmark_json(self, checker, tmp_path):
+        md = tmp_path / "a.md"
+        md.write_text("`sim.pool.busy_share`\n")
+        assert len(checker.check_metric_tokens(md, tmp_path)) == 1
+
     def test_module_paths_ignored(self, checker, tmp_path):
         md = tmp_path / "a.md"
         md.write_text("see `repro.obs.registry`, `numpy.ndarray` and "

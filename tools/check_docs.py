@@ -10,7 +10,9 @@ Two families of checks over the repository's Markdown:
    (dotted lower-case name whose first segment is a known metric
    subsystem, e.g. `` `rdc.hit` `` or `` `link.bytes{src,dst}` ``) must
    resolve against the live registry (`repro.obs.metrics.METRIC_NAMES`)
-   or the trace-event kinds (`repro.obs.events.EVENT_KINDS`); rendered
+   or the trace-event kinds (`repro.obs.events.EVENT_KINDS`), or be a
+   benchmark ledger name that ``BENCHMARK.json`` declares under
+   ``end_to_end`` or ``per_layer`` (read, never written); rendered
    labels must match the spec's declared labels.  The reverse holds
    too: every registered metric and event kind must be documented in
    ``docs/metrics.md``.  And every registered metric must be emitted:
@@ -38,7 +40,8 @@ is what enforces the contract in both directions.  Token resolution is
 shared with the OBS001 lint rule via
 :class:`repro.lint.resolver.MetricNameResolver`, so Markdown docs and
 Python string literals are held to the same definition of "known
-metric".
+metric" (the ledger names are a docs-only allowance: OBS001 still
+resolves against the registry alone).
 
 Usage:  python tools/check_docs.py [repo_root]
 Exit status 0 when clean, 1 with one line per problem otherwise.
@@ -46,6 +49,7 @@ Exit status 0 when clean, 1 with one line per problem otherwise.
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from pathlib import Path
@@ -107,12 +111,26 @@ def check_links(md: Path, root: Path) -> list[str]:
     return problems
 
 
+def ledger_names(root: Path) -> frozenset[str]:
+    """The metric names *root*'s ``BENCHMARK.json`` declares, if any."""
+    path = root / "BENCHMARK.json"
+    if not path.exists():
+        return frozenset()
+    bench = json.loads(path.read_text(encoding="utf-8"))
+    return frozenset(
+        m["name"] for key in ("end_to_end", "per_layer")
+        for m in bench.get(key, ())
+    )
+
+
 def check_metric_tokens(md: Path, root: Path) -> list[str]:
     """Backticked metric-looking tokens that don't resolve, per file."""
     text = md.read_text(encoding="utf-8")
+    ledger = ledger_names(root)
     return [
         f"{md.relative_to(root)}: {problem}"
-        for _token, problem in _RESOLVER.markdown_problems(text)
+        for token, problem in _RESOLVER.markdown_problems(text)
+        if token not in ledger
     ]
 
 
